@@ -60,8 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--series", type=Path, required=True)
     p.add_argument("--rounds", type=int, default=3)
     p.add_argument("--target-year", type=int, default=2050)
-    p.add_argument("--lookback", type=int, default=20)
-    p.add_argument("--horizon", type=int, default=10)
 
     p = sub.add_parser("project", help="project larvae abundance for target years")
     _add_common(p)
@@ -117,8 +115,6 @@ def run(args: argparse.Namespace) -> dict:
             series=args.series,
             rounds=args.rounds,
             target_year=args.target_year,
-            lookback=args.lookback,
-            horizon=args.horizon,
         )
         return pipeline.cmd_forecast(cfg)
     if args.command == "project":

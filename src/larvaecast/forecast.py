@@ -3,11 +3,14 @@
 Each region's last ``lookback`` observations are standardized, predicted
 ``horizon`` steps ahead, de-standardized, appended, and the rolled
 window is re-standardized with fresh statistics before the next round.
-The de-standardize / re-standardize sequence is kept literal (not
-algebraically collapsed) so intermediate windows can be inspected.
+All regions roll together: one ``predict`` call per round covers the
+whole batch. The de-standardize / re-standardize sequence is kept
+literal (not algebraically collapsed) so intermediate windows can be
+inspected.
 
-A window whose population sigma falls below ``sigma_floor`` standardizes
-as a pure mean shift (sigma treated as 1).
+A window whose population sigma falls below the floor of
+``preprocess.guard_sigma`` standardizes as a pure mean shift (sigma
+treated as 1).
 """
 
 from __future__ import annotations
@@ -17,8 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError, ShapeError
-
-DEFAULT_SIGMA_FLOOR = 1e-9
+from .preprocess import guard_sigma
 
 
 @dataclass(frozen=True)
@@ -26,15 +28,12 @@ class ForecastConfig:
     lookback: int = 20
     horizon: int = 10
     rounds: int = 3
-    sigma_floor: float = DEFAULT_SIGMA_FLOOR
 
     def __post_init__(self):
         if min(self.lookback, self.horizon, self.rounds) < 1:
             raise ConfigError("lookback, horizon, and rounds must be positive")
         if self.horizon > self.lookback:
             raise ConfigError("horizon must not exceed lookback")
-        if self.sigma_floor <= 0:
-            raise ConfigError("sigma_floor must be positive")
 
 
 @dataclass
@@ -48,14 +47,20 @@ class ForecastResult:
         return list(range(self.start_year, self.start_year + self.values.size))
 
 
+def _standardize(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    mu = x.mean(axis=1, keepdims=True)
+    sigma = guard_sigma(x.std(axis=1, keepdims=True))
+    return (x - mu) / sigma, mu, sigma
+
+
 def forecast(predict, windows, cfg: ForecastConfig) -> np.ndarray:
     """Recursive forecast of ``rounds`` blocks for each input window.
 
-    ``predict`` maps a standardized window of length ``lookback`` to a
-    standardized prediction of length ``horizon``. ``windows`` is an
+    ``predict`` maps an (m, lookback) batch of standardized windows to
+    an (m, horizon) batch of standardized predictions. ``windows`` is an
     (m, lookback) array (or a list of length-lookback sequences) in
     original units; the result is (m, horizon * rounds), also in
-    original units. Regions are independent and processed in order.
+    original units. Rows are independent of each other.
     """
     windows = np.asarray(windows, dtype=float)
     if windows.ndim == 1:
@@ -64,50 +69,50 @@ def forecast(predict, windows, cfg: ForecastConfig) -> np.ndarray:
         raise ShapeError(
             f"windows must be (m, {cfg.lookback}), got shape {windows.shape}"
         )
-    l, p = cfg.lookback, cfg.horizon
-    outputs = np.empty((windows.shape[0], p * cfg.rounds))
-    for i in range(windows.shape[0]):
-        x = windows[i].copy()
-        mu = float(x.mean())
-        sigma = float(x.std())
-        if sigma < cfg.sigma_floor:
-            sigma = 1.0
-        x = (x - mu) / sigma
-        collected = []
-        for _ in range(cfg.rounds):
-            y = np.asarray(predict(x), dtype=float)
-            if y.shape != (p,):
-                raise ShapeError(
-                    f"model must predict {p} values, got shape {y.shape}"
-                )
-            y = y * sigma + mu
-            x = x * sigma + mu
-            collected.append(y)
-            x = np.concatenate([x[p:], y])
-            mu = float(x.mean())
-            sigma = float(x.std())
-            if sigma < cfg.sigma_floor:
-                sigma = 1.0
-            x = (x - mu) / sigma
-        outputs[i] = np.concatenate(collected)
-    return outputs
+    p = cfg.horizon
+    x, mu, sigma = _standardize(windows)
+    collected = []
+    for _ in range(cfg.rounds):
+        y = np.asarray(predict(x), dtype=float)
+        if y.shape != (x.shape[0], p):
+            raise ShapeError(
+                f"model must predict {(x.shape[0], p)} values, got shape {y.shape}"
+            )
+        y = y * sigma + mu
+        x = x * sigma + mu
+        collected.append(y)
+        x, mu, sigma = _standardize(np.concatenate([x[:, p:], y], axis=1))
+    return np.concatenate(collected, axis=1)
 
 
-def forecast_series(
-    predict, region_id: str, variable: str, years, values, cfg: ForecastConfig
-) -> ForecastResult:
-    """Forecast one named annual series from its trailing lookback window."""
-    values = np.asarray(values, dtype=float)
-    if values.size < cfg.lookback:
+def require_window(series, lookback: int) -> None:
+    """Raise DataError if a series is shorter than one forecast window."""
+    if len(series.values) < lookback:
         raise DataError(
-            f"series {region_id!r}/{variable!r} has {values.size} values; "
-            f"forecasting needs at least {cfg.lookback}"
+            f"series {series.region_id!r}/{series.variable!r} has "
+            f"{len(series.values)} values; forecasting needs at least {lookback}"
         )
-    window = values[-cfg.lookback :]
-    projected = forecast(predict, window[None, :], cfg)[0]
-    return ForecastResult(
-        region_id=region_id,
-        variable=variable,
-        start_year=int(years[-1]) + 1,
-        values=projected,
-    )
+
+
+def forecast_series(predict, series, cfg: ForecastConfig) -> list[ForecastResult]:
+    """Forecast every series of one variable from its trailing lookback window.
+
+    ``series`` holds objects with ``region_id``, ``variable``, ``years``
+    and ``values`` (such as ``ingest.RegionSeries``); all of them roll
+    together through ``predict``. Returns one result per series, in order.
+    """
+    for s in series:
+        require_window(s, cfg.lookback)
+    if not series:
+        return []
+    windows = np.array([np.asarray(s.values, dtype=float)[-cfg.lookback :] for s in series])
+    projected = forecast(predict, windows, cfg)
+    return [
+        ForecastResult(
+            region_id=s.region_id,
+            variable=s.variable,
+            start_year=int(s.years[-1]) + 1,
+            values=values,
+        )
+        for s, values in zip(series, projected)
+    ]

@@ -138,6 +138,10 @@ def _field(path, line, row, col, convert, check=None, describe=""):
     return value
 
 
+def _finite(path, line, row, col) -> float:
+    return _field(path, line, row, col, float, math.isfinite, "value must be finite")
+
+
 def parse_observations(path) -> list[LarvaeObservation]:
     required = (
         "location_id",
@@ -241,7 +245,7 @@ def parse_series(path) -> list[RegionSeries]:
             lambda v: v in SERIES_VARIABLES, "unknown series variable",
         )
         year = _field(path, line, row, "year", int)
-        value = _field(path, line, row, "value", float)
+        value = _finite(path, line, row, "value")
         grouped.setdefault((row["region_id"], variable), []).append((year, value))
     out = []
     for (region_id, variable), points in grouped.items():

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError, ShapeError
+from .nn import _lift
 from .optim import (
     PlateauDetector,
     TrainConfig,
@@ -62,6 +63,7 @@ class LstmModel:
     hidden_size: int
     input_size: int
     output_len: int
+    lookback: int  # window length the model was trained on
     input_dropout_rate: float
     w: dict[str, np.ndarray]  # gate -> (hidden, input)
     u: dict[str, np.ndarray]  # gate -> (hidden, hidden)
@@ -86,9 +88,10 @@ def lstm_init(
     input_size: int = 1,
     output_len: int = FORECAST_HORIZON,
     input_dropout_rate: float = 0.2,
+    lookback: int = FORECAST_LOOKBACK,
 ) -> LstmModel:
     """Xavier-uniform gate and head weights; forget bias 1, other biases 0."""
-    if min(hidden_size, input_size, output_len) < 1:
+    if min(hidden_size, input_size, output_len, lookback) < 1:
         raise ConfigError("model dimensions must be positive")
     if not (0.0 <= input_dropout_rate < 1.0):
         raise ConfigError("input_dropout_rate must lie in [0, 1)")
@@ -106,6 +109,7 @@ def lstm_init(
         hidden_size=hidden_size,
         input_size=input_size,
         output_len=output_len,
+        lookback=lookback,
         input_dropout_rate=float(input_dropout_rate),
         w=w,
         u=u,
@@ -122,16 +126,6 @@ def _sigmoid(z):
     exp_z = np.exp(z[~positive])
     out[~positive] = exp_z / (1.0 + exp_z)
     return out
-
-
-def _lift(x, width: int, what: str) -> tuple[np.ndarray, bool]:
-    x = np.asarray(x, dtype=float)
-    squeeze = x.ndim == 1
-    if squeeze:
-        x = x[:, None]
-    if x.ndim != 2 or x.shape[0] != width:
-        raise ShapeError(f"{what} must have {width} rows, got shape {x.shape}")
-    return x, squeeze
 
 
 def lstm_cell(model: LstmModel, x_t, h_prev, c_prev):
@@ -302,6 +296,7 @@ def train_lstm(
         hidden_size=hidden_size,
         output_len=horizon,
         input_dropout_rate=input_dropout_rate,
+        lookback=lookback,
     )
     params = model.parameters()
     state = init_adam(params)

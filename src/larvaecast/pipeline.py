@@ -11,21 +11,21 @@ import csv
 import datetime
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import ingest, serialize
 from .errors import ConfigError, DataError, ParseError
-from .forecast import ForecastConfig, ForecastResult, forecast_series
+from .forecast import ForecastConfig, forecast_series, require_window
 from .ingest import FEATURE_NAMES, FeatureRow
 from .lstm import WindowConfig, lstm_forward, make_windows, train_lstm
 from .nn import ABUNDANCE_LAYER_DIMS, forward, train_abundance
 from .optim import TrainConfig
 from .preprocess import LogCountTransform, StandardScaler
 from .stats import correlation_report, residual_summary
-from .trend import OffsetK, estimate_k, fit_linear, predict_days
+from .trend import OffsetK, derive_min_max, estimate_k, fit_linear, predict_days
 
 FEATURES_CSV = "features.csv"
 INGEST_REPORT_JSON = "ingest_report.json"
@@ -325,17 +325,20 @@ def cmd_train_climate(cfg: PipelineConfig, lstm_max_epochs: int | None = None) -
 
 
 def cmd_forecast(cfg: PipelineConfig) -> dict:
-    """Roll the trained LSTMs forward and derive min/max/days series."""
+    """Roll the trained LSTMs forward and derive min/max/days series.
+
+    Every region of a variable rolls in one batch; the window length and
+    block size come from each LSTM document.
+    """
     if cfg.series is None:
         raise ConfigError("forecast needs --series")
     series_list = ingest.parse_series(cfg.series)
-    forecast_cfg = ForecastConfig(
-        lookback=cfg.lookback, horizon=cfg.horizon, rounds=cfg.rounds
-    )
-    models = {}
-    for variable in FORECAST_VARIABLES:
-        doc = serialize.load_document(cfg.path(lstm_document_name(variable)), "lstm")
-        models[variable] = serialize.deserialize_lstm(serialize.dumps(doc))
+    models = {
+        variable: serialize.deserialize_lstm(
+            cfg.path(lstm_document_name(variable)).read_text(encoding="utf-8")
+        )
+        for variable in FORECAST_VARIABLES
+    }
     offsets = serialize.offsets_from_document(
         serialize.load_document(cfg.path(OFFSETS_JSON), "offsets")
     )
@@ -349,68 +352,54 @@ def cmd_forecast(cfg: PipelineConfig) -> dict:
             f"target_year {cfg.target_year} is not beyond the observed series "
             f"(last year {last_year})"
         )
-    coverage = last_year + cfg.horizon * cfg.rounds
+    coverage = last_year + min(m.output_len for m in models.values()) * cfg.rounds
     if cfg.target_year > coverage:
         raise ConfigError(
             f"rounds={cfg.rounds} only reaches {coverage}; increase --rounds "
             f"to cover {cfg.target_year}"
         )
 
-    def predictor(model):
-        return lambda window: lstm_forward(model, window, mode="eval")[0]
-
     results = []
     errors = []
-    for variable in FORECAST_VARIABLES:
+    for variable, model in models.items():
+        forecast_cfg = ForecastConfig(
+            lookback=model.lookback, horizon=model.output_len, rounds=cfg.rounds
+        )
         by_region = _series_by_region(series_list, variable)
+        batch = []
         for region_id in sorted(by_region):
-            series = by_region[region_id]
             try:
-                result = forecast_series(
-                    predictor(models[variable]),
-                    region_id,
-                    variable,
-                    series.years,
-                    series.values,
-                    forecast_cfg,
-                )
+                require_window(by_region[region_id], model.lookback)
             except DataError as exc:
                 _warn(str(exc))
                 errors.append(f"{region_id}/{variable}")
                 continue
-            results.append(result)
-            if variable == "summer_tmean":
-                k = offsets.get(region_id)
-                if k is None:
-                    _warn(f"region {region_id!r} has no fitted offsets")
-                    errors.append(f"{region_id}/offsets")
-                    continue
-                for derived, values in (
-                    ("summer_tmin", result.values - k.k_min),
-                    ("summer_tmax", result.values + k.k_max),
-                ):
-                    results.append(
-                        ForecastResult(
-                            region_id=region_id,
-                            variable=derived,
-                            start_year=result.start_year,
-                            values=values,
-                        )
-                    )
-            elif variable == "summer_precip":
-                # An extrapolated amount can dip below zero; days are
-                # derived from the physically meaningful part.
-                days = np.array(
-                    [predict_days(days_model, max(v, 0.0)) for v in result.values]
-                )
-                results.append(
-                    ForecastResult(
-                        region_id=region_id,
-                        variable=DERIVED_DAYS_VARIABLE,
-                        start_year=result.start_year,
-                        values=days,
-                    )
-                )
+            batch.append(by_region[region_id])
+            if variable == "summer_tmean" and region_id not in offsets:
+                _warn(f"region {region_id!r} has no fitted offsets")
+                errors.append(f"{region_id}/offsets")
+        forecasts = forecast_series(
+            lambda x: lstm_forward(model, x.T, mode="eval")[0].T,
+            batch,
+            forecast_cfg,
+        )
+        results.extend(forecasts)
+        if variable == "summer_tmean":
+            for result in forecasts:
+                if result.region_id in offsets:
+                    tmin, tmax = derive_min_max(result.values, offsets[result.region_id])
+                    results.append(replace(result, variable="summer_tmin", values=tmin))
+                    results.append(replace(result, variable="summer_tmax", values=tmax))
+        elif variable == "summer_precip":
+            # An extrapolated amount can dip below zero; days are derived
+            # from the physically meaningful part.
+            days = predict_days(
+                days_model, np.maximum([r.values for r in forecasts], 0.0)
+            )
+            results.extend(
+                replace(result, variable=DERIVED_DAYS_VARIABLE, values=values)
+                for result, values in zip(forecasts, days)
+            )
     if not results:
         raise DataError("no region could be forecast")
 
@@ -436,15 +425,15 @@ def _read_forecast(path) -> dict[str, dict[str, dict[int, float]]]:
     table: dict[str, dict[str, dict[int, float]]] = {}
     for line, row in ingest._open_rows(path, ("region_id", "variable", "year", "value")):
         table.setdefault(row["region_id"], {}).setdefault(row["variable"], {})[
-            int(row["year"])
-        ] = float(row["value"])
+            ingest._field(path, line, row, "year", int)
+        ] = ingest._finite(path, line, row, "value")
     return table
 
 
 def read_region_elevations(path) -> dict[str, float]:
     out = {}
     for line, row in ingest._open_rows(path, ("region_id", "elevation_m")):
-        out[row["region_id"]] = float(row["elevation_m"])
+        out[row["region_id"]] = ingest._finite(path, line, row, "elevation_m")
     return out
 
 
@@ -467,7 +456,8 @@ def cmd_project(cfg: PipelineConfig, years: list[int] | None = None) -> dict:
 
     needed = ("summer_tmean", "summer_tmax", "summer_tmin",
               DERIVED_DAYS_VARIABLE, "summer_precip")
-    records = []
+    keys = []
+    rows = []
     for region_id in sorted(table):
         if region_id not in elevations:
             raise DataError(f"region {region_id!r} missing from {cfg.regions}")
@@ -480,24 +470,22 @@ def cmd_project(cfg: PipelineConfig, years: list[int] | None = None) -> dict:
                         f"forecast value missing for {region_id}/{variable}/{year}"
                     )
                 values.append(per_variable[variable][year])
-            tmean, tmax, tmin, days, amount = values
-            features = np.array([[tmean, tmax, tmin, days, amount, elevations[region_id]]])
-            log_abundance = float(predict_log_abundance(net, scaler, features)[0])
-            abundance = float(log_transform.inverse(log_abundance))
-            records.append(
-                (region_id, year, log_abundance, abundance,
-                 tmean, tmax, tmin, days, amount, elevations[region_id])
-            )
+            keys.append((region_id, year))
+            rows.append([*values, elevations[region_id]])
+    features = np.array(rows, dtype=float).reshape(-1, len(FEATURE_NAMES))
+    log_abundance = predict_log_abundance(net, scaler, features)
+    abundance = log_transform.inverse(log_abundance)
 
     with cfg.path(PROJECTIONS_CSV).open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(
             ["region_id", "year", "log10_abundance", "abundance", *FEATURE_NAMES]
         )
-        for record in records:
-            region_id, year, *numbers = record
-            writer.writerow([region_id, year, *(_fmt(v) for v in numbers)])
-    return {"rows": len(records), "years": years}
+        for (region_id, year), log_value, value, row in zip(
+            keys, log_abundance, abundance, features
+        ):
+            writer.writerow([region_id, year, *(_fmt(v) for v in (log_value, value, *row))])
+    return {"rows": len(keys), "years": years}
 
 
 # -- reporting -----------------------------------------------------------

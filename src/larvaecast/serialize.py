@@ -125,6 +125,7 @@ def serialize_lstm(model: LstmModel) -> str:
         "hidden_size": model.hidden_size,
         "input_size": model.input_size,
         "output_len": model.output_len,
+        "lookback": model.lookback,
         "input_dropout_rate": model.input_dropout_rate,
     }
     for gate in GATES:
@@ -150,6 +151,7 @@ def deserialize_lstm(text: str) -> LstmModel:
         hidden_size=hidden,
         input_size=inp,
         output_len=out,
+        lookback=int(_require(doc, "lookback", "lstm")),
         input_dropout_rate=float(_require(doc, "input_dropout_rate", "lstm")),
         w=w,
         u=u,

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import DataError, DomainError
 
@@ -84,7 +83,10 @@ def fit_trend(values) -> tuple[TrendParams, float]:
 
     Nelder-Mead simplex, started at the conventional approximate
     parameters with phi seeded from the first value; deterministic.
+    scipy is imported here so that the pipeline stages never load it.
     """
+    from scipy.optimize import minimize
+
     values = np.asarray(values, dtype=float)
     if values.ndim != 1 or values.size < 6:
         raise DataError("trend fit needs a 1-D series of at least 6 values")
@@ -141,9 +143,11 @@ def fit_linear(x, y) -> LinearModel:
     return LinearModel(slope=slope, intercept=intercept)
 
 
-def predict_days(model: LinearModel, amount_mm: float) -> float:
-    """Days of precipitation for a monthly amount, clamped to [0, 31]."""
-    if amount_mm < 0:
+def predict_days(model: LinearModel, amount_mm):
+    """Days of precipitation for monthly amounts (scalar or array),
+    clamped to [0, 31]."""
+    amount_mm = np.asarray(amount_mm, dtype=float)
+    if np.any(amount_mm < 0):
         raise DomainError("precipitation amount must be non-negative")
-    raw = model.slope * amount_mm + model.intercept
-    return float(min(max(raw, 0.0), MAX_DAYS_PER_MONTH))
+    days = np.clip(model.slope * amount_mm + model.intercept, 0.0, MAX_DAYS_PER_MONTH)
+    return float(days) if days.ndim == 0 else days

@@ -3,13 +3,15 @@ import pytest
 
 from larvaecast.errors import ConfigError, DataError, ShapeError
 from larvaecast.forecast import ForecastConfig, forecast, forecast_series
+from larvaecast.ingest import RegionSeries
 
 
 def reference_forecast(predict, windows, lookback, horizon, rounds):
     """Straight-line re-implementation of the recursive loop (test oracle).
 
     Written independently of the engine: no shared helpers, explicit
-    de-standardize / roll / re-standardize sequence per round.
+    de-standardize / roll / re-standardize sequence per round, with
+    ``predict`` called on one single-row batch at a time.
     """
     out = []
     for row in np.asarray(windows, dtype=float):
@@ -21,7 +23,7 @@ def reference_forecast(predict, windows, lookback, horizon, rounds):
         x = (x - mu) / sd
         collected = []
         for _ in range(rounds):
-            y = np.asarray(predict(x), dtype=float)
+            y = np.asarray(predict(x[None, :]), dtype=float)[0]
             y = y * sd + mu
             x = x * sd + mu
             collected.extend(y.tolist())
@@ -37,10 +39,17 @@ def reference_forecast(predict, windows, lookback, horizon, rounds):
 
 
 def linear_mock(seed, lookback, horizon):
+    """A linear model on (m, lookback) batches. Each row is reduced on its
+    own, so a row gives bitwise the same prediction alone or in a batch
+    (a BLAS ``x @ matrix.T`` does not)."""
     rng = np.random.default_rng(seed)
     matrix = rng.normal(size=(horizon, lookback))
     shift = rng.normal(size=horizon)
-    return lambda x: matrix @ x + shift
+    return lambda x: (x[..., None, :] * matrix).sum(axis=-1) + shift
+
+
+def zero_model(horizon):
+    return lambda x: np.zeros((x.shape[0], horizon))
 
 
 class TestForecastConfig:
@@ -57,7 +66,7 @@ class TestForecast:
     def test_constant_window_zero_model(self):
         cfg = ForecastConfig(lookback=20, horizon=10, rounds=3)
         window = np.full(20, 5.0)
-        out = forecast(lambda x: np.zeros(10), window[None, :], cfg)
+        out = forecast(zero_model(10), window[None, :], cfg)
         np.testing.assert_allclose(out, np.full((1, 30), 5.0))
 
     def test_output_length_is_horizon_times_rounds(self):
@@ -76,9 +85,9 @@ class TestForecast:
 
         def mock(x_std):
             call = len(seen_inputs)
-            seen_inputs.append(x_std.copy())
+            seen_inputs.append(x_std[0].copy())
             window = window_history[call]
-            return (continuations[call] - window.mean()) / window.std()
+            return ((continuations[call] - window.mean()) / window.std())[None, :]
 
         out = forecast(mock, ramp[None, :], cfg)[0]
         np.testing.assert_allclose(out, np.arange(21.0, 41.0), atol=1e-9)
@@ -107,6 +116,8 @@ class TestForecast:
         permutation = np.array([2, 0, 3, 1])
         permuted = forecast(mock, windows[permutation], cfg)
         np.testing.assert_array_equal(permuted, baseline[permutation])
+        for window, row in zip(windows, baseline):
+            np.testing.assert_array_equal(forecast(mock, window[None, :], cfg)[0], row)
 
     def test_deterministic(self):
         cfg = ForecastConfig(lookback=8, horizon=4, rounds=3)
@@ -122,7 +133,7 @@ class TestForecast:
         cfg = ForecastConfig(lookback=10, horizon=5, rounds=2)
         rng = np.random.default_rng(12)
         base = rng.normal(25.0, 2.0, size=(1, 10))
-        zero = lambda x: np.zeros(5)
+        zero = zero_model(5)
         out_a = forecast(zero, base, cfg)
         out_b = forecast(zero, base + 100.0, cfg)
         np.testing.assert_allclose(out_b - out_a, np.full((1, 10), 100.0), atol=1e-9)
@@ -130,30 +141,42 @@ class TestForecast:
     def test_wrong_window_length(self):
         cfg = ForecastConfig(lookback=6, horizon=3, rounds=1)
         with pytest.raises(ShapeError):
-            forecast(lambda x: np.zeros(3), np.zeros((2, 5)), cfg)
+            forecast(zero_model(3), np.zeros((2, 5)), cfg)
 
     def test_wrong_prediction_length(self):
         cfg = ForecastConfig(lookback=6, horizon=3, rounds=1)
         with pytest.raises(ShapeError):
-            forecast(lambda x: np.zeros(4), np.zeros((1, 6)), cfg)
+            forecast(zero_model(4), np.zeros((1, 6)), cfg)
+
+
+def region_series(region_id, years, values):
+    return RegionSeries(region_id, "summer_tmean", list(years), np.asarray(values, dtype=float))
 
 
 class TestForecastSeries:
     def test_start_year_follows_series(self):
         cfg = ForecastConfig(lookback=6, horizon=3, rounds=2)
-        years = list(range(2000, 2010))
-        result = forecast_series(
-            lambda x: np.zeros(3), "west", "summer_tmean", years,
-            np.linspace(10, 12, 10), cfg,
+        results = forecast_series(
+            zero_model(3),
+            [
+                region_series("west", range(2000, 2010), np.linspace(10, 12, 10)),
+                region_series("east", range(1990, 1998), np.linspace(5, 6, 8)),
+            ],
+            cfg,
         )
-        assert result.start_year == 2010
-        assert result.years() == list(range(2010, 2016))
-        assert result.values.size == 6
+        assert [(r.region_id, r.variable) for r in results] == [
+            ("west", "summer_tmean"), ("east", "summer_tmean"),
+        ]
+        assert results[0].start_year == 2010
+        assert results[0].years() == list(range(2010, 2016))
+        assert results[0].values.size == 6
+        assert results[1].years() == list(range(1998, 2004))
 
     def test_short_series_rejected(self):
         cfg = ForecastConfig(lookback=20, horizon=10, rounds=1)
         with pytest.raises(DataError, match="west"):
             forecast_series(
-                lambda x: np.zeros(10), "west", "summer_tmean",
-                list(range(2000, 2010)), np.arange(10.0), cfg,
+                zero_model(10),
+                [region_series("west", range(2000, 2010), np.arange(10.0))],
+                cfg,
             )

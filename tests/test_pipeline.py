@@ -1,10 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import larvaecast
 from larvaecast import cli, synth
 from larvaecast.errors import ConfigError, DataError
 from larvaecast.pipeline import (
@@ -318,3 +322,63 @@ class TestCli:
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["train-abundance", "--out-dir", "/tmp/x"])
         assert excinfo.value.code == 2
+
+    def test_forecast_takes_no_window_flags(self, tmp_path):
+        for flag in ("--lookback", "--horizon"):
+            with pytest.raises(SystemExit) as excinfo:
+                cli.main(
+                    ["forecast", "--out-dir", str(tmp_path), "--series", "s.csv", flag, "12"]
+                )
+            assert excinfo.value.code == 2
+
+    def test_cli_import_leaves_scipy_unloaded(self):
+        src = Path(larvaecast.__file__).resolve().parent.parent
+        probe = subprocess.run(
+            [sys.executable, "-c", "import sys, larvaecast.cli; print('scipy' in sys.modules)"],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert probe.stdout.strip() == "False"
+
+
+def assert_parse_error(code, capsys, column):
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    doc = json.loads(err)
+    assert doc["error"] == "ParseError"
+    assert column in doc["message"]
+
+
+class TestCliRejectsBadNumbers:
+    def project(self, tmp_path, elevation):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / FORECAST_CSV).write_text(
+            "region_id,variable,year,value\nwest,summer_tmean,2030,21.5\n"
+        )
+        regions = tmp_path / "regions.csv"
+        regions.write_text(f"region_id,elevation_m\nwest,{elevation}\n")
+        return cli.main(
+            ["project", "--out-dir", str(out), "--regions", str(regions), "--year", "2030"]
+        )
+
+    def test_nan_elevation(self, tmp_path, capsys):
+        assert_parse_error(self.project(tmp_path, "nan"), capsys, "elevation_m")
+
+    def test_non_numeric_elevation(self, tmp_path, capsys):
+        assert_parse_error(self.project(tmp_path, "high"), capsys, "elevation_m")
+
+    def test_nan_series_value(self, tmp_path, capsys):
+        series = tmp_path / "series.csv"
+        series.write_text(
+            "region_id,variable,year,value\n"
+            "west,summer_tmean,2000,20.5\n"
+            "west,summer_tmean,2001,nan\n"
+        )
+        code = cli.main(
+            ["forecast", "--out-dir", str(tmp_path / "out"), "--series", str(series)]
+        )
+        assert_parse_error(code, capsys, "value")

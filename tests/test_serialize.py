@@ -74,6 +74,7 @@ class TestLstmRoundTrip:
         restored = deserialize_lstm(serialize_lstm(model))
         assert restored.hidden_size == model.hidden_size
         assert restored.output_len == model.output_len
+        assert restored.lookback == model.lookback
         assert restored.input_dropout_rate == model.input_dropout_rate
         for original, back in zip(model.parameters(), restored.parameters()):
             np.testing.assert_array_equal(original, back)
@@ -82,6 +83,12 @@ class TestLstmRoundTrip:
         doc = json.loads(serialize_lstm(lstm_init(seed=0, hidden_size=3, output_len=2)))
         doc["u_f"] = doc["u_f"][:-2]
         with pytest.raises(ParseError, match="u_f"):
+            deserialize_lstm(json.dumps(doc))
+
+    def test_missing_lookback_rejected(self):
+        doc = json.loads(serialize_lstm(lstm_init(seed=0, hidden_size=3, output_len=2)))
+        del doc["lookback"]
+        with pytest.raises(ParseError, match="'lookback'"):
             deserialize_lstm(json.dumps(doc))
 
 
