@@ -3,6 +3,7 @@
 from .errors import (
     ConfigError,
     DataError,
+    DivergenceError,
     DomainError,
     ParseError,
     PipelineError,

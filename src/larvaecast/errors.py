@@ -1,7 +1,8 @@
 """Exception hierarchy shared by every stage of the pipeline.
 
 The CLI maps these onto process exit codes: 2 for configuration errors,
-3 for data errors, 4 for internal invariant violations.
+3 for data errors and diverged training, 4 for internal invariant
+violations.
 """
 
 
@@ -27,6 +28,14 @@ class ParseError(DataError):
 
 class DomainError(DataError):
     """Argument outside the mathematical domain of an operation."""
+
+
+class DivergenceError(PipelineError):
+    """A trainer's epoch loss became non-finite (exit code 3): the data or
+    the learning rate admit no finite fit. The message names the model and
+    the epoch."""
+
+    exit_code = 3
 
 
 class ShapeError(PipelineError):

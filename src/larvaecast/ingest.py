@@ -214,9 +214,9 @@ def parse_stations(path) -> list[StationRecord]:
                 lambda v: -180 <= v <= 180, "longitude out of range",
             ),
             month=_field(path, line, row, "month", _month_str),
-            tmean_c=_field(path, line, row, "tmean_c", float),
-            tmax_c=_field(path, line, row, "tmax_c", float),
-            tmin_c=_field(path, line, row, "tmin_c", float),
+            tmean_c=_finite(path, line, row, "tmean_c"),
+            tmax_c=_finite(path, line, row, "tmax_c"),
+            tmin_c=_finite(path, line, row, "tmin_c"),
             precip_days=_field(
                 path, line, row, "precip_days", float,
                 lambda v: 0 <= v <= 31, "days of precipitation out of range",
@@ -225,7 +225,7 @@ def parse_stations(path) -> list[StationRecord]:
                 path, line, row, "precip_mm", float,
                 lambda v: v >= 0, "precipitation must be non-negative",
             ),
-            elevation_m=_field(path, line, row, "elevation_m", float),
+            elevation_m=_finite(path, line, row, "elevation_m"),
         )
         if not (record.tmin_c <= record.tmean_c <= record.tmax_c):
             raise ParseError(

@@ -6,6 +6,12 @@ steps. The production configuration is 32 units, a 20-step lookback and
 a 10-step prediction head: 4,682 parameters. Inverted dropout is applied
 to the input sequence in train mode.
 
+The gates are fused: one (4 * hidden, input + hidden) weight matrix acts
+on the stacked column [x_t; h_prev], plus one (4 * hidden,) bias, in row
+blocks of gate order i, f, o, g (``GATES``). A step is one matmul forward
+and one ``U^T @ d_pre`` backward; ``LstmModel.gate`` returns one gate's
+(w, u, b) views, which the per-gate document fields are written from.
+
 Training windows slide over an annual series with stride 1; each pair is
 standardized with the statistics of its own input window and keeps them
 for inversion.
@@ -18,13 +24,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError, ShapeError
-from .nn import _lift
+from .nn import _lift, mse_loss
 from .optim import (
     PlateauDetector,
     TrainConfig,
     adam_step,
     dropout_stream,
     epoch_order,
+    finite_loss,
     init_adam,
 )
 from .preprocess import guard_sigma
@@ -65,21 +72,23 @@ class LstmModel:
     output_len: int
     lookback: int  # window length the model was trained on
     input_dropout_rate: float
-    w: dict[str, np.ndarray]  # gate -> (hidden, input)
-    u: dict[str, np.ndarray]  # gate -> (hidden, hidden)
-    b: dict[str, np.ndarray]  # gate -> (hidden,)
+    weights: np.ndarray  # (4 * hidden, input + hidden), acts on [x_t; h_prev]
+    bias: np.ndarray  # (4 * hidden,)
     head_w: np.ndarray  # (output_len, hidden)
     head_b: np.ndarray  # (output_len,)
 
     def parameters(self) -> list[np.ndarray]:
-        out = []
-        for gate in GATES:
-            out.extend((self.w[gate], self.u[gate], self.b[gate]))
-        out.extend((self.head_w, self.head_b))
-        return out
+        return [self.weights, self.bias, self.head_w, self.head_b]
 
     def parameter_count(self) -> int:
         return sum(p.size for p in self.parameters())
+
+    def gate(self, name: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Views of one gate's w (hidden, input), u (hidden, hidden) and b (hidden,)."""
+        k = GATES.index(name)
+        block = self.weights.reshape(len(GATES), self.hidden_size, -1)[k]
+        bias = self.bias.reshape(len(GATES), self.hidden_size)[k]
+        return block[:, : self.input_size], block[:, self.input_size :], bias
 
 
 def lstm_init(
@@ -97,50 +106,46 @@ def lstm_init(
         raise ConfigError("input_dropout_rate must lie in [0, 1)")
     rng = np.random.default_rng(seed)
 
-    def xavier(fan_out, fan_in):
+    def xavier(fan_out, fan_in, blocks=1):  # blocks: gates drawn one after another
         bound = np.sqrt(6.0 / (fan_in + fan_out))
-        return rng.uniform(-bound, bound, size=(fan_out, fan_in))
+        return rng.uniform(-bound, bound, size=(blocks * fan_out, fan_in))
 
-    w = {gate: xavier(hidden_size, input_size) for gate in GATES}
-    u = {gate: xavier(hidden_size, hidden_size) for gate in GATES}
-    b = {gate: np.zeros(hidden_size) for gate in GATES}
-    b["f"] = np.ones(hidden_size)
+    gates = len(GATES)
     return LstmModel(
         hidden_size=hidden_size,
         input_size=input_size,
         output_len=output_len,
         lookback=lookback,
         input_dropout_rate=float(input_dropout_rate),
-        w=w,
-        u=u,
-        b=b,
+        weights=np.hstack(
+            [xavier(hidden_size, input_size, gates), xavier(hidden_size, hidden_size, gates)]
+        ),
+        bias=np.repeat([1.0 if gate == "f" else 0.0 for gate in GATES], hidden_size),
         head_w=xavier(output_len, hidden_size),
         head_b=np.zeros(output_len),
     )
 
 
-def _sigmoid(z):
-    out = np.empty_like(z)
-    positive = z >= 0
-    out[positive] = 1.0 / (1.0 + np.exp(-z[positive]))
-    exp_z = np.exp(z[~positive])
-    out[~positive] = exp_z / (1.0 + exp_z)
-    return out
-
-
 def lstm_cell(model: LstmModel, x_t, h_prev, c_prev):
-    """One step of the standard LSTM cell; batched over columns."""
+    """One step of the standard LSTM cell, batched over columns: h, c and
+    the backprop cache (xh, c_prev, gates, tanh_c), with xh = [x_t; h_prev]
+    and gates the activated (4 * hidden, batch) i, f, o, g blocks."""
     x_t, squeeze = _lift(x_t, model.input_size, "cell input")
     h_prev, _ = _lift(h_prev, model.hidden_size, "previous hidden state")
     c_prev, _ = _lift(c_prev, model.hidden_size, "previous cell state")
-    gates = {}
-    for gate in GATES:
-        pre = model.w[gate] @ x_t + model.u[gate] @ h_prev + model.b[gate][:, None]
-        gates[gate] = np.tanh(pre) if gate == "g" else _sigmoid(pre)
-    c = gates["f"] * c_prev + gates["i"] * gates["g"]
+    n = model.hidden_size
+    xh = np.concatenate((x_t, h_prev))
+    gates = model.weights @ xh
+    gates += model.bias[:, None]
+    gates[: 3 * n] *= 0.5  # sigmoid(z) = 0.5 * (1 + tanh(z / 2)): one tanh for all
+    np.tanh(gates, out=gates)
+    gates[: 3 * n] += 1.0
+    gates[: 3 * n] *= 0.5
+    i, f, o, g = gates.reshape(len(GATES), n, -1)
+    c = f * c_prev + i * g
     tanh_c = np.tanh(c)
-    h = gates["o"] * tanh_c
-    cache = (x_t, h_prev, c_prev, gates, c, tanh_c)
+    h = o * tanh_c
+    cache = (xh, c_prev, gates, tanh_c)
     if squeeze:
         return h[:, 0], c[:, 0], cache
     return h, c, cache
@@ -148,10 +153,23 @@ def lstm_cell(model: LstmModel, x_t, h_prev, c_prev):
 
 @dataclass
 class LstmCache:
-    steps: list[tuple]
+    xs: np.ndarray  # (steps, batch) inputs, after dropout in train mode
+    steps: list[tuple] | None  # per-step lstm_cell caches; None in eval mode
     h_final: np.ndarray
     prediction: np.ndarray
-    squeeze: bool
+
+
+def _unroll(model: LstmModel, xs: np.ndarray, record: bool):
+    """Final hidden state over (steps, batch) inputs, and the per-step
+    caches if ``record`` is set (else None)."""
+    h = np.zeros((model.hidden_size, xs.shape[1]))
+    c = np.zeros_like(h)
+    steps = []
+    for x_t in xs:
+        h, c, step = lstm_cell(model, x_t[None, :], h, c)
+        if record:
+            steps.append(step)
+    return h, steps if record else None
 
 
 def lstm_forward(
@@ -164,7 +182,8 @@ def lstm_forward(
 
     ``window`` is one sequence (1-D, length lookback) or a batch shaped
     (lookback, batch). Train mode applies inverted dropout to the input
-    sequence before the recurrence.
+    sequence before the recurrence and keeps the per-step activations for
+    ``lstm_backward``; eval mode keeps only the inputs.
     """
     if model.input_size != 1:
         raise ShapeError("sequence forward expects a univariate model")
@@ -175,26 +194,21 @@ def lstm_forward(
     xs = window[:, None] if squeeze else window
     if xs.ndim != 2:
         raise ShapeError(f"window must be 1-D or 2-D, got shape {window.shape}")
-    steps, batch = xs.shape
     if mode == "train" and model.input_dropout_rate > 0:
         if rng is None:
             raise ConfigError("train mode with dropout needs an rng")
         keep = 1.0 - model.input_dropout_rate
         mask = (rng.random(xs.shape) >= model.input_dropout_rate).astype(float)
         xs = xs * mask / keep
-    h = np.zeros((model.hidden_size, batch))
-    c = np.zeros((model.hidden_size, batch))
-    caches = []
-    for t in range(steps):
-        h, c, cell_cache = lstm_cell(model, xs[t][None, :], h, c)
-        caches.append(cell_cache)
+    h, steps = _unroll(model, xs, record=mode == "train")
     prediction = model.head_w @ h + model.head_b[:, None]
-    cache = LstmCache(steps=caches, h_final=h, prediction=prediction, squeeze=squeeze)
+    cache = LstmCache(xs=xs, steps=steps, h_final=h, prediction=prediction)
     return (prediction[:, 0] if squeeze else prediction), cache
 
 
 def lstm_backward(model: LstmModel, cache: LstmCache, target) -> list[np.ndarray]:
-    """Gradients of mse_loss(prediction, target) via BPTT, in parameters() order."""
+    """Gradients of mse_loss(prediction, target) via BPTT, in parameters() order.
+    An eval-mode cache has its steps recomputed from its inputs."""
     pred = cache.prediction
     target, _ = _lift(target, model.output_len, "target")
     if target.shape != pred.shape:
@@ -202,42 +216,27 @@ def lstm_backward(model: LstmModel, cache: LstmCache, target) -> list[np.ndarray
             f"target shape {target.shape} does not match prediction {pred.shape}"
         )
     d_pred = 2.0 * (pred - target) / pred.size
+    steps = cache.steps
+    if steps is None:
+        steps = _unroll(model, cache.xs, record=True)[1]
 
-    g_w = {gate: np.zeros_like(model.w[gate]) for gate in GATES}
-    g_u = {gate: np.zeros_like(model.u[gate]) for gate in GATES}
-    g_b = {gate: np.zeros_like(model.b[gate]) for gate in GATES}
-    g_head_w = d_pred @ cache.h_final.T
-    g_head_b = d_pred.sum(axis=1)
-
+    n = model.hidden_size
+    u_t = model.weights[:, model.input_size :].T
+    g_weights = np.zeros_like(model.weights)
+    g_bias = np.zeros_like(model.bias)
     dh = model.head_w.T @ d_pred
     dc = np.zeros_like(dh)
-    for x_t, h_prev, c_prev, gates, c, tanh_c in reversed(cache.steps):
-        do = dh * tanh_c
-        dc = dc + dh * gates["o"] * (1.0 - tanh_c * tanh_c)
-        di = dc * gates["g"]
-        dg = dc * gates["i"]
-        df = dc * c_prev
-        dc_prev = dc * gates["f"]
-        d_pre = {
-            "i": di * gates["i"] * (1.0 - gates["i"]),
-            "f": df * gates["f"] * (1.0 - gates["f"]),
-            "o": do * gates["o"] * (1.0 - gates["o"]),
-            "g": dg * (1.0 - gates["g"] * gates["g"]),
-        }
-        dh_prev = np.zeros_like(dh)
-        for gate in GATES:
-            g_w[gate] += d_pre[gate] @ x_t.T
-            g_u[gate] += d_pre[gate] @ h_prev.T
-            g_b[gate] += d_pre[gate].sum(axis=1)
-            dh_prev += model.u[gate].T @ d_pre[gate]
-        dh = dh_prev
-        dc = dc_prev
-
-    grads = []
-    for gate in GATES:
-        grads.extend((g_w[gate], g_u[gate], g_b[gate]))
-    grads.extend((g_head_w, g_head_b))
-    return grads
+    for xh, c_prev, gates, tanh_c in reversed(steps):
+        i, f, o, g = gates.reshape(len(GATES), n, -1)
+        dc = dc + dh * o * (1.0 - tanh_c * tanh_c)
+        d_pre = np.concatenate((dc * g, dc * c_prev, dh * tanh_c, dc * i))
+        d_pre[: 3 * n] *= gates[: 3 * n] * (1.0 - gates[: 3 * n])
+        d_pre[3 * n :] *= 1.0 - g * g
+        g_weights += d_pre @ xh.T
+        g_bias += d_pre.sum(axis=1)
+        dh = u_t @ d_pre
+        dc = dc * f
+    return [g_weights, g_bias, d_pred @ cache.h_final.T, d_pred.sum(axis=1)]
 
 
 def make_windows(series, cfg: WindowConfig, name: str = "series") -> list[WindowPair]:
@@ -311,10 +310,9 @@ def train_lstm(
             xb = xs[:, idx]
             yb = ys[:, idx]
             pred, cache = lstm_forward(model, xb, mode="train", rng=mask_rng)
-            diff = pred - yb
-            epoch_loss += float(np.mean(diff * diff)) * idx.size
+            epoch_loss += mse_loss(pred, yb) * idx.size
             grads = lstm_backward(model, cache, yb)
             adam_step(params, grads, state, cfg)
-        if detector.update(epoch_loss / n):
+        if detector.update(finite_loss(epoch_loss / n, "LSTM", epoch)):
             break
     return model

@@ -24,6 +24,7 @@ from .optim import (
     adam_step,
     dropout_stream,
     epoch_order,
+    finite_loss,
     init_adam,
 )
 
@@ -239,6 +240,6 @@ def train_abundance(
             epoch_loss += mse_loss(pred, yb) * idx.size
             grads = backward(net, cache, yb)
             adam_step(params, grads, state, cfg)
-        if detector.update(epoch_loss / n):
+        if detector.update(finite_loss(epoch_loss / n, "abundance network", epoch)):
             break
     return net

@@ -3,16 +3,18 @@
 Parameters travel as flat lists of numpy arrays so the dense regressor
 and the LSTM can share one optimizer. Training stops when the relative
 improvement of the epoch loss over ``plateau_patience`` epochs falls
-below ``plateau_tolerance``, or at ``max_epochs``.
+below ``plateau_tolerance``, or at ``max_epochs``; a non-finite epoch
+loss stops it with ``DivergenceError``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, DivergenceError, ShapeError
 
 
 @dataclass(frozen=True)
@@ -99,6 +101,16 @@ class PlateauDetector:
         reference = self._history[-self.patience - 1]
         improvement = (reference - loss) / max(abs(reference), 1e-300)
         return improvement < self.tolerance
+
+
+def finite_loss(loss: float, model: str, epoch: int) -> float:
+    """The mean epoch loss, checked: a diverged run fails instead of
+    training on to ``max_epochs`` and saving a non-finite model."""
+    if not math.isfinite(loss):
+        raise DivergenceError(
+            f"{model} training diverged: mean loss is {loss} at epoch {epoch + 1}"
+        )
+    return loss
 
 
 def epoch_order(seed: int, epoch: int, n: int) -> np.ndarray:

@@ -129,9 +129,10 @@ def serialize_lstm(model: LstmModel) -> str:
         "input_dropout_rate": model.input_dropout_rate,
     }
     for gate in GATES:
-        doc[f"w_{gate}"] = model.w[gate].ravel().tolist()
-        doc[f"u_{gate}"] = model.u[gate].ravel().tolist()
-        doc[f"b_{gate}"] = model.b[gate].tolist()
+        w, u, b = model.gate(gate)
+        doc[f"w_{gate}"] = w.ravel().tolist()
+        doc[f"u_{gate}"] = u.ravel().tolist()
+        doc[f"b_{gate}"] = b.tolist()
     doc["head_w"] = model.head_w.ravel().tolist()
     doc["head_b"] = model.head_b.tolist()
     return dumps(doc)
@@ -142,20 +143,19 @@ def deserialize_lstm(text: str) -> LstmModel:
     hidden = int(_require(doc, "hidden_size", "lstm"))
     inp = int(_require(doc, "input_size", "lstm"))
     out = int(_require(doc, "output_len", "lstm"))
-    w, u, b = {}, {}, {}
+    w, u, b = [], [], []
     for gate in GATES:
-        w[gate] = _matrix(f"w_{gate}", _require(doc, f"w_{gate}", "lstm"), hidden, inp)
-        u[gate] = _matrix(f"u_{gate}", _require(doc, f"u_{gate}", "lstm"), hidden, hidden)
-        b[gate] = _vector(f"b_{gate}", _require(doc, f"b_{gate}", "lstm"), hidden)
+        w.append(_matrix(f"w_{gate}", _require(doc, f"w_{gate}", "lstm"), hidden, inp))
+        u.append(_matrix(f"u_{gate}", _require(doc, f"u_{gate}", "lstm"), hidden, hidden))
+        b.append(_vector(f"b_{gate}", _require(doc, f"b_{gate}", "lstm"), hidden))
     return LstmModel(
         hidden_size=hidden,
         input_size=inp,
         output_len=out,
         lookback=int(_require(doc, "lookback", "lstm")),
         input_dropout_rate=float(_require(doc, "input_dropout_rate", "lstm")),
-        w=w,
-        u=u,
-        b=b,
+        weights=np.hstack([np.vstack(w), np.vstack(u)]),
+        bias=np.concatenate(b),
         head_w=_matrix("head_w", _require(doc, "head_w", "lstm"), out, hidden),
         head_b=_vector("head_b", _require(doc, "head_b", "lstm"), out),
     )

@@ -3,7 +3,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from larvaecast.errors import ConfigError, DataError, ShapeError
+from larvaecast.errors import ConfigError, DataError, DivergenceError, ShapeError
 from larvaecast.lstm import (
     WindowConfig,
     lstm_backward,
@@ -23,10 +23,14 @@ def reference_cell(model, x_t, h_prev, c_prev):
     def sigmoid(z):
         return 1.0 / (1.0 + np.exp(-z))
 
-    i = sigmoid(model.w["i"] @ x_t + model.u["i"] @ h_prev + model.b["i"])
-    f = sigmoid(model.w["f"] @ x_t + model.u["f"] @ h_prev + model.b["f"])
-    o = sigmoid(model.w["o"] @ x_t + model.u["o"] @ h_prev + model.b["o"])
-    g = np.tanh(model.w["g"] @ x_t + model.u["g"] @ h_prev + model.b["g"])
+    def pre(gate):
+        w, u, b = model.gate(gate)
+        return w @ x_t + u @ h_prev + b
+
+    i = sigmoid(pre("i"))
+    f = sigmoid(pre("f"))
+    o = sigmoid(pre("o"))
+    g = np.tanh(pre("g"))
     c = f * c_prev + i * g
     h = o * np.tanh(c)
     return h, c
@@ -69,8 +73,8 @@ class TestArchitecture:
 
     def test_forget_bias_starts_at_one(self):
         model = lstm_init(seed=3)
-        np.testing.assert_array_equal(model.b["f"], np.ones(32))
-        np.testing.assert_array_equal(model.b["i"], np.zeros(32))
+        np.testing.assert_array_equal(model.gate("f")[2], np.ones(32))
+        np.testing.assert_array_equal(model.gate("i")[2], np.zeros(32))
 
 
 class TestLstmCell:
@@ -135,6 +139,26 @@ class TestLstmForward:
         window = np.array([1e6, -1e7, 1e5, 0.0, 2e6, -5e4])
         pred, _ = lstm_forward(model, window)
         assert np.all(np.isfinite(pred))
+
+    def test_batch_matches_single_columns(self):
+        model = lstm_init(seed=14, hidden_size=7, output_len=3)
+        windows = np.random.default_rng(14).normal(size=(9, 5))
+        batch, _ = lstm_forward(model, windows)
+        for col in range(windows.shape[1]):
+            single, _ = lstm_forward(model, windows[:, col])
+            np.testing.assert_allclose(batch[:, col], single, rtol=1e-12, atol=0)
+
+    def test_eval_keeps_no_step_cache(self):
+        model = lstm_init(seed=15, hidden_size=4, output_len=2, input_dropout_rate=0.0)
+        window = np.random.default_rng(15).normal(size=(6, 3))
+        target = np.ones((2, 3))
+        _, eval_cache = lstm_forward(model, window)
+        _, train_cache = lstm_forward(model, window, mode="train")
+        assert eval_cache.steps is None
+        assert len(train_cache.steps) == 6
+        for a, b in zip(lstm_backward(model, eval_cache, target),
+                        lstm_backward(model, train_cache, target)):
+            np.testing.assert_array_equal(a, b)
 
     def test_train_mode_requires_rng(self):
         model = lstm_init(seed=0, hidden_size=3, output_len=2)
@@ -251,6 +275,12 @@ class TestTrainLstm:
         b = train_lstm(pairs, cfg, hidden_size=4)
         for pa, pb in zip(a.parameters(), b.parameters()):
             np.testing.assert_array_equal(pa, pb)
+
+    def test_diverging_run_fails_loudly(self):
+        pairs = make_windows(np.sin(np.arange(30.0)), WindowConfig(8, 4))
+        cfg = TrainConfig(seed=0, max_epochs=50, learning_rate=1e300)
+        with np.errstate(all="ignore"), pytest.raises(DivergenceError, match="LSTM.*epoch 1$"):
+            train_lstm(pairs, cfg, hidden_size=4)
 
     def test_empty_pairs_rejected(self):
         with pytest.raises(ConfigError):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from larvaecast.errors import ConfigError, ShapeError
+from larvaecast.errors import ConfigError, DivergenceError, ShapeError
 from larvaecast.nn import (
     ABUNDANCE_LAYER_DIMS,
     backward,
@@ -236,6 +236,13 @@ class TestTrainAbundance:
         b = train_abundance(x, y, cfg, layer_dims=(6, 8, 1))
         for pa, pb in zip(a.parameters(), b.parameters()):
             np.testing.assert_array_equal(pa, pb)
+
+    def test_nan_target_fails_loudly(self):
+        x, y = self._linear_dataset(n=32, seed=4)
+        y[5] = np.nan
+        cfg = TrainConfig(seed=0, max_epochs=50)
+        with pytest.raises(DivergenceError, match="abundance network.*epoch 1$"):
+            train_abundance(x, y, cfg, layer_dims=(6, 8, 1))
 
     def test_empty_dataset_rejected(self):
         cfg = TrainConfig(seed=0)

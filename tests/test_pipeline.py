@@ -371,6 +371,21 @@ class TestCliRejectsBadNumbers:
     def test_non_numeric_elevation(self, tmp_path, capsys):
         assert_parse_error(self.project(tmp_path, "high"), capsys, "elevation_m")
 
+    def test_nan_station_elevation(self, tmp_path, capsys):
+        paths = synth.write_prepare_fixture(tmp_path / "data")
+        header, first, *rest = paths["stations"].read_text().splitlines()
+        first = first.rsplit(",", 1)[0] + ",nan"
+        paths["stations"].write_text("\n".join([header, first, *rest]) + "\n")
+        code = cli.main(
+            [
+                "prepare",
+                "--out-dir", str(tmp_path / "out"),
+                "--observations", str(paths["observations"]),
+                "--stations", str(paths["stations"]),
+            ]
+        )
+        assert_parse_error(code, capsys, "elevation_m")
+
     def test_nan_series_value(self, tmp_path, capsys):
         series = tmp_path / "series.csv"
         series.write_text(

@@ -1,10 +1,12 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from larvaecast.errors import ParseError
-from larvaecast.lstm import lstm_init
+from larvaecast.lstm import lstm_forward, lstm_init
+from test_lstm import reference_cell
 from larvaecast.nn import ABUNDANCE_LAYER_DIMS, xavier_init
 from larvaecast.preprocess import StandardScaler
 from larvaecast.serialize import (
@@ -78,6 +80,42 @@ class TestLstmRoundTrip:
         assert restored.input_dropout_rate == model.input_dropout_rate
         for original, back in zip(model.parameters(), restored.parameters()):
             np.testing.assert_array_equal(original, back)
+
+    def test_field_names_and_order(self):
+        doc = json.loads(serialize_lstm(lstm_init(seed=0, hidden_size=3, output_len=2)))
+        assert list(doc) == [
+            "schema_version", "kind", "hidden_size", "input_size", "output_len",
+            "lookback", "input_dropout_rate",
+            "w_i", "u_i", "b_i", "w_f", "u_f", "b_f",
+            "w_o", "u_o", "b_o", "w_g", "u_g", "b_g",
+            "head_w", "head_b",
+        ]
+
+    def test_per_gate_document_predicts_like_reference(self):
+        hidden, out = 3, 2
+        rng = np.random.default_rng(99)
+        gates = {
+            gate: (rng.normal(size=(hidden, 1)), rng.normal(size=(hidden, hidden)),
+                   rng.normal(size=hidden))
+            for gate in "ifog"
+        }
+        head_w, head_b = rng.normal(size=(out, hidden)), rng.normal(size=out)
+        doc = {"schema_version": 1, "kind": "lstm", "hidden_size": hidden,
+               "input_size": 1, "output_len": out, "lookback": 4,
+               "input_dropout_rate": 0.0}
+        for gate, (w, u, b) in gates.items():
+            doc.update({f"w_{gate}": w.ravel().tolist(), f"u_{gate}": u.ravel().tolist(),
+                        f"b_{gate}": b.tolist()})
+        doc.update(head_w=head_w.ravel().tolist(), head_b=head_b.tolist())
+        model = deserialize_lstm(json.dumps(doc))
+
+        per_gate = SimpleNamespace(gate=gates.__getitem__)
+        window = rng.normal(size=4)
+        h, c = np.zeros(hidden), np.zeros(hidden)
+        for value in window:
+            h, c = reference_cell(per_gate, np.array([value]), h, c)
+        pred, _ = lstm_forward(model, window)
+        np.testing.assert_allclose(pred, head_w @ h + head_b, rtol=1e-12, atol=1e-12)
 
     def test_gate_length_validation(self):
         doc = json.loads(serialize_lstm(lstm_init(seed=0, hidden_size=3, output_len=2)))
