@@ -4,11 +4,15 @@ Commands mirror the pipeline stages: prepare, train-abundance,
 train-climate, forecast, project, report. Training commands require an
 explicit --seed; all stages write into --out-dir. Exit codes: 0 success,
 2 configuration error, 3 data error, 4 internal invariant violation.
+
+Every flag sets the ``PipelineConfig`` field named by its ``dest``, and
+an omitted flag takes that field's default.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -17,10 +21,28 @@ from . import pipeline
 from .errors import PipelineError
 from .pipeline import PipelineConfig
 
+# Command -> pipeline stage; the stage is looked up on the module at call
+# time, so a wrapper installed there is the one that runs.
+STAGES = {
+    "prepare": "cmd_prepare",
+    "train-abundance": "cmd_train_abundance",
+    "train-climate": "cmd_train_climate",
+    "forecast": "cmd_forecast",
+    "project": "cmd_project",
+    "report": "cmd_report",
+}
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--out-dir", type=Path, required=True,
-                        help="directory for pipeline artifacts")
+_DEFAULTS = {field.name: field.default for field in dataclasses.fields(PipelineConfig)}
+
+
+def _option(parser: argparse.ArgumentParser, flag: str, help: str = "", **kwargs) -> None:
+    """Add ``flag``; unless required, its default is the config field's."""
+    dest = kwargs.setdefault("dest", flag[2:].replace("-", "_"))
+    if not kwargs.get("required"):
+        kwargs["default"] = _DEFAULTS[dest]
+        if kwargs["default"] is not None:
+            help = f"{help} (default: %(default)s)".lstrip()
+    parser.add_argument(flag, help=help, **kwargs)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -31,110 +53,57 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("prepare", help="clean observations and build features.csv")
-    _add_common(p)
-    p.add_argument("--observations", type=Path, required=True)
-    p.add_argument("--stations", type=Path, required=True)
-    p.add_argument("--max-km", type=float, default=pipeline.ingest.DEFAULT_MAX_STATION_KM,
-                   help="maximum observation-to-station distance (default 30 miles)")
+    def stage(command: str, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(command, help=help)
+        _option(p, "--out-dir", "directory for pipeline artifacts", type=Path, required=True)
+        return p
 
-    p = sub.add_parser("train-abundance", help="train the larvae-count regressor")
-    _add_common(p)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--holdout-oldest", type=int, default=35)
-    p.add_argument("--max-epochs", type=int, default=5000)
-    p.add_argument("--learning-rate", type=float, default=1e-3)
-    p.add_argument("--batch-size", type=int, default=8)
+    p = stage("prepare", "clean observations and build features.csv")
+    _option(p, "--observations", type=Path, required=True)
+    _option(p, "--stations", type=Path, required=True)
+    _option(p, "--max-km", "maximum observation-to-station distance in km", type=float)
 
-    p = sub.add_parser("train-climate", help="train the climate forecasters")
-    _add_common(p)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--series", type=Path, required=True)
-    p.add_argument("--max-epochs", type=int, default=1500)
-    p.add_argument("--lookback", type=int, default=20)
-    p.add_argument("--horizon", type=int, default=10)
-    p.add_argument("--hidden-size", type=int, default=32)
+    p = stage("train-abundance", "train the larvae-count regressor")
+    _option(p, "--seed", type=int, required=True)
+    _option(p, "--holdout-oldest", type=int)
+    _option(p, "--max-epochs", type=int)
+    _option(p, "--learning-rate", type=float)
+    _option(p, "--batch-size", type=int)
 
-    p = sub.add_parser("forecast", help="recursive climate forecast per region")
-    _add_common(p)
-    p.add_argument("--series", type=Path, required=True)
-    p.add_argument("--rounds", type=int, default=3)
-    p.add_argument("--target-year", type=int, default=2050)
+    p = stage("train-climate", "train the climate forecasters")
+    _option(p, "--seed", type=int, required=True)
+    _option(p, "--series", type=Path, required=True)
+    _option(p, "--max-epochs", type=int, dest="climate_max_epochs")
+    _option(p, "--lookback", type=int)
+    _option(p, "--horizon", type=int)
+    _option(p, "--hidden-size", type=int, dest="lstm_hidden_size")
 
-    p = sub.add_parser("project", help="project larvae abundance for target years")
-    _add_common(p)
-    p.add_argument("--regions", type=Path, required=True,
-                   help="CSV of region_id,elevation_m")
-    p.add_argument("--year", type=int, action="append", dest="years",
-                   help="projection year (repeatable; default: --target-year)")
-    p.add_argument("--target-year", type=int, default=2050)
+    p = stage("forecast", "recursive climate forecast per region")
+    _option(p, "--series", type=Path, required=True)
+    _option(p, "--rounds", type=int)
+    _option(p, "--target-year", type=int)
 
-    p = sub.add_parser("report", help="percent-change table and choropleth data")
-    _add_common(p)
-    p.add_argument("--start-year", type=int, required=True)
-    p.add_argument("--end-year", type=int, required=True)
-    p.add_argument("--geometry", type=Path, default=None,
-                   help="optional GeoJSON whose features carry region ids")
-    p.add_argument("--geometry-out", type=Path, default=None)
-    p.add_argument("--region-key", default="region_id")
+    p = stage("project", "project larvae abundance for target years")
+    _option(p, "--regions", "CSV of region_id,elevation_m", type=Path, required=True)
+    _option(p, "--year", "projection year, repeatable (default: --target-year)",
+            type=int, action="append", dest="years")
+    _option(p, "--target-year", type=int)
+
+    p = stage("report", "percent-change table and choropleth data")
+    _option(p, "--start-year", type=int, required=True)
+    _option(p, "--end-year", type=int, required=True)
+    _option(p, "--geometry", "optional GeoJSON whose features carry region ids", type=Path)
+    _option(p, "--geometry-out", "(default: choropleth.geojson in --out-dir)", type=Path)
+    _option(p, "--region-key", "feature property holding the region id")
     return parser
 
 
+def config_from_args(args: argparse.Namespace) -> PipelineConfig:
+    return PipelineConfig(**{k: v for k, v in vars(args).items() if k != "command"})
+
+
 def run(args: argparse.Namespace) -> dict:
-    if args.command == "prepare":
-        cfg = PipelineConfig(
-            out_dir=args.out_dir,
-            observations=args.observations,
-            stations=args.stations,
-            max_km=args.max_km,
-        )
-        return pipeline.cmd_prepare(cfg)
-    if args.command == "train-abundance":
-        cfg = PipelineConfig(
-            out_dir=args.out_dir,
-            seed=args.seed,
-            holdout_oldest=args.holdout_oldest,
-            max_epochs=args.max_epochs,
-            learning_rate=args.learning_rate,
-            batch_size=args.batch_size,
-        )
-        return pipeline.cmd_train_abundance(cfg)
-    if args.command == "train-climate":
-        cfg = PipelineConfig(
-            out_dir=args.out_dir,
-            seed=args.seed,
-            series=args.series,
-            lookback=args.lookback,
-            horizon=args.horizon,
-            lstm_hidden_size=args.hidden_size,
-        )
-        return pipeline.cmd_train_climate(cfg, lstm_max_epochs=args.max_epochs)
-    if args.command == "forecast":
-        cfg = PipelineConfig(
-            out_dir=args.out_dir,
-            series=args.series,
-            rounds=args.rounds,
-            target_year=args.target_year,
-        )
-        return pipeline.cmd_forecast(cfg)
-    if args.command == "project":
-        cfg = PipelineConfig(
-            out_dir=args.out_dir,
-            regions=args.regions,
-            target_year=args.target_year,
-        )
-        return pipeline.cmd_project(cfg, years=args.years)
-    if args.command == "report":
-        cfg = PipelineConfig(out_dir=args.out_dir)
-        return pipeline.cmd_report(
-            cfg,
-            start_year=args.start_year,
-            end_year=args.end_year,
-            geometry=args.geometry,
-            geometry_out=args.geometry_out,
-            region_key=args.region_key,
-        )
-    raise AssertionError(f"unhandled command {args.command!r}")
+    return getattr(pipeline, STAGES[args.command])(config_from_args(args))
 
 
 def main(argv=None) -> int:

@@ -25,9 +25,9 @@ from .preprocess import guard_sigma
 
 @dataclass(frozen=True)
 class ForecastConfig:
-    lookback: int = 20
-    horizon: int = 10
-    rounds: int = 3
+    lookback: int
+    horizon: int
+    rounds: int
 
     def __post_init__(self):
         if min(self.lookback, self.horizon, self.rounds) < 1:

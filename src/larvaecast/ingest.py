@@ -43,9 +43,6 @@ FEATURE_NAMES = (
     "elevation_m",
 )
 
-SUMMER_START = (6, 22)  # June 22
-SUMMER_END = (9, 22)  # September 22
-
 
 @dataclass(frozen=True)
 class LarvaeObservation:
@@ -359,17 +356,3 @@ def join_nearest_station(
             )
         )
     return rows, dropped
-
-
-def summer_average(entries, year: int) -> float:
-    """Mean value over the June 22 to September 22 window of ``year``.
-
-    ``entries`` is an iterable of (date, value) pairs; at least one entry
-    must fall inside the window.
-    """
-    start = datetime.date(year, *SUMMER_START)
-    end = datetime.date(year, *SUMMER_END)
-    selected = [float(v) for d, v in entries if start <= d <= end]
-    if not selected:
-        raise DataError(f"no values inside the summer window of {year}")
-    return float(np.mean(selected))

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import ingest, serialize
+from . import ingest, lstm, serialize
 from .errors import ConfigError, DataError, ParseError
 from .forecast import ForecastConfig, forecast_series, require_window
 from .ingest import FEATURE_NAMES, FeatureRow
@@ -55,36 +55,59 @@ def _warn(message: str) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
 
+def _write_csv(path, header, rows) -> None:
+    with serialize.atomic_open(path) as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 @dataclass
 class PipelineConfig:
+    """Every stage setting, declared once; each CLI flag sets one field.
+    ``max_epochs`` bounds the regressor, ``climate_max_epochs`` each LSTM."""
+
     out_dir: Path
     observations: Path | None = None
     stations: Path | None = None
     series: Path | None = None
     regions: Path | None = None
+    geometry: Path | None = None
+    geometry_out: Path | None = None
     seed: int = 0
     holdout_oldest: int = 35
     target_year: int = 2050
+    years: list[int] | None = None
+    start_year: int | None = None
+    end_year: int | None = None
     rounds: int = 3
     max_km: float = ingest.DEFAULT_MAX_STATION_KM
-    lookback: int = 20
-    horizon: int = 10
+    lookback: int = lstm.FORECAST_LOOKBACK
+    horizon: int = lstm.FORECAST_HORIZON
     batch_size: int = 8
     learning_rate: float = 1e-3
     max_epochs: int = 5000
-    lstm_hidden_size: int = 32
-    dropout_rate: float = 0.2
-    log_offset: float = 1.0
+    climate_max_epochs: int = 1500
+    lstm_hidden_size: int = lstm.FORECAST_HIDDEN_SIZE
+    region_key: str = "region_id"
 
     def __post_init__(self):
         self.out_dir = Path(self.out_dir)
-        for name in ("observations", "stations", "series", "regions"):
+        for name in ("observations", "stations", "series", "regions",
+                     "geometry", "geometry_out"):
             value = getattr(self, name)
             if value is not None:
                 setattr(self, name, Path(value))
 
     def path(self, name: str) -> Path:
         return self.out_dir / name
+
+    def artifact(self, name: str) -> Path:
+        """Path of an artifact an earlier stage must have written."""
+        path = self.path(name)
+        if not path.is_file():
+            raise DataError(f"artifact not found: {path} (run the stage that writes it first)")
+        return path
 
     def train_config(self, seed_offset: int = 0, max_epochs: int | None = None) -> TrainConfig:
         return TrainConfig(
@@ -118,16 +141,12 @@ def cmd_prepare(cfg: PipelineConfig) -> dict:
         )
 
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    with cfg.path(FEATURES_CSV).open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["location_id", "date", "month", *FEATURE_NAMES, "larvae_count"])
-        for row in rows:
-            writer.writerow(
-                [
-                    row.location_id, row.date.isoformat(), row.month,
-                    *(_fmt(v) for v in row.features()), int(row.larvae_count),
-                ]
-            )
+    _write_csv(
+        cfg.path(FEATURES_CSV),
+        ["location_id", "date", "month", *FEATURE_NAMES, "larvae_count"],
+        ([row.location_id, row.date.isoformat(), row.month,
+          *(_fmt(v) for v in row.features()), int(row.larvae_count)] for row in rows),
+    )
     report = {
         "input_rows": len(observations),
         "container": containers_dropped,
@@ -135,34 +154,25 @@ def cmd_prepare(cfg: PipelineConfig) -> dict:
         "proximity": proximity_dropped,
         "retained": len(rows),
     }
-    cfg.path(INGEST_REPORT_JSON).write_text(
-        json.dumps(report, indent=1) + "\n", encoding="utf-8"
-    )
+    serialize.save_document(cfg.path(INGEST_REPORT_JSON), report)
     return report
 
 
 def read_features(path) -> list[FeatureRow]:
     required = ("location_id", "date", "month", *FEATURE_NAMES, "larvae_count")
-    rows = []
-    for line, row in ingest._open_rows(path, required):
-        try:
-            rows.append(
-                FeatureRow(
-                    location_id=row["location_id"],
-                    date=datetime.date.fromisoformat(row["date"]),
-                    month=row["month"],
-                    tmean_c=float(row["tmean_c"]),
-                    tmax_c=float(row["tmax_c"]),
-                    tmin_c=float(row["tmin_c"]),
-                    precip_days=float(row["precip_days"]),
-                    precip_mm=float(row["precip_mm"]),
-                    elevation_m=float(row["elevation_m"]),
-                    larvae_count=int(row["larvae_count"]),
-                )
-            )
-        except ValueError as exc:
-            raise ParseError(f"{path}: row {line}: {exc}") from None
-    return rows
+    return [
+        FeatureRow(
+            location_id=row["location_id"],
+            date=ingest._field(path, line, row, "date", datetime.date.fromisoformat),
+            month=row["month"],
+            **{name: ingest._finite(path, line, row, name) for name in FEATURE_NAMES},
+            larvae_count=ingest._field(
+                path, line, row, "larvae_count", int,
+                lambda v: v >= 0, "count must be non-negative",
+            ),
+        )
+        for line, row in ingest._open_rows(path, required)
+    ]
 
 
 # -- abundance training --------------------------------------------------
@@ -190,7 +200,7 @@ def _correlation_entry(pred, truth) -> dict:
 
 def cmd_train_abundance(cfg: PipelineConfig) -> dict:
     """Train the regressor with a chronological oldest-rows holdout."""
-    rows = read_features(cfg.path(FEATURES_CSV))
+    rows = read_features(cfg.artifact(FEATURES_CSV))
     n = len(rows)
     if cfg.holdout_oldest < 1 or cfg.holdout_oldest >= n:
         raise ConfigError(
@@ -205,7 +215,7 @@ def cmd_train_abundance(cfg: PipelineConfig) -> dict:
     val_rows = ordered[: cfg.holdout_oldest]
     train_rows = ordered[cfg.holdout_oldest :]
 
-    log_transform = LogCountTransform(cfg.log_offset)
+    log_transform = LogCountTransform()
     train_x = np.stack([r.features() for r in train_rows])
     train_y = log_transform.transform([r.larvae_count for r in train_rows])
     val_x = np.stack([r.features() for r in val_rows])
@@ -219,7 +229,6 @@ def cmd_train_abundance(cfg: PipelineConfig) -> dict:
         train_y,
         cfg.train_config(),
         layer_dims=ABUNDANCE_LAYER_DIMS,
-        dropout_rate=cfg.dropout_rate,
     )
 
     train_pred = predict_log_abundance(net, scaler, train_x)
@@ -239,16 +248,13 @@ def cmd_train_abundance(cfg: PipelineConfig) -> dict:
             "max_negative": residuals.max_negative,
         },
     }
-    cfg.path(ABUNDANCE_MODEL_JSON).write_text(
-        serialize.serialize_network(net) + "\n", encoding="utf-8"
-    )
+    with serialize.atomic_open(cfg.path(ABUNDANCE_MODEL_JSON)) as handle:
+        handle.write(serialize.serialize_network(net) + "\n")
     serialize.save_document(
         cfg.path(ABUNDANCE_SCALERS_JSON),
-        serialize.scalers_to_document(scaler, FEATURE_NAMES, cfg.log_offset),
+        serialize.scalers_to_document(scaler, FEATURE_NAMES, log_transform.offset),
     )
-    cfg.path(ABUNDANCE_REPORT_JSON).write_text(
-        json.dumps(report, indent=1) + "\n", encoding="utf-8"
-    )
+    serialize.save_document(cfg.path(ABUNDANCE_REPORT_JSON), report)
     return report
 
 
@@ -259,10 +265,11 @@ def _series_by_region(series_list, variable: str) -> dict[str, ingest.RegionSeri
     return {s.region_id: s for s in series_list if s.variable == variable}
 
 
-def cmd_train_climate(cfg: PipelineConfig, lstm_max_epochs: int | None = None) -> dict:
+def cmd_train_climate(cfg: PipelineConfig) -> dict:
     """Train one LSTM per forecast variable plus the derived-series models."""
     if cfg.series is None:
         raise ConfigError("train-climate needs --series")
+    feature_rows = read_features(cfg.artifact(FEATURES_CSV))
     series_list = ingest.parse_series(cfg.series)
     if not series_list:
         raise DataError(f"{cfg.series}: no series found")
@@ -283,11 +290,11 @@ def cmd_train_climate(cfg: PipelineConfig, lstm_max_epochs: int | None = None) -
             raise DataError(f"no trainable windows for variable {variable!r}")
         model = train_lstm(
             pairs,
-            cfg.train_config(seed_offset=offset, max_epochs=lstm_max_epochs),
+            cfg.train_config(seed_offset=offset, max_epochs=cfg.climate_max_epochs),
             hidden_size=cfg.lstm_hidden_size,
         )
-        doc_path = cfg.path(lstm_document_name(variable))
-        doc_path.write_text(serialize.serialize_lstm(model) + "\n", encoding="utf-8")
+        with serialize.atomic_open(cfg.path(lstm_document_name(variable))) as handle:
+            handle.write(serialize.serialize_lstm(model) + "\n")
         summary["windows"][variable] = len(pairs)
 
     # Per-region temperature offsets from the historical series.
@@ -309,9 +316,8 @@ def cmd_train_climate(cfg: PipelineConfig, lstm_max_epochs: int | None = None) -
     serialize.save_document(cfg.path(OFFSETS_JSON), serialize.offsets_to_document(offsets))
 
     # Global linear model: days of precipitation from precipitation amount.
-    rows = read_features(cfg.path(FEATURES_CSV))
     days_model = fit_linear(
-        [r.precip_mm for r in rows], [r.precip_days for r in rows]
+        [r.precip_mm for r in feature_rows], [r.precip_days for r in feature_rows]
     )
     serialize.save_document(
         cfg.path(DAYS_MODEL_JSON), serialize.linear_to_document(days_model)
@@ -335,15 +341,15 @@ def cmd_forecast(cfg: PipelineConfig) -> dict:
     series_list = ingest.parse_series(cfg.series)
     models = {
         variable: serialize.deserialize_lstm(
-            cfg.path(lstm_document_name(variable)).read_text(encoding="utf-8")
+            cfg.artifact(lstm_document_name(variable)).read_text(encoding="utf-8")
         )
         for variable in FORECAST_VARIABLES
     }
     offsets = serialize.offsets_from_document(
-        serialize.load_document(cfg.path(OFFSETS_JSON), "offsets")
+        serialize.load_document(cfg.artifact(OFFSETS_JSON), "offsets")
     )
     days_model = serialize.linear_from_document(
-        serialize.load_document(cfg.path(DAYS_MODEL_JSON), "linear")
+        serialize.load_document(cfg.artifact(DAYS_MODEL_JSON), "linear")
     )
 
     last_year = max(max(s.years) for s in series_list)
@@ -405,12 +411,12 @@ def cmd_forecast(cfg: PipelineConfig) -> dict:
 
     results.sort(key=lambda r: (r.region_id, r.variable))
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    with cfg.path(FORECAST_CSV).open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["region_id", "variable", "year", "value"])
-        for result in results:
-            for year, value in zip(result.years(), result.values):
-                writer.writerow([result.region_id, result.variable, year, _fmt(value)])
+    _write_csv(
+        cfg.path(FORECAST_CSV),
+        ["region_id", "variable", "year", "value"],
+        ([result.region_id, result.variable, year, _fmt(value)]
+         for result in results for year, value in zip(result.years(), result.values)),
+    )
     return {
         "regions": len({r.region_id for r in results}),
         "rows": sum(r.values.size for r in results),
@@ -437,18 +443,18 @@ def read_region_elevations(path) -> dict[str, float]:
     return out
 
 
-def cmd_project(cfg: PipelineConfig, years: list[int] | None = None) -> dict:
+def cmd_project(cfg: PipelineConfig) -> dict:
     """Push forecast features through the regressor for the target years."""
     if cfg.regions is None:
         raise ConfigError("project needs --regions (region elevations)")
-    years = sorted(set(years or [cfg.target_year]))
-    table = _read_forecast(cfg.path(FORECAST_CSV))
+    years = sorted(set(cfg.years or [cfg.target_year]))
+    table = _read_forecast(cfg.artifact(FORECAST_CSV))
     elevations = read_region_elevations(cfg.regions)
     net = serialize.deserialize_network(
-        cfg.path(ABUNDANCE_MODEL_JSON).read_text(encoding="utf-8")
+        cfg.artifact(ABUNDANCE_MODEL_JSON).read_text(encoding="utf-8")
     )
     scaler, names, log_offset = serialize.scalers_from_document(
-        serialize.load_document(cfg.path(ABUNDANCE_SCALERS_JSON), "scalers")
+        serialize.load_document(cfg.artifact(ABUNDANCE_SCALERS_JSON), "scalers")
     )
     if tuple(names) != FEATURE_NAMES:
         raise DataError(f"scaler features {names} do not match {list(FEATURE_NAMES)}")
@@ -476,15 +482,13 @@ def cmd_project(cfg: PipelineConfig, years: list[int] | None = None) -> dict:
     log_abundance = predict_log_abundance(net, scaler, features)
     abundance = log_transform.inverse(log_abundance)
 
-    with cfg.path(PROJECTIONS_CSV).open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            ["region_id", "year", "log10_abundance", "abundance", *FEATURE_NAMES]
-        )
-        for (region_id, year), log_value, value, row in zip(
-            keys, log_abundance, abundance, features
-        ):
-            writer.writerow([region_id, year, *(_fmt(v) for v in (log_value, value, *row))])
+    _write_csv(
+        cfg.path(PROJECTIONS_CSV),
+        ["region_id", "year", "log10_abundance", "abundance", *FEATURE_NAMES],
+        ([region_id, year, *(_fmt(v) for v in (log_value, value, *row))]
+         for (region_id, year), log_value, value, row
+         in zip(keys, log_abundance, abundance, features)),
+    )
     return {"rows": len(keys), "years": years}
 
 
@@ -493,25 +497,40 @@ def cmd_project(cfg: PipelineConfig, years: list[int] | None = None) -> dict:
 
 def _read_projections(path) -> dict[tuple[str, int], dict]:
     required = ("region_id", "year", "log10_abundance", "abundance", *FEATURE_NAMES)
-    out = {}
-    for line, row in ingest._open_rows(path, required):
-        out[(row["region_id"], int(row["year"]))] = {
-            "log10_abundance": float(row["log10_abundance"]),
-            "abundance": float(row["abundance"]),
+    return {
+        (row["region_id"], ingest._field(path, line, row, "year", int)): {
+            "log10_abundance": ingest._finite(path, line, row, "log10_abundance"),
+            "abundance": ingest._finite(path, line, row, "abundance"),
         }
-    return out
+        for line, row in ingest._open_rows(path, required)
+    }
 
 
-def cmd_report(
-    cfg: PipelineConfig,
-    start_year: int,
-    end_year: int,
-    geometry: Path | None = None,
-    geometry_out: Path | None = None,
-    region_key: str = "region_id",
-) -> dict:
+def read_geometry(path) -> dict:
+    """Load a GeoJSON document; anything but a JSON object is a ParseError."""
+    path = Path(path)
+    if not path.is_file():
+        raise DataError(f"input file not found: {path}")
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ParseError(
+            f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        ) from None
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path}: GeoJSON root must be an object")
+    return doc
+
+
+def cmd_report(cfg: PipelineConfig) -> dict:
     """Percent-change table and choropleth data for the comparison years."""
-    projections = _read_projections(cfg.path(PROJECTIONS_CSV))
+    start_year, end_year = cfg.start_year, cfg.end_year
+    if start_year is None or end_year is None:
+        raise ConfigError("report needs --start-year and --end-year")
+    projections = _read_projections(cfg.artifact(PROJECTIONS_CSV))
+    geometry = None if cfg.geometry is None else read_geometry(cfg.geometry)
+    if cfg.geometry_out is not None and not cfg.geometry_out.parent.is_dir():
+        raise ConfigError(f"--geometry-out directory not found: {cfg.geometry_out.parent}")
     regions = sorted({region for region, _ in projections})
     table = []
     for region in regions:
@@ -526,47 +545,33 @@ def cmd_report(
         change = 100.0 * (v1 - v0) / v0 if v0 != 0 else None
         table.append((region, v0, v1, change))
 
-    with cfg.path(PERCENT_CHANGE_CSV).open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            ["region_id", f"abundance_{start_year}", f"abundance_{end_year}", "percent_change"]
-        )
-        for region, v0, v1, change in table:
-            writer.writerow(
-                [region, _fmt(v0), _fmt(v1), "undefined" if change is None else _fmt(change)]
-            )
-
-    with cfg.path(CHOROPLETH_CSV).open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["region_id", "log10_abundance", "abundance"])
-        for region in regions:
-            entry = projections[(region, end_year)]
-            writer.writerow(
-                [region, _fmt(entry["log10_abundance"]), _fmt(entry["abundance"])]
-            )
+    _write_csv(
+        cfg.path(PERCENT_CHANGE_CSV),
+        ["region_id", f"abundance_{start_year}", f"abundance_{end_year}", "percent_change"],
+        ([region, _fmt(v0), _fmt(v1), "undefined" if change is None else _fmt(change)]
+         for region, v0, v1, change in table),
+    )
+    _write_csv(
+        cfg.path(CHOROPLETH_CSV),
+        ["region_id", "log10_abundance", "abundance"],
+        ([region, *(_fmt(v) for v in projections[(region, end_year)].values())]
+         for region in regions),
+    )
 
     summary = {"regions": len(regions), "start_year": start_year, "end_year": end_year}
     if geometry is not None:
-        changes = {region: change for region, _, _, change in table}
         merged, unmatched = merge_geometry(
-            json.loads(Path(geometry).read_text(encoding="utf-8")),
+            geometry,
             {
-                region: {
-                    "log10_abundance": projections[(region, end_year)]["log10_abundance"],
-                    "abundance": projections[(region, end_year)]["abundance"],
-                    "percent_change": changes[region],
-                }
-                for region in regions
+                region: {**projections[(region, end_year)], "percent_change": change}
+                for region, _, _, change in table
             },
-            region_key,
+            cfg.region_key,
         )
         if unmatched:
             _warn(f"regions missing from geometry: {', '.join(unmatched)}")
             summary["unmatched_regions"] = unmatched
-        out_path = geometry_out or cfg.path("choropleth.geojson")
-        Path(out_path).write_text(
-            json.dumps(merged, indent=1) + "\n", encoding="utf-8"
-        )
+        serialize.save_document(cfg.geometry_out or cfg.path("choropleth.geojson"), merged)
     return summary
 
 
@@ -582,10 +587,16 @@ def merge_geometry(
     if not isinstance(features, list):
         raise DataError("geometry document has no 'features' list")
     matched = set()
-    for feature in features:
-        props = feature.setdefault("properties", {})
+    for index, feature in enumerate(features):
+        if not isinstance(feature, dict):
+            raise DataError(f"geometry feature {index} is not an object")
+        props = feature.get("properties")
+        if props is None:
+            props = feature["properties"] = {}
+        elif not isinstance(props, dict):
+            raise DataError(f"geometry feature {index}: 'properties' is not an object")
         region = props.get(region_key)
-        if region in properties_by_region:
+        if isinstance(region, str) and region in properties_by_region:
             props.update(properties_by_region[region])
             matched.add(region)
     unmatched = sorted(set(properties_by_region) - matched)

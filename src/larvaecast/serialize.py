@@ -1,7 +1,7 @@
 """Portable text documents for trained models and fitted transforms.
 
 All documents are UTF-8 JSON with a ``schema_version`` and a ``kind``
-tag ("dense", "lstm", "scalers", "trend", "linear", "offsets").
+tag ("dense", "lstm", "scalers", "linear", "offsets").
 Parameter arrays are stored row-major at full decimal precision, so a
 serialize/deserialize round trip is bit-exact.
 """
@@ -9,6 +9,8 @@ serialize/deserialize round trip is bit-exact.
 from __future__ import annotations
 
 import json
+import os
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +19,7 @@ from .errors import ParseError
 from .lstm import GATES, LstmModel
 from .nn import DenseNetwork
 from .preprocess import StandardScaler
-from .trend import LinearModel, OffsetK, TrendParams
+from .trend import LinearModel, OffsetK
 
 SCHEMA_VERSION = 1
 
@@ -67,8 +69,24 @@ def loads(text: str, expected_kind: str | None = None) -> dict:
     return doc
 
 
+@contextmanager
+def atomic_open(path):
+    """Text handle on a temp file in ``path``'s directory that replaces
+    ``path`` only once the block completes, so no reader sees a partial
+    artifact."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("w", newline="", encoding="utf-8") as handle:
+            yield handle
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def save_document(path, doc: dict) -> None:
-    Path(path).write_text(dumps(doc) + "\n", encoding="utf-8")
+    with atomic_open(path) as handle:
+        handle.write(dumps(doc) + "\n")
 
 
 def load_document(path, expected_kind: str | None = None) -> dict:
@@ -185,32 +203,6 @@ def scalers_from_document(doc: dict) -> tuple[StandardScaler, list[str], float]:
     scaler.std_ = _vector("std", _require(doc, "std", "scalers"), len(names))
     scaler.n_fit_rows_ = int(_require(doc, "n_fit_rows", "scalers"))
     return scaler, names, float(_require(doc, "log_offset", "scalers"))
-
-
-def trend_to_document(params: TrendParams, sse: float) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "trend",
-        "lambda": params.lam,
-        "alpha": params.alpha,
-        "theta": params.theta,
-        "gamma": params.gamma,
-        "beta": params.beta,
-        "phi": params.phi,
-        "sse": sse,
-    }
-
-
-def trend_from_document(doc: dict) -> tuple[TrendParams, float]:
-    params = TrendParams(
-        lam=float(_require(doc, "lambda", "trend")),
-        alpha=float(_require(doc, "alpha", "trend")),
-        theta=float(_require(doc, "theta", "trend")),
-        gamma=float(_require(doc, "gamma", "trend")),
-        beta=float(_require(doc, "beta", "trend")),
-        phi=float(_require(doc, "phi", "trend")),
-    )
-    return params, float(_require(doc, "sse", "trend"))
 
 
 def linear_to_document(model: LinearModel) -> dict:

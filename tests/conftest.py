@@ -49,13 +49,17 @@ def run_pipeline(data: dict[str, Path], out_dir: Path) -> PipelineRun:
         regions=data["regions"],
         seed=PIPELINE_SEED,
         max_epochs=DENSE_EPOCHS,
+        climate_max_epochs=LSTM_EPOCHS,
+        years=[2030, 2050],
+        start_year=2030,
+        end_year=2050,
     )
     prepare_report = cmd_prepare(cfg)
     abundance_report = cmd_train_abundance(cfg)
-    climate_report = cmd_train_climate(cfg, lstm_max_epochs=LSTM_EPOCHS)
+    climate_report = cmd_train_climate(cfg)
     forecast_report = cmd_forecast(cfg)
-    project_report = cmd_project(cfg, years=[2030, 2050])
-    report_summary = cmd_report(cfg, start_year=2030, end_year=2050)
+    project_report = cmd_project(cfg)
+    report_summary = cmd_report(cfg)
     return PipelineRun(
         data=data,
         out_dir=out_dir,

@@ -15,7 +15,6 @@ from larvaecast.ingest import (
     parse_observations,
     parse_series,
     parse_stations,
-    summer_average,
 )
 
 
@@ -235,33 +234,3 @@ class TestJoinNearestStation:
         rows_rev, _ = join_nearest_station(observations, list(reversed(stations)))
         assert rows_fwd == rows_rev
 
-
-class TestSummerAverage:
-    def test_constant_series(self):
-        entries = [
-            (datetime.date(2020, 7, d), 4.5) for d in range(1, 31)
-        ]
-        assert summer_average(entries, 2020) == 4.5
-
-    def test_outside_window_rejected(self):
-        entries = [(datetime.date(2020, 1, 15), 3.0), (datetime.date(2020, 11, 2), 5.0)]
-        with pytest.raises(DataError, match="2020"):
-            summer_average(entries, 2020)
-
-    def test_linear_ramp_hits_midpoint(self):
-        start = datetime.date(2020, 6, 22)
-        days = (datetime.date(2020, 9, 22) - start).days + 1
-        entries = [
-            (start + datetime.timedelta(days=i), float(i)) for i in range(days)
-        ]
-        midpoint = (days - 1) / 2.0
-        assert summer_average(entries, 2020) == pytest.approx(midpoint)
-
-    def test_window_boundaries_inclusive(self):
-        entries = [
-            (datetime.date(2020, 6, 21), 100.0),
-            (datetime.date(2020, 6, 22), 1.0),
-            (datetime.date(2020, 9, 22), 3.0),
-            (datetime.date(2020, 9, 23), 100.0),
-        ]
-        assert summer_average(entries, 2020) == 2.0

@@ -1,4 +1,5 @@
 import csv
+import inspect
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import larvaecast
-from larvaecast import cli, synth
+from larvaecast import cli, pipeline, synth
 from larvaecast.errors import ConfigError, DataError
 from larvaecast.pipeline import (
     ABUNDANCE_MODEL_JSON,
@@ -21,10 +22,12 @@ from larvaecast.pipeline import (
     PERCENT_CHANGE_CSV,
     PROJECTIONS_CSV,
     PipelineConfig,
+    cmd_forecast,
     cmd_prepare,
     cmd_project,
     cmd_report,
     cmd_train_abundance,
+    cmd_train_climate,
     merge_geometry,
     predict_log_abundance,
     read_features,
@@ -207,36 +210,28 @@ class TestPipelineOutputs:
 class TestPercentChangeMath:
     def test_examples(self, tmp_path, pipeline_run):
         # 200 -> 300 is +50%; equal values are 0%
-        cfg = PipelineConfig(out_dir=tmp_path)
-        header = (
-            "region_id,year,log10_abundance,abundance,tmean_c,tmax_c,tmin_c,"
-            "precip_days,precip_mm,elevation_m\n"
-        )
+        cfg = PipelineConfig(out_dir=tmp_path, start_year=2030, end_year=2050)
         line = "{r},{y},2.0,{v},20.0,26.0,14.0,8.0,55.0,100.0\n"
-        (tmp_path / PROJECTIONS_CSV).write_text(
-            header
-            + line.format(r="a", y=2030, v=200.0)
-            + line.format(r="a", y=2050, v=300.0)
-            + line.format(r="b", y=2030, v=42.0)
-            + line.format(r="b", y=2050, v=42.0)
+        write_projections(
+            tmp_path,
+            line.format(r="a", y=2030, v=200.0),
+            line.format(r="a", y=2050, v=300.0),
+            line.format(r="b", y=2030, v=42.0),
+            line.format(r="b", y=2050, v=42.0),
         )
-        cmd_report(cfg, start_year=2030, end_year=2050)
+        cmd_report(cfg)
         rows = {r["region_id"]: r for r in read_csv(tmp_path / PERCENT_CHANGE_CSV)}
         assert float(rows["a"]["percent_change"]) == pytest.approx(50.0)
         assert float(rows["b"]["percent_change"]) == pytest.approx(0.0)
 
     def test_zero_start_flagged(self, tmp_path):
-        cfg = PipelineConfig(out_dir=tmp_path)
-        header = (
-            "region_id,year,log10_abundance,abundance,tmean_c,tmax_c,tmin_c,"
-            "precip_days,precip_mm,elevation_m\n"
+        cfg = PipelineConfig(out_dir=tmp_path, start_year=2030, end_year=2050)
+        write_projections(
+            tmp_path,
+            "a,2030,0.0,0.0,20.0,26.0,14.0,8.0,55.0,100.0\n",
+            "a,2050,1.0,9.0,20.0,26.0,14.0,8.0,55.0,100.0\n",
         )
-        (tmp_path / PROJECTIONS_CSV).write_text(
-            header
-            + "a,2030,0.0,0.0,20.0,26.0,14.0,8.0,55.0,100.0\n"
-            + "a,2050,1.0,9.0,20.0,26.0,14.0,8.0,55.0,100.0\n"
-        )
-        cmd_report(cfg, start_year=2030, end_year=2050)
+        cmd_report(cfg)
         rows = read_csv(tmp_path / PERCENT_CHANGE_CSV)
         assert rows[0]["percent_change"] == "undefined"
 
@@ -343,13 +338,34 @@ class TestCli:
         assert probe.stdout.strip() == "False"
 
 
-def assert_parse_error(code, capsys, column):
+def assert_data_error(code, capsys, error, text):
     assert code == 3
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     doc = json.loads(err)
-    assert doc["error"] == "ParseError"
-    assert column in doc["message"]
+    assert doc["error"] == error
+    assert text in doc["message"]
+
+
+def assert_parse_error(code, capsys, column):
+    assert_data_error(code, capsys, "ParseError", column)
+
+
+PROJECTIONS_HEADER = (
+    "region_id,year,log10_abundance,abundance,tmean_c,tmax_c,tmin_c,"
+    "precip_days,precip_mm,elevation_m\n"
+)
+
+
+def write_projections(out, *lines):
+    out.mkdir(parents=True, exist_ok=True)
+    (out / PROJECTIONS_CSV).write_text(PROJECTIONS_HEADER + "".join(lines))
+
+
+def report(out, *extra):
+    return cli.main(
+        ["report", "--out-dir", str(out), "--start-year", "2030", "--end-year", "2050", *extra]
+    )
 
 
 class TestCliRejectsBadNumbers:
@@ -397,3 +413,155 @@ class TestCliRejectsBadNumbers:
             ["forecast", "--out-dir", str(tmp_path / "out"), "--series", str(series)]
         )
         assert_parse_error(code, capsys, "value")
+
+    def test_nan_feature_elevation(self, tmp_path, capsys):
+        paths = synth.write_prepare_fixture(tmp_path / "data")
+        out = tmp_path / "out"
+        cmd_prepare(PipelineConfig(out_dir=out, observations=paths["observations"],
+                                   stations=paths["stations"]))
+        rows = read_csv(out / FEATURES_CSV)
+        rows[0]["elevation_m"] = "nan"
+        with (out / FEATURES_CSV).open("w", newline="", encoding="utf-8") as handle:
+            writer = csv.DictWriter(handle, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+        code = cli.main(["train-abundance", "--out-dir", str(out), "--seed", "1"])
+        assert_parse_error(code, capsys, "elevation_m")
+
+    def test_non_numeric_projection_year(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        write_projections(out, "a,20x0,2.0,99.0,20.0,26.0,14.0,8.0,55.0,100.0\n")
+        assert_parse_error(report(out), capsys, "year")
+
+    def test_nan_projection_abundance(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        write_projections(
+            out,
+            "a,2030,2.0,nan,20.0,26.0,14.0,8.0,55.0,100.0\n",
+            "a,2050,2.0,99.0,20.0,26.0,14.0,8.0,55.0,100.0\n",
+        )
+        assert_parse_error(report(out), capsys, "abundance")
+
+
+class TestCliConfig:
+    """Each flag sets one PipelineConfig field; an omitted flag keeps the
+    field's default, so the CLI and the library run the same settings."""
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["prepare", "--observations", "o.csv", "--stations", "s.csv"],
+             dict(observations="o.csv", stations="s.csv")),
+            (["train-abundance", "--seed", "4"], dict(seed=4)),
+            (["train-climate", "--seed", "4", "--series", "x.csv"],
+             dict(seed=4, series="x.csv")),
+            (["forecast", "--series", "x.csv"], dict(series="x.csv")),
+            (["project", "--regions", "r.csv"], dict(regions="r.csv")),
+            (["report", "--start-year", "2030", "--end-year", "2050"],
+             dict(start_year=2030, end_year=2050)),
+        ],
+    )
+    def test_required_flags_only_match_library_defaults(self, argv, expected):
+        args = cli.build_parser().parse_args([argv[0], "--out-dir", "out", *argv[1:]])
+        assert cli.config_from_args(args) == PipelineConfig(out_dir="out", **expected)
+
+    def test_climate_epoch_budget(self):
+        assert PipelineConfig(out_dir="out").climate_max_epochs == 1500
+        args = cli.build_parser().parse_args(
+            ["train-climate", "--out-dir", "out", "--seed", "1", "--series", "x.csv",
+             "--max-epochs", "7", "--hidden-size", "5"]
+        )
+        cfg = cli.config_from_args(args)
+        assert (cfg.climate_max_epochs, cfg.max_epochs) == (7, 5000)
+        assert cfg.lstm_hidden_size == 5
+
+    def test_repeated_years(self):
+        args = cli.build_parser().parse_args(
+            ["project", "--out-dir", "out", "--regions", "r.csv",
+             "--year", "2050", "--year", "2030"]
+        )
+        assert cli.config_from_args(args).years == [2050, 2030]
+
+    def test_every_stage_takes_only_cfg(self):
+        for command, name in cli.STAGES.items():
+            params = inspect.signature(getattr(pipeline, name)).parameters
+            assert list(params) == ["cfg"], command
+
+
+class TestMissingArtifacts:
+    def series(self, tmp_path):
+        series = tmp_path / "series.csv"
+        series.write_text(
+            "region_id,variable,year,value\n"
+            + "".join(f"west,summer_tmean,{2000 + i},{20.0 + i % 3}\n" for i in range(30))
+        )
+        return series
+
+    def test_forecast_before_train_climate(self, tmp_path, capsys):
+        code = cli.main(
+            ["forecast", "--out-dir", str(tmp_path / "out"),
+             "--series", str(self.series(tmp_path))]
+        )
+        assert_data_error(code, capsys, "DataError", "lstm_summer_tmean.json")
+
+    def test_project_without_abundance_model(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / FORECAST_CSV).write_text(
+            "region_id,variable,year,value\nwest,summer_tmean,2030,21.5\n"
+        )
+        regions = tmp_path / "regions.csv"
+        regions.write_text("region_id,elevation_m\nwest,100.0\n")
+        code = cli.main(["project", "--out-dir", str(out), "--regions", str(regions)])
+        assert_data_error(code, capsys, "DataError", ABUNDANCE_MODEL_JSON)
+
+    def test_train_climate_reads_features_before_training(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = cli.main(
+            ["train-climate", "--out-dir", str(out), "--seed", "1",
+             "--series", str(self.series(tmp_path))]
+        )
+        assert_data_error(code, capsys, "DataError", FEATURES_CSV)
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_library_stage_raises_data_error(self, tmp_path):
+        with pytest.raises(DataError, match="lstm_summer_tmean.json"):
+            cmd_forecast(PipelineConfig(out_dir=tmp_path, series=self.series(tmp_path)))
+        with pytest.raises(DataError, match=FEATURES_CSV):
+            cmd_train_climate(PipelineConfig(out_dir=tmp_path, series=self.series(tmp_path)))
+
+
+class TestReportGeometry:
+    def report(self, tmp_path, content, *extra):
+        out = tmp_path / "out"
+        line = "a,{},2.0,99.0,20.0,26.0,14.0,8.0,55.0,100.0\n"
+        write_projections(out, line.format(2030), line.format(2050))
+        geometry = tmp_path / "regions.geojson"
+        if content is not None:
+            geometry.write_text(content)
+        return report(out, "--geometry", str(geometry), *extra)
+
+    @pytest.mark.parametrize(
+        "content, error, text",
+        [
+            (None, "DataError", "not found"),
+            ('{"features": [', "ParseError", "malformed JSON"),
+            ("[]", "ParseError", "root must be an object"),
+            ('{"features": [1]}', "DataError", "feature 0"),
+        ],
+        ids=["missing", "malformed", "non-object-root", "non-object-feature"],
+    )
+    def test_bad_geometry_is_data_error(self, tmp_path, capsys, content, error, text):
+        assert_data_error(self.report(tmp_path, content), capsys, error, text)
+
+    def test_geometry_out_directory_missing(self, tmp_path, capsys):
+        missing = tmp_path / "missing" / "x.geojson"
+        code = self.report(tmp_path, '{"features": []}', "--geometry-out", str(missing))
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+
+    def test_null_properties_and_list_ids_unmatched(self):
+        features = [{"properties": None}, {"properties": {"region_id": ["a"]}}]
+        merged, unmatched = merge_geometry({"features": features}, {"a": {"abundance": 1.0}})
+        assert [f["properties"] for f in merged["features"]] == [{}, {"region_id": ["a"]}]
+        assert unmatched == ["a"]

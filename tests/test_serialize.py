@@ -14,6 +14,7 @@ from larvaecast.serialize import (
     deserialize_network,
     linear_from_document,
     linear_to_document,
+    atomic_open,
     loads,
     offsets_from_document,
     offsets_to_document,
@@ -21,10 +22,8 @@ from larvaecast.serialize import (
     scalers_to_document,
     serialize_lstm,
     serialize_network,
-    trend_from_document,
-    trend_to_document,
 )
-from larvaecast.trend import LinearModel, OffsetK, TrendParams
+from larvaecast.trend import LinearModel, OffsetK
 
 
 class TestDenseRoundTrip:
@@ -141,12 +140,6 @@ class TestSmallDocuments:
         np.testing.assert_array_equal(restored.mean_, scaler.mean_)
         np.testing.assert_array_equal(restored.std_, scaler.std_)
 
-    def test_trend_round_trip(self):
-        params = TrendParams(0.01, -0.01, 0.6, 0.5, 0.03, 15.2)
-        restored, sse = trend_from_document(trend_to_document(params, 1.25e-9))
-        assert restored == params
-        assert sse == 1.25e-9
-
     def test_linear_round_trip(self):
         model = LinearModel(slope=0.1537, intercept=1.91)
         assert linear_from_document(linear_to_document(model)) == model
@@ -155,3 +148,23 @@ class TestSmallDocuments:
         offsets = {"west": OffsetK(5.5, 6.25), "east": OffsetK(4.0, 5.0)}
         restored = offsets_from_document(offsets_to_document(offsets))
         assert restored == offsets
+
+
+class TestAtomicWrite:
+    def test_failed_write_keeps_old_file(self, tmp_path):
+        path = tmp_path / "artifact.json"
+        path.write_text("old\n")
+        with pytest.raises(RuntimeError):
+            with atomic_open(path) as handle:
+                handle.write("partial")
+                raise RuntimeError("interrupted")
+        assert path.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["artifact.json"]
+
+    def test_completed_write_replaces_file(self, tmp_path):
+        path = tmp_path / "artifact.csv"
+        path.write_text("old\n")
+        with atomic_open(path) as handle:
+            handle.write("a,b\r\n")
+        assert path.read_bytes() == b"a,b\r\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["artifact.csv"]
