@@ -3,7 +3,7 @@
 Commands mirror the pipeline stages: prepare, train-abundance,
 train-climate, forecast, project, report. Training commands require an
 explicit --seed; all stages write into --out-dir. Exit codes: 0 success,
-2 configuration error, 3 data error, 4 internal invariant violation.
+2 configuration error, 3 data error or ``OSError``, 4 internal invariant violation.
 
 Every flag sets the ``PipelineConfig`` field named by its ``dest``, and
 an omitted flag takes that field's default.
@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from . import pipeline
-from .errors import PipelineError
+from .errors import DataError, PipelineError
 from .pipeline import PipelineConfig
 
 # Command -> pipeline stage; the stage is looked up on the module at call
@@ -110,13 +110,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         summary = run(args)
-    except PipelineError as exc:
+    except (PipelineError, OSError) as exc:
         json.dump(
             {"error": type(exc).__name__, "message": str(exc)},
             sys.stderr,
         )
         sys.stderr.write("\n")
-        return exc.exit_code
+        return exc.exit_code if isinstance(exc, PipelineError) else DataError.exit_code
     json.dump(summary, sys.stdout, indent=1)
     sys.stdout.write("\n")
     return 0

@@ -1,8 +1,8 @@
 """Exception hierarchy shared by every stage of the pipeline.
 
 The CLI maps these onto process exit codes: 2 for configuration errors,
-3 for data errors and diverged training, 4 for internal invariant
-violations.
+3 for data errors, diverged training and any ``OSError`` (a full disk,
+an occupied output path), 4 for internal invariant violations.
 """
 
 

@@ -110,14 +110,17 @@ def _open_rows(path, required: tuple[str, ...]):
         raise DataError(f"input file not found: {path}")
     with path.open(newline="", encoding="utf-8") as handle:
         reader = csv.DictReader(handle)
-        header = reader.fieldnames
-        if header is None:
-            raise ParseError(f"{path}: empty file, header row required")
-        missing = [col for col in required if col not in header]
-        if missing:
-            raise ParseError(f"{path}: missing columns {missing}")
-        for line, row in enumerate(reader, start=2):
-            yield line, row
+        try:
+            header = reader.fieldnames
+            if header is None:
+                raise ParseError(f"{path}: empty file, header row required")
+            missing = [col for col in required if col not in header]
+            if missing:
+                raise ParseError(f"{path}: missing columns {missing}")
+            for line, row in enumerate(reader, start=2):
+                yield line, row
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def _field(path, line, row, col, convert, check=None, describe=""):
@@ -137,6 +140,25 @@ def _field(path, line, row, col, convert, check=None, describe=""):
 
 def _finite(path, line, row, col) -> float:
     return _field(path, line, row, col, float, math.isfinite, "value must be finite")
+
+
+def read_table(path, required: tuple[str, ...], key, value) -> dict:
+    """Nested dicts ``table[k1]...[kn] = value(line, row)`` for
+    ``(k1, ..., kn) = key(line, row)`` over the rows of ``path``; a key
+    that repeats is a ParseError naming it and both rows."""
+    table: dict = {}
+    for line, row in _open_rows(path, required):
+        k = key(line, row)
+        level = table
+        for part in k[:-1]:
+            level = level.setdefault(part, {})
+        if k[-1] in level:
+            # Found again on this error path, so a clean read keeps no row numbers.
+            first = next(n for n, r in _open_rows(path, required) if key(n, r) == k)
+            raise ParseError(f"{path}: row {line}: duplicate key "
+                             f"{'/'.join(map(str, k))}, first at row {first}")
+        level[k[-1]] = value(line, row)
+    return table
 
 
 def parse_observations(path) -> list[LarvaeObservation]:

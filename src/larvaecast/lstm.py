@@ -24,16 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError, ShapeError
-from .nn import _lift, mse_loss
-from .optim import (
-    PlateauDetector,
-    TrainConfig,
-    adam_step,
-    dropout_stream,
-    epoch_order,
-    finite_loss,
-    init_adam,
-)
+from .nn import _lift, dropout, mse_grad, mse_loss, xavier
+from .optim import TrainConfig, fit
 from .preprocess import guard_sigma
 
 GATES = ("i", "f", "o", "g")
@@ -105,11 +97,6 @@ def lstm_init(
     if not (0.0 <= input_dropout_rate < 1.0):
         raise ConfigError("input_dropout_rate must lie in [0, 1)")
     rng = np.random.default_rng(seed)
-
-    def xavier(fan_out, fan_in, blocks=1):  # blocks: gates drawn one after another
-        bound = np.sqrt(6.0 / (fan_in + fan_out))
-        return rng.uniform(-bound, bound, size=(blocks * fan_out, fan_in))
-
     gates = len(GATES)
     return LstmModel(
         hidden_size=hidden_size,
@@ -118,10 +105,11 @@ def lstm_init(
         lookback=lookback,
         input_dropout_rate=float(input_dropout_rate),
         weights=np.hstack(
-            [xavier(hidden_size, input_size, gates), xavier(hidden_size, hidden_size, gates)]
+            [xavier(rng, hidden_size, input_size, gates),
+             xavier(rng, hidden_size, hidden_size, gates)]
         ),
         bias=np.repeat([1.0 if gate == "f" else 0.0 for gate in GATES], hidden_size),
-        head_w=xavier(output_len, hidden_size),
+        head_w=xavier(rng, output_len, hidden_size),
         head_b=np.zeros(output_len),
     )
 
@@ -195,11 +183,7 @@ def lstm_forward(
     if xs.ndim != 2:
         raise ShapeError(f"window must be 1-D or 2-D, got shape {window.shape}")
     if mode == "train" and model.input_dropout_rate > 0:
-        if rng is None:
-            raise ConfigError("train mode with dropout needs an rng")
-        keep = 1.0 - model.input_dropout_rate
-        mask = (rng.random(xs.shape) >= model.input_dropout_rate).astype(float)
-        xs = xs * mask / keep
+        xs = dropout(xs, model.input_dropout_rate, rng)[0]
     h, steps = _unroll(model, xs, record=mode == "train")
     prediction = model.head_w @ h + model.head_b[:, None]
     cache = LstmCache(xs=xs, steps=steps, h_final=h, prediction=prediction)
@@ -209,13 +193,7 @@ def lstm_forward(
 def lstm_backward(model: LstmModel, cache: LstmCache, target) -> list[np.ndarray]:
     """Gradients of mse_loss(prediction, target) via BPTT, in parameters() order.
     An eval-mode cache has its steps recomputed from its inputs."""
-    pred = cache.prediction
-    target, _ = _lift(target, model.output_len, "target")
-    if target.shape != pred.shape:
-        raise ShapeError(
-            f"target shape {target.shape} does not match prediction {pred.shape}"
-        )
-    d_pred = 2.0 * (pred - target) / pred.size
+    d_pred = mse_grad(cache.prediction, target)
     steps = cache.steps
     if steps is None:
         steps = _unroll(model, cache.xs, record=True)[1]
@@ -278,8 +256,8 @@ def train_lstm(
     hidden_size: int = FORECAST_HIDDEN_SIZE,
     input_dropout_rate: float = 0.2,
 ) -> LstmModel:
-    """Train on standardized window pairs; same optimizer, batching, and
-    plateau rule as the dense trainer. Deterministic for a fixed seed."""
+    """Train on standardized window pairs through ``optim.fit``, the dense
+    trainer's loop. Deterministic for a fixed seed."""
     if not pairs:
         raise ConfigError("cannot train on an empty window set")
     lookback = pairs[0].x.size
@@ -288,7 +266,6 @@ def train_lstm(
         raise ShapeError("all window pairs must share lookback and horizon")
     xs = np.stack([p.x for p in pairs], axis=1)  # (lookback, n)
     ys = np.stack([p.y for p in pairs], axis=1)  # (horizon, n)
-    n = len(pairs)
 
     model = lstm_init(
         cfg.seed,
@@ -297,22 +274,11 @@ def train_lstm(
         input_dropout_rate=input_dropout_rate,
         lookback=lookback,
     )
-    params = model.parameters()
-    state = init_adam(params)
-    mask_rng = dropout_stream(cfg.seed)
-    detector = PlateauDetector(cfg.plateau_patience, cfg.plateau_tolerance)
 
-    for epoch in range(cfg.max_epochs):
-        order = epoch_order(cfg.seed, epoch, n)
-        epoch_loss = 0.0
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            xb = xs[:, idx]
-            yb = ys[:, idx]
-            pred, cache = lstm_forward(model, xb, mode="train", rng=mask_rng)
-            epoch_loss += mse_loss(pred, yb) * idx.size
-            grads = lstm_backward(model, cache, yb)
-            adam_step(params, grads, state, cfg)
-        if detector.update(finite_loss(epoch_loss / n, "LSTM", epoch)):
-            break
+    def step(idx, rng):
+        yb = ys[:, idx]
+        pred, cache = lstm_forward(model, xs[:, idx], mode="train", rng=rng)
+        return mse_loss(pred, yb) * idx.size, lstm_backward(model, cache, yb)
+
+    fit(model.parameters(), step, len(pairs), cfg, "LSTM")
     return model

@@ -2,7 +2,7 @@
 
 Everything is plain numpy: Xavier-uniform initialization, a forward pass
 with inverted dropout between the dense layers, analytic gradients of
-the mean squared error, and an Adam training loop. The production
+the mean squared error, and a training step for ``optim.fit``. The production
 architecture is six hidden layers of 64 relu units feeding one linear
 output (21,313 parameters for 6 input features).
 
@@ -17,16 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .optim import (
-    AdamState,
-    PlateauDetector,
-    TrainConfig,
-    adam_step,
-    dropout_stream,
-    epoch_order,
-    finite_loss,
-    init_adam,
-)
+from .optim import TrainConfig, fit
 
 ABUNDANCE_LAYER_DIMS = (6, 64, 64, 64, 64, 64, 64, 1)
 DEFAULT_DROPOUT = 0.2
@@ -51,15 +42,6 @@ class DenseNetwork:
     def parameter_count(self) -> int:
         return sum(p.size for p in self.parameters())
 
-    def copy(self) -> "DenseNetwork":
-        return DenseNetwork(
-            layer_dims=self.layer_dims,
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-            activations=self.activations,
-            dropout_rate=self.dropout_rate,
-        )
-
 
 @dataclass
 class ForwardCache:
@@ -69,13 +51,21 @@ class ForwardCache:
     squeeze: bool
 
 
+def xavier(rng: np.random.Generator, fan_out: int, fan_in: int, blocks: int = 1) -> np.ndarray:
+    """Glorot-uniform weights in +/- sqrt(6 / (fan_in + fan_out)), shaped
+    (blocks * fan_out, fan_in): ``blocks`` same-bound blocks drawn one
+    after another."""
+    bound = np.sqrt(6.0 / (fan_in + fan_out))
+    return rng.uniform(-bound, bound, size=(blocks * fan_out, fan_in))
+
+
 def xavier_init(
     layer_dims,
     seed: int,
     dropout_rate: float = DEFAULT_DROPOUT,
     activations: tuple[str, ...] | None = None,
 ) -> DenseNetwork:
-    """Glorot-uniform weights in +/- sqrt(6 / (fan_in + fan_out)), zero biases."""
+    """``xavier`` weights, zero biases."""
     layer_dims = tuple(int(d) for d in layer_dims)
     if len(layer_dims) < 2 or any(d < 1 for d in layer_dims):
         raise ConfigError("layer_dims needs at least two positive entries")
@@ -90,8 +80,7 @@ def xavier_init(
     rng = np.random.default_rng(seed)
     weights, biases = [], []
     for fan_in, fan_out in zip(layer_dims[:-1], layer_dims[1:]):
-        bound = np.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
+        weights.append(xavier(rng, fan_out, fan_in))
         biases.append(np.zeros(fan_out))
     return DenseNetwork(
         layer_dims=layer_dims,
@@ -112,6 +101,15 @@ def _lift(x, width: int, what: str) -> tuple[np.ndarray, bool]:
     return x, squeeze
 
 
+def dropout(x: np.ndarray, rate: float, rng: np.random.Generator | None):
+    """Inverted dropout: ``x`` with each entry kept with probability
+    1 - ``rate`` and scaled by 1 / (1 - rate), and the 0/1 mask drawn."""
+    if rng is None:
+        raise ConfigError("train mode with dropout needs an rng")
+    mask = (rng.random(x.shape) >= rate).astype(float)
+    return x * mask / (1.0 - rate), mask
+
+
 def forward(
     net: DenseNetwork,
     x,
@@ -126,10 +124,7 @@ def forward(
     if mode not in ("train", "eval"):
         raise ConfigError(f"unknown mode: {mode!r}")
     a, squeeze = _lift(x, net.layer_dims[0], "input")
-    train = mode == "train"
-    if train and net.dropout_rate > 0 and rng is None:
-        raise ConfigError("train mode with dropout needs an rng")
-    keep = 1.0 - net.dropout_rate
+    train = mode == "train" and net.dropout_rate > 0
     pre_activations, activations_out, masks = [], [a], []
     n_layers = len(net.weights)
     for layer, (w, b, act) in enumerate(zip(net.weights, net.biases, net.activations)):
@@ -137,12 +132,10 @@ def forward(
         a = np.maximum(z, 0.0) if act == "relu" else z
         pre_activations.append(z)
         if layer < n_layers - 1:
-            if train and net.dropout_rate > 0:
-                mask = (rng.random(a.shape) >= net.dropout_rate).astype(float)
-                a = a * mask / keep
-                masks.append(mask)
-            else:
-                masks.append(None)
+            mask = None
+            if train:
+                a, mask = dropout(a, net.dropout_rate, rng)
+            masks.append(mask)
         activations_out.append(a)
     cache = ForwardCache(pre_activations, activations_out, masks, squeeze)
     prediction = a[:, 0] if squeeze else a
@@ -160,21 +153,26 @@ def mse_loss(pred, target) -> float:
     return float(np.mean(diff * diff))
 
 
+def mse_grad(pred: np.ndarray, target) -> np.ndarray:
+    """Gradient of mse_loss w.r.t. a (rows, batch) prediction; a 1-D
+    target is lifted to one column."""
+    target, _ = _lift(target, pred.shape[0], "target")
+    if target.shape != pred.shape:
+        raise ShapeError(
+            f"target shape {target.shape} does not match prediction {pred.shape}"
+        )
+    return 2.0 * (pred - target) / pred.size
+
+
 def backward(net: DenseNetwork, cache: ForwardCache, target) -> list[np.ndarray]:
     """Gradients of mse_loss w.r.t. every parameter, in parameters() order.
 
     Dropout masks recorded during the forward pass are replayed exactly.
     """
-    pred = cache.activations[-1]
-    target, _ = _lift(target, net.layer_dims[-1], "target")
-    if target.shape != pred.shape:
-        raise ShapeError(
-            f"target shape {target.shape} does not match prediction {pred.shape}"
-        )
     keep = 1.0 - net.dropout_rate
     n_layers = len(net.weights)
     grads: list[np.ndarray | None] = [None] * (2 * n_layers)
-    delta = 2.0 * (pred - target) / pred.size
+    delta = mse_grad(cache.activations[-1], target)
     if net.activations[-1] == "relu":
         delta = delta * (cache.pre_activations[-1] > 0)
     for layer in range(n_layers - 1, -1, -1):
@@ -203,9 +201,9 @@ def train_abundance(
 ) -> DenseNetwork:
     """Train the regressor on standardized features and log-scaled targets.
 
-    Mini-batches of ``cfg.batch_size`` with a seeded per-epoch shuffle;
-    stops on the plateau rule or at ``cfg.max_epochs``. Deterministic
-    for a fixed seed and dataset.
+    ``optim.fit`` runs mini-batches of ``cfg.batch_size`` with a seeded
+    per-epoch shuffle until the plateau rule fires or ``cfg.max_epochs``.
+    Deterministic for a fixed seed and dataset.
     """
     features = np.asarray(features, dtype=float)
     targets = np.asarray(targets, dtype=float)
@@ -222,24 +220,13 @@ def train_abundance(
         raise ConfigError(f"need at least {cfg.batch_size} examples, got {n}")
 
     net = xavier_init(layer_dims, cfg.seed, dropout_rate)
-    params = net.parameters()
-    state = init_adam(params)
-    mask_rng = dropout_stream(cfg.seed)
-    detector = PlateauDetector(cfg.plateau_patience, cfg.plateau_tolerance)
-
     x_all = features.T
     y_all = targets[None, :]
-    for epoch in range(cfg.max_epochs):
-        order = epoch_order(cfg.seed, epoch, n)
-        epoch_loss = 0.0
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            xb = x_all[:, idx]
-            yb = y_all[:, idx]
-            pred, cache = forward(net, xb, mode="train", rng=mask_rng)
-            epoch_loss += mse_loss(pred, yb) * idx.size
-            grads = backward(net, cache, yb)
-            adam_step(params, grads, state, cfg)
-        if detector.update(finite_loss(epoch_loss / n, "abundance network", epoch)):
-            break
+
+    def step(idx, rng):
+        yb = y_all[:, idx]
+        pred, cache = forward(net, x_all[:, idx], mode="train", rng=rng)
+        return mse_loss(pred, yb) * idx.size, backward(net, cache, yb)
+
+    fit(net.parameters(), step, n, cfg, "abundance network")
     return net

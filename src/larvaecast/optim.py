@@ -1,20 +1,25 @@
-"""Adam optimizer and convergence detection shared by both network trainers.
+"""Adam, convergence detection and ``fit``, the one epoch loop of both trainers.
 
 Parameters travel as flat lists of numpy arrays so the dense regressor
-and the LSTM can share one optimizer. Training stops when the relative
+and the LSTM share one loop. Training stops when the relative
 improvement of the epoch loss over ``plateau_patience`` epochs falls
-below ``plateau_tolerance``, or at ``max_epochs``; a non-finite epoch
+below ``PLATEAU_TOLERANCE``, or at ``max_epochs``; a non-finite epoch
 loss stops it with ``DivergenceError``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DivergenceError, ShapeError
+
+BETA1 = 0.9
+BETA2 = 0.999
+EPSILON = 1e-8
+PLATEAU_TOLERANCE = 1e-4
 
 
 @dataclass(frozen=True)
@@ -22,28 +27,18 @@ class TrainConfig:
     seed: int
     batch_size: int = 8
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     max_epochs: int = 5000
     plateau_patience: int = 50
-    plateau_tolerance: float = 1e-4
 
     def __post_init__(self):
         if self.seed < 0:
             raise ConfigError("seed must be a non-negative integer")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
-        if not (0.0 < self.beta1 < self.beta2 < 1.0):
-            raise ConfigError("Adam moments need 0 < beta1 < beta2 < 1")
-        if self.epsilon <= 0:
-            raise ConfigError("epsilon must be positive")
         if self.learning_rate <= 0:
             raise ConfigError("learning_rate must be positive")
         if self.max_epochs < 1 or self.plateau_patience < 1:
             raise ConfigError("max_epochs and plateau_patience must be >= 1")
-        if self.plateau_tolerance <= 0:
-            raise ConfigError("plateau_tolerance must be positive")
 
 
 @dataclass
@@ -71,18 +66,18 @@ def adam_step(
         raise ShapeError("parameter, gradient, and state lists must align")
     state.step_count += 1
     t = state.step_count
-    bias1 = 1.0 - cfg.beta1**t
-    bias2 = 1.0 - cfg.beta2**t
+    bias1 = 1.0 - BETA1**t
+    bias2 = 1.0 - BETA2**t
     for p, g, m, v in zip(params, grads, state.first_moment, state.second_moment):
         if p.shape != g.shape:
             raise ShapeError(
                 f"gradient shape {g.shape} does not match parameter shape {p.shape}"
             )
-        m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
-        v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * g * g
-        p -= cfg.learning_rate * (m / bias1) / (np.sqrt(v / bias2) + cfg.epsilon)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * g * g
+        p -= cfg.learning_rate * (m / bias1) / (np.sqrt(v / bias2) + EPSILON)
 
 
 class PlateauDetector:
@@ -121,3 +116,27 @@ def epoch_order(seed: int, epoch: int, n: int) -> np.ndarray:
 def dropout_stream(seed: int) -> np.random.Generator:
     """Dedicated RNG stream for dropout masks during training."""
     return np.random.default_rng([seed, 2])
+
+
+def fit(params: list[np.ndarray], step, n: int, cfg: TrainConfig, model: str) -> int:
+    """Train ``params`` in place with Adam over seeded mini-batches of ``n``
+    rows until the plateau rule fires or ``cfg.max_epochs``; returns the
+    number of epochs run.
+
+    ``step(idx, rng)`` returns the summed loss of the rows ``idx`` and the
+    gradients of their mean loss in ``params`` order; ``rng`` is the
+    dropout stream. ``model`` names the network in a ``DivergenceError``.
+    """
+    state = init_adam(params)
+    rng = dropout_stream(cfg.seed)
+    detector = PlateauDetector(cfg.plateau_patience, PLATEAU_TOLERANCE)
+    for epoch in range(cfg.max_epochs):
+        order = epoch_order(cfg.seed, epoch, n)
+        epoch_loss = 0.0
+        for start in range(0, n, cfg.batch_size):
+            loss, grads = step(order[start : start + cfg.batch_size], rng)
+            epoch_loss += loss
+            adam_step(params, grads, state, cfg)
+        if detector.update(finite_loss(epoch_loss / n, model, epoch)):
+            break
+    return epoch + 1

@@ -93,6 +93,8 @@ class PipelineConfig:
 
     def __post_init__(self):
         self.out_dir = Path(self.out_dir)
+        if self.out_dir.exists() and not self.out_dir.is_dir():
+            raise ConfigError(f"--out-dir is not a directory: {self.out_dir}")
         for name in ("observations", "stations", "series", "regions",
                      "geometry", "geometry_out"):
             value = getattr(self, name)
@@ -274,7 +276,6 @@ def cmd_train_climate(cfg: PipelineConfig) -> dict:
     if not series_list:
         raise DataError(f"{cfg.series}: no series found")
     window_cfg = WindowConfig(lookback=cfg.lookback, horizon=cfg.horizon)
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
 
     summary: dict = {"windows": {}, "skipped": []}
     for offset, variable in enumerate(FORECAST_VARIABLES):
@@ -410,7 +411,6 @@ def cmd_forecast(cfg: PipelineConfig) -> dict:
         raise DataError("no region could be forecast")
 
     results.sort(key=lambda r: (r.region_id, r.variable))
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(
         cfg.path(FORECAST_CSV),
         ["region_id", "variable", "year", "value"],
@@ -428,19 +428,20 @@ def cmd_forecast(cfg: PipelineConfig) -> dict:
 
 
 def _read_forecast(path) -> dict[str, dict[str, dict[int, float]]]:
-    table: dict[str, dict[str, dict[int, float]]] = {}
-    for line, row in ingest._open_rows(path, ("region_id", "variable", "year", "value")):
-        table.setdefault(row["region_id"], {}).setdefault(row["variable"], {})[
-            ingest._field(path, line, row, "year", int)
-        ] = ingest._finite(path, line, row, "value")
-    return table
+    return ingest.read_table(
+        path, ("region_id", "variable", "year", "value"),
+        lambda line, row: (row["region_id"], row["variable"],
+                           ingest._field(path, line, row, "year", int)),
+        lambda line, row: ingest._finite(path, line, row, "value"),
+    )
 
 
 def read_region_elevations(path) -> dict[str, float]:
-    out = {}
-    for line, row in ingest._open_rows(path, ("region_id", "elevation_m")):
-        out[row["region_id"]] = ingest._finite(path, line, row, "elevation_m")
-    return out
+    return ingest.read_table(
+        path, ("region_id", "elevation_m"),
+        lambda line, row: (row["region_id"],),
+        lambda line, row: ingest._finite(path, line, row, "elevation_m"),
+    )
 
 
 def cmd_project(cfg: PipelineConfig) -> dict:
@@ -495,15 +496,16 @@ def cmd_project(cfg: PipelineConfig) -> dict:
 # -- reporting -----------------------------------------------------------
 
 
-def _read_projections(path) -> dict[tuple[str, int], dict]:
+def _read_projections(path) -> dict[str, dict[int, dict]]:
     required = ("region_id", "year", "log10_abundance", "abundance", *FEATURE_NAMES)
-    return {
-        (row["region_id"], ingest._field(path, line, row, "year", int)): {
+    return ingest.read_table(
+        path, required,
+        lambda line, row: (row["region_id"], ingest._field(path, line, row, "year", int)),
+        lambda line, row: {
             "log10_abundance": ingest._finite(path, line, row, "log10_abundance"),
             "abundance": ingest._finite(path, line, row, "abundance"),
-        }
-        for line, row in ingest._open_rows(path, required)
-    }
+        },
+    )
 
 
 def read_geometry(path) -> dict:
@@ -513,6 +515,8 @@ def read_geometry(path) -> dict:
         raise DataError(f"input file not found: {path}")
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
@@ -531,11 +535,11 @@ def cmd_report(cfg: PipelineConfig) -> dict:
     geometry = None if cfg.geometry is None else read_geometry(cfg.geometry)
     if cfg.geometry_out is not None and not cfg.geometry_out.parent.is_dir():
         raise ConfigError(f"--geometry-out directory not found: {cfg.geometry_out.parent}")
-    regions = sorted({region for region, _ in projections})
+    regions = sorted(projections)
     table = []
     for region in regions:
-        start = projections.get((region, start_year))
-        end = projections.get((region, end_year))
+        start = projections[region].get(start_year)
+        end = projections[region].get(end_year)
         if start is None or end is None:
             raise DataError(
                 f"projections for region {region!r} must cover both "
@@ -554,7 +558,7 @@ def cmd_report(cfg: PipelineConfig) -> dict:
     _write_csv(
         cfg.path(CHOROPLETH_CSV),
         ["region_id", "log10_abundance", "abundance"],
-        ([region, *(_fmt(v) for v in projections[(region, end_year)].values())]
+        ([region, *(_fmt(v) for v in projections[region][end_year].values())]
          for region in regions),
     )
 
@@ -563,7 +567,7 @@ def cmd_report(cfg: PipelineConfig) -> dict:
         merged, unmatched = merge_geometry(
             geometry,
             {
-                region: {**projections[(region, end_year)], "percent_change": change}
+                region: {**projections[region][end_year], "percent_change": change}
                 for region, _, _, change in table
             },
             cfg.region_key,

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import os
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from larvaecast import synth
 from larvaecast.pipeline import (
@@ -21,6 +24,18 @@ from larvaecast.pipeline import (
 PIPELINE_SEED = 4242
 DENSE_EPOCHS = 600
 LSTM_EPOCHS = 150
+
+# Property tests draw the same examples on every run and write no example
+# database, so the suite stays deterministic. Hypothesis still caches the
+# constants it reads from the code under test in its storage directory
+# (.hypothesis/ by default), which it touches while collecting; keep that
+# in a temporary directory removed at exit.
+settings.register_profile(
+    "deterministic", derandomize=True, database=None, deadline=None, max_examples=40
+)
+settings.load_profile("deterministic")
+_HYPOTHESIS_STORAGE = tempfile.TemporaryDirectory(prefix="larvaecast-hypothesis-")
+os.environ.setdefault("HYPOTHESIS_STORAGE_DIRECTORY", _HYPOTHESIS_STORAGE.name)
 
 
 @dataclass

@@ -1,25 +1,35 @@
 import numpy as np
 import pytest
 
-from larvaecast.errors import ConfigError, ShapeError
-from larvaecast.optim import AdamState, PlateauDetector, TrainConfig, adam_step, init_adam
+from larvaecast.errors import ConfigError, DivergenceError, ShapeError
+from larvaecast.optim import (
+    BETA1,
+    BETA2,
+    EPSILON,
+    AdamState,
+    PlateauDetector,
+    TrainConfig,
+    adam_step,
+    fit,
+    init_adam,
+)
 
 
 class TestTrainConfig:
     def test_defaults_valid(self):
         cfg = TrainConfig(seed=1)
         assert cfg.batch_size == 8
-        assert cfg.beta1 < cfg.beta2 < 1
+        assert 0 < BETA1 < BETA2 < 1
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"batch_size": 0},
-            {"beta1": 0.999, "beta2": 0.9},
-            {"beta1": 0.0},
-            {"epsilon": 0.0},
+            {"max_epochs": 0},
+            {"plateau_patience": 0},
+            {"learning_rate": 0.0},
             {"learning_rate": -1.0},
-            {"plateau_tolerance": 0.0},
+            {"plateau_patience": -5},
         ],
     )
     def test_invalid_rejected(self, kwargs):
@@ -51,8 +61,8 @@ class TestAdamStep:
             np.testing.assert_array_equal(p, b)
 
     def test_two_steps_match_hand_recurrence(self):
-        lr, b1, b2, eps = 0.003, 0.9, 0.999, 1e-8
-        cfg = TrainConfig(seed=0, learning_rate=lr, beta1=b1, beta2=b2, epsilon=eps)
+        lr, b1, b2, eps = 0.003, BETA1, BETA2, EPSILON
+        cfg = TrainConfig(seed=0, learning_rate=lr)
         g = 0.5
         theta = 2.0
         params = [np.array([theta])]
@@ -108,3 +118,46 @@ class TestPlateauDetector:
         detector = PlateauDetector(patience=20, tolerance=1e-4)
         for _ in range(20):
             assert not detector.update(1.0)
+
+
+class TestFit:
+    """The one epoch loop both trainers run, on a least-squares line."""
+
+    @staticmethod
+    def line_problem(n=32):
+        x = np.linspace(-1.0, 1.0, n)
+        y = 3.0 * x - 0.5
+        params = [np.zeros(1), np.zeros(1)]
+
+        def step(idx, rng):
+            err = params[0] * x[idx] + params[1] - y[idx]
+            grad = 2.0 * err / idx.size
+            return float(np.sum(err * err)), [np.array([grad @ x[idx]]), np.array([grad.sum()])]
+
+        return params, step, n
+
+    def test_converges_and_counts_epochs(self):
+        params, step, n = self.line_problem()
+        epochs = fit(params, step, n, TrainConfig(seed=3, learning_rate=0.05, max_epochs=2000), "line")
+        assert 50 < epochs < 2000  # the plateau rule stopped it
+        assert params[0][0] == pytest.approx(3.0, abs=1e-2)
+        assert params[1][0] == pytest.approx(-0.5, abs=1e-2)
+
+    def test_budget_binds_and_batches_cover_every_row(self):
+        params, step, n = self.line_problem(n=11)
+        seen = []
+
+        def counting(idx, rng):
+            seen.append(idx.copy())
+            return step(idx, rng)
+
+        assert fit(params, counting, n, TrainConfig(seed=0, batch_size=4, max_epochs=2), "line") == 2
+        assert [b.size for b in seen] == [4, 4, 3, 4, 4, 3]
+        for epoch in (seen[:3], seen[3:]):
+            assert sorted(np.concatenate(epoch)) == list(range(n))
+
+    def test_non_finite_loss_names_model_and_epoch(self):
+        params, _, n = self.line_problem()
+        step = lambda idx, rng: (float("nan"), [np.zeros(1), np.zeros(1)])
+        with pytest.raises(DivergenceError, match="line training diverged.*epoch 1"):
+            fit(params, step, n, TrainConfig(seed=0), "line")

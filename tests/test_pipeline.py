@@ -1,7 +1,9 @@
 import csv
+import errno
 import inspect
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -345,6 +347,7 @@ def assert_data_error(code, capsys, error, text):
     doc = json.loads(err)
     assert doc["error"] == error
     assert text in doc["message"]
+    return doc
 
 
 def assert_parse_error(code, capsys, column):
@@ -560,8 +563,76 @@ class TestReportGeometry:
         assert code == 2
         assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
 
+    def test_geometry_out_is_a_directory(self, tmp_path, capsys):
+        occupied = tmp_path / "occupied"
+        occupied.mkdir()
+        content = '{"features": [{"properties": {"region_id": "a"}}]}'
+        code = self.report(tmp_path, content, "--geometry-out", str(occupied))
+        assert_data_error(code, capsys, "IsADirectoryError", str(occupied))
+
+    def test_non_utf8_geometry(self, tmp_path, capsys):
+        (tmp_path / "regions.geojson").write_bytes(b'{"features": []}\xff\xfe')
+        assert_data_error(self.report(tmp_path, None), capsys, "ParseError", "not UTF-8")
+
     def test_null_properties_and_list_ids_unmatched(self):
         features = [{"properties": None}, {"properties": {"region_id": ["a"]}}]
         merged, unmatched = merge_geometry({"features": features}, {"a": {"abundance": 1.0}})
         assert [f["properties"] for f in merged["features"]] == [{}, {"region_id": ["a"]}]
         assert unmatched == ["a"]
+
+
+class TestDuplicateKeys:
+    """A key repeated in a keyed table is an error, not a silent overwrite."""
+
+    @pytest.mark.parametrize("name", ["regions.csv", FORECAST_CSV, PROJECTIONS_CSV])
+    def test_repeated_key_is_parse_error(self, tmp_path, capsys, pipeline_run, name):
+        out = tmp_path / "out"
+        shutil.copytree(pipeline_run.out_dir, out)
+        regions = tmp_path / "regions.csv"
+        shutil.copy(pipeline_run.data["regions"], regions)
+        path = regions if name == "regions.csv" else out / name
+        lines = path.read_text().splitlines()
+        lines.append(lines[1].rsplit(",", 1)[0] + ",9999.0")  # row 2's key, another value
+        path.write_text("\n".join(lines) + "\n")
+        if name == PROJECTIONS_CSV:
+            code = report(out)
+        else:
+            code = cli.main(["project", "--out-dir", str(out), "--regions", str(regions),
+                             "--year", "2030", "--year", "2050"])
+        doc = assert_data_error(code, capsys, "ParseError", f"row {len(lines)}: duplicate key")
+        assert doc["message"].endswith("first at row 2")
+
+
+class TestOutputErrors:
+    def test_out_dir_is_a_file(self, tmp_path, capsys):
+        paths = synth.write_prepare_fixture(tmp_path / "data")
+        occupied = tmp_path / "occupied"
+        occupied.write_text("")
+        code = cli.main(
+            ["prepare", "--out-dir", str(occupied),
+             "--observations", str(paths["observations"]), "--stations", str(paths["stations"])]
+        )
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+
+    def test_failed_write_exits_3(self, tmp_path, capsys, monkeypatch):
+        def full_disk(src, dst):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(dst))
+
+        out = tmp_path / "out"
+        line = "a,{},2.0,99.0,20.0,26.0,14.0,8.0,55.0,100.0\n"
+        write_projections(out, line.format(2030), line.format(2050))
+        monkeypatch.setattr(os, "replace", full_disk)
+        assert_data_error(report(out), capsys, "OSError", os.strerror(errno.ENOSPC))
+        assert sorted(p.name for p in out.iterdir()) == [PROJECTIONS_CSV]
+
+
+def test_non_utf8_observations(tmp_path, capsys):
+    paths = synth.write_prepare_fixture(tmp_path / "data")
+    header, first, *rest = paths["observations"].read_bytes().splitlines()
+    paths["observations"].write_bytes(b"\n".join([header, first + b"\xff\xfe", *rest]) + b"\n")
+    code = cli.main(
+        ["prepare", "--out-dir", str(tmp_path / "out"),
+         "--observations", str(paths["observations"]), "--stations", str(paths["stations"])]
+    )
+    assert_data_error(code, capsys, "ParseError", f"{paths['observations']}: not UTF-8")
