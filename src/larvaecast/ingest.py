@@ -1,11 +1,14 @@
 """CSV ingestion and the cleaning rules applied before feature assembly.
 
-Input formats (header row mandatory, UTF-8, plain decimal numbers):
-
-* observations.csv: location_id,latitude,longitude,date,water_source,larvae_count
-* stations.csv: station_id,latitude,longitude,month,tmean_c,tmax_c,tmin_c,
-  precip_days,precip_mm,elevation_m
-* series.csv: region_id,variable,year,value
+The CSV format lives here. Each file has one column table, an ordered
+mapping from column name to its kind ``(convert, check, describe)``:
+``OBSERVATION_COLUMNS``, ``STATION_COLUMNS`` and ``SERIES_COLUMNS`` for
+the inputs, ``FEATURE_COLUMNS`` for ``features.csv`` and, in
+``pipeline``, the forecast, region and projection tables. ``read_rows``
+applies the same rules to every file: UTF-8 text, a header row naming
+each declared column once, and in every row each declared field
+present, non-empty, convertible, finite if a number, and passing its
+kind's check. ``write_csv`` writes a table's header and rows.
 
 Cleaning is lossless-or-loud: every dropped observation is attributable
 to exactly one rule (container filter, duplicate merge, station
@@ -23,6 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, DomainError, ParseError
+from .serialize import atomic_open
 
 EARTH_RADIUS_KM = 6371.0
 DEFAULT_MAX_STATION_KM = 48.28  # 30 miles
@@ -42,6 +46,61 @@ FEATURE_NAMES = (
     "precip_mm",
     "elevation_m",
 )
+
+
+def _month_str(raw: str) -> str:
+    parts = raw.split("-")
+    if len(parts) != 2:
+        raise ValueError(raw)
+    year, month = int(parts[0]), int(parts[1])
+    if not (1 <= month <= 12):
+        raise ValueError(raw)
+    return f"{year:04d}-{month:02d}"
+
+
+# Column kinds: (convert, check or None, what a failed check means).
+TEXT = (str, None, "")
+NUMBER = (float, None, "")
+YEAR = (int, None, "")
+DATE = (datetime.date.fromisoformat, None, "")
+MONTH = (_month_str, None, "")
+COUNT = (int, lambda v: v >= 0, "count must be non-negative")
+LATITUDE = (float, lambda v: -90 <= v <= 90, "latitude out of range")
+LONGITUDE = (float, lambda v: -180 <= v <= 180, "longitude out of range")
+
+OBSERVATION_COLUMNS = {
+    "location_id": TEXT,
+    "latitude": LATITUDE,
+    "longitude": LONGITUDE,
+    "date": DATE,
+    "water_source": (str, lambda v: v in WATER_SOURCES, "unknown water source"),
+    "larvae_count": COUNT,
+}
+STATION_COLUMNS = {
+    "station_id": TEXT,
+    "latitude": LATITUDE,
+    "longitude": LONGITUDE,
+    "month": MONTH,
+    "tmean_c": NUMBER,
+    "tmax_c": NUMBER,
+    "tmin_c": NUMBER,
+    "precip_days": (float, lambda v: 0 <= v <= 31, "days of precipitation out of range"),
+    "precip_mm": (float, lambda v: v >= 0, "precipitation must be non-negative"),
+    "elevation_m": NUMBER,
+}
+SERIES_COLUMNS = {
+    "region_id": TEXT,
+    "variable": (str, lambda v: v in SERIES_VARIABLES, "unknown series variable"),
+    "year": YEAR,
+    "value": NUMBER,
+}
+FEATURE_COLUMNS = {
+    "location_id": TEXT,
+    "date": DATE,
+    "month": MONTH,
+    **dict.fromkeys(FEATURE_NAMES, NUMBER),
+    "larvae_count": COUNT,
+}
 
 
 @dataclass(frozen=True)
@@ -104,148 +163,103 @@ class RegionSeries:
     values: np.ndarray
 
 
-def _open_rows(path, required: tuple[str, ...]):
+def read_rows(path, columns: dict):
+    """Yield ``(row_number, values)`` for each data row of ``path``, with
+    the values converted and checked in the order of ``columns``. The
+    header row is row 1 and blank lines are not counted."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"input file not found: {path}")
     with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
         try:
-            header = reader.fieldnames
+            reader = csv.reader(handle)
+            header = next(reader, None)
             if header is None:
                 raise ParseError(f"{path}: empty file, header row required")
-            missing = [col for col in required if col not in header]
+            missing = [col for col in columns if col not in header]
             if missing:
                 raise ParseError(f"{path}: missing columns {missing}")
-            for line, row in enumerate(reader, start=2):
-                yield line, row
+            for col in columns:
+                if header.count(col) > 1:
+                    raise ParseError(f"{path}: column '{col}' repeats in the header")
+            spec = [(header.index(col), col, convert, convert is float, check, describe)
+                    for col, (convert, check, describe) in columns.items()]
+            width = len(header)
+            line = 1
+            for row in reader:
+                if not row:
+                    continue
+                line += 1
+                if len(row) < width:
+                    row += [""] * (width - len(row))
+                values = []
+                for i, col, convert, finite, check, describe in spec:
+                    raw = row[i]
+                    if not raw:
+                        raise ParseError(f"{path}: row {line}: column '{col}' is empty")
+                    try:
+                        value = convert(raw)
+                    except ValueError:
+                        raise ParseError(
+                            f"{path}: row {line}: column '{col}': cannot parse {raw!r}"
+                        ) from None
+                    if finite and not math.isfinite(value):
+                        raise ParseError(
+                            f"{path}: row {line}: column '{col}': value must be finite: {raw!r}"
+                        )
+                    if check is not None and not check(value):
+                        raise ParseError(
+                            f"{path}: row {line}: column '{col}': {describe}: {raw!r}"
+                        )
+                    values.append(value)
+                yield line, values
         except UnicodeDecodeError as exc:
             raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        except csv.Error as exc:  # such as a field over csv.field_size_limit()
+            raise ParseError(f"{path}: {exc}") from None
 
 
-def _field(path, line, row, col, convert, check=None, describe=""):
-    raw = row.get(col)
-    if raw is None or raw == "":
-        raise ParseError(f"{path}: row {line}: column '{col}' is empty")
-    try:
-        value = convert(raw)
-    except (ValueError, TypeError):
-        raise ParseError(
-            f"{path}: row {line}: column '{col}': cannot parse {raw!r}"
-        ) from None
-    if check is not None and not check(value):
-        raise ParseError(f"{path}: row {line}: column '{col}': {describe}: {raw!r}")
-    return value
-
-
-def _finite(path, line, row, col) -> float:
-    return _field(path, line, row, col, float, math.isfinite, "value must be finite")
-
-
-def read_table(path, required: tuple[str, ...], key, value) -> dict:
-    """Nested dicts ``table[k1]...[kn] = value(line, row)`` for
-    ``(k1, ..., kn) = key(line, row)`` over the rows of ``path``; a key
+def read_table(path, columns: dict, key, value) -> dict:
+    """Nested dicts ``table[k1]...[kn] = value(values)`` for
+    ``(k1, ..., kn) = key(values)`` over the rows of ``path``; a key
     that repeats is a ParseError naming it and both rows."""
     table: dict = {}
-    for line, row in _open_rows(path, required):
-        k = key(line, row)
+    for line, values in read_rows(path, columns):
+        k = key(values)
         level = table
         for part in k[:-1]:
             level = level.setdefault(part, {})
         if k[-1] in level:
             # Found again on this error path, so a clean read keeps no row numbers.
-            first = next(n for n, r in _open_rows(path, required) if key(n, r) == k)
+            first = next(n for n, v in read_rows(path, columns) if key(v) == k)
             raise ParseError(f"{path}: row {line}: duplicate key "
                              f"{'/'.join(map(str, k))}, first at row {first}")
-        level[k[-1]] = value(line, row)
+        level[k[-1]] = value(values)
     return table
 
 
+def fmt(value) -> str:
+    """A number as written to CSV: the shortest text that reads back exactly."""
+    return repr(float(value))
+
+
+def write_csv(path, columns, rows) -> None:
+    """Write the header ``columns`` (names, or a column table) and then
+    ``rows``, replacing ``path`` only once every row is written."""
+    with atomic_open(path) as handle:
+        writer = csv.writer(handle)
+        writer.writerow(columns)
+        writer.writerows(rows)
+
+
 def parse_observations(path) -> list[LarvaeObservation]:
-    required = (
-        "location_id",
-        "latitude",
-        "longitude",
-        "date",
-        "water_source",
-        "larvae_count",
-    )
-    out = []
-    for line, row in _open_rows(path, required):
-        out.append(
-            LarvaeObservation(
-                location_id=row["location_id"],
-                latitude=_field(
-                    path, line, row, "latitude", float,
-                    lambda v: -90 <= v <= 90, "latitude out of range",
-                ),
-                longitude=_field(
-                    path, line, row, "longitude", float,
-                    lambda v: -180 <= v <= 180, "longitude out of range",
-                ),
-                date=_field(path, line, row, "date", datetime.date.fromisoformat),
-                water_source=_field(
-                    path, line, row, "water_source", str,
-                    lambda v: v in WATER_SOURCES, "unknown water source",
-                ),
-                larvae_count=_field(
-                    path, line, row, "larvae_count", int,
-                    lambda v: v >= 0, "count must be non-negative",
-                ),
-            )
-        )
-    return out
-
-
-def _month_str(raw: str) -> str:
-    parts = raw.split("-")
-    if len(parts) != 2:
-        raise ValueError(raw)
-    year, month = int(parts[0]), int(parts[1])
-    if not (1 <= month <= 12):
-        raise ValueError(raw)
-    return f"{year:04d}-{month:02d}"
+    return [LarvaeObservation(*values) for _, values in read_rows(path, OBSERVATION_COLUMNS)]
 
 
 def parse_stations(path) -> list[StationRecord]:
-    required = (
-        "station_id",
-        "latitude",
-        "longitude",
-        "month",
-        "tmean_c",
-        "tmax_c",
-        "tmin_c",
-        "precip_days",
-        "precip_mm",
-        "elevation_m",
-    )
     out = []
-    for line, row in _open_rows(path, required):
-        record = StationRecord(
-            station_id=row["station_id"],
-            latitude=_field(
-                path, line, row, "latitude", float,
-                lambda v: -90 <= v <= 90, "latitude out of range",
-            ),
-            longitude=_field(
-                path, line, row, "longitude", float,
-                lambda v: -180 <= v <= 180, "longitude out of range",
-            ),
-            month=_field(path, line, row, "month", _month_str),
-            tmean_c=_finite(path, line, row, "tmean_c"),
-            tmax_c=_finite(path, line, row, "tmax_c"),
-            tmin_c=_finite(path, line, row, "tmin_c"),
-            precip_days=_field(
-                path, line, row, "precip_days", float,
-                lambda v: 0 <= v <= 31, "days of precipitation out of range",
-            ),
-            precip_mm=_field(
-                path, line, row, "precip_mm", float,
-                lambda v: v >= 0, "precipitation must be non-negative",
-            ),
-            elevation_m=_finite(path, line, row, "elevation_m"),
-        )
+    for line, values in read_rows(path, STATION_COLUMNS):
+        record = StationRecord(*values)
         if not (record.tmin_c <= record.tmean_c <= record.tmax_c):
             raise ParseError(
                 f"{path}: row {line}: temperature ordering violated "
@@ -256,16 +270,11 @@ def parse_stations(path) -> list[StationRecord]:
 
 
 def parse_series(path) -> list[RegionSeries]:
-    required = ("region_id", "variable", "year", "value")
     grouped: dict[tuple[str, str], list[tuple[int, float]]] = {}
-    for line, row in _open_rows(path, required):
-        variable = _field(
-            path, line, row, "variable", str,
-            lambda v: v in SERIES_VARIABLES, "unknown series variable",
-        )
-        year = _field(path, line, row, "year", int)
-        value = _finite(path, line, row, "value")
-        grouped.setdefault((row["region_id"], variable), []).append((year, value))
+    for _, (region_id, variable, year, value) in read_rows(path, SERIES_COLUMNS):
+        grouped.setdefault((region_id, variable), []).append((year, value))
+    if not grouped:
+        raise DataError(f"{path}: no series found")
     out = []
     for (region_id, variable), points in grouped.items():
         points.sort()

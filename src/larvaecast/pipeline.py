@@ -7,8 +7,6 @@ are plain CSV and JSON documents in the configured output directory.
 
 from __future__ import annotations
 
-import csv
-import datetime
 import json
 import sys
 from dataclasses import dataclass, replace
@@ -19,7 +17,7 @@ import numpy as np
 from . import ingest, lstm, serialize
 from .errors import ConfigError, DataError, ParseError
 from .forecast import ForecastConfig, forecast_series, require_window
-from .ingest import FEATURE_NAMES, FeatureRow
+from .ingest import FEATURE_NAMES, NUMBER, TEXT, YEAR, FeatureRow, fmt, write_csv
 from .lstm import WindowConfig, lstm_forward, make_windows, train_lstm
 from .nn import ABUNDANCE_LAYER_DIMS, forward, train_abundance
 from .optim import TrainConfig
@@ -42,24 +40,24 @@ PERCENT_CHANGE_CSV = "percent_change.csv"
 FORECAST_VARIABLES = ("summer_tmean", "summer_precip")
 DERIVED_DAYS_VARIABLE = "summer_precip_days"
 
+# Column tables (see ``ingest``) of the keyed files stages read.
+FORECAST_COLUMNS = {"region_id": TEXT, "variable": TEXT, "year": YEAR, "value": NUMBER}
+REGION_COLUMNS = {"region_id": TEXT, "elevation_m": NUMBER}
+PROJECTION_COLUMNS = {
+    "region_id": TEXT,
+    "year": YEAR,
+    "log10_abundance": NUMBER,
+    "abundance": NUMBER,
+    **dict.fromkeys(FEATURE_NAMES, NUMBER),
+}
+
 
 def lstm_document_name(variable: str) -> str:
     return f"lstm_{variable}.json"
 
 
-def _fmt(value) -> str:
-    return repr(float(value))
-
-
 def _warn(message: str) -> None:
     print(f"warning: {message}", file=sys.stderr)
-
-
-def _write_csv(path, header, rows) -> None:
-    with serialize.atomic_open(path) as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows(rows)
 
 
 @dataclass
@@ -143,11 +141,11 @@ def cmd_prepare(cfg: PipelineConfig) -> dict:
         )
 
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    _write_csv(
+    write_csv(
         cfg.path(FEATURES_CSV),
-        ["location_id", "date", "month", *FEATURE_NAMES, "larvae_count"],
+        ingest.FEATURE_COLUMNS,
         ([row.location_id, row.date.isoformat(), row.month,
-          *(_fmt(v) for v in row.features()), int(row.larvae_count)] for row in rows),
+          *map(fmt, row.features()), int(row.larvae_count)] for row in rows),
     )
     report = {
         "input_rows": len(observations),
@@ -161,20 +159,7 @@ def cmd_prepare(cfg: PipelineConfig) -> dict:
 
 
 def read_features(path) -> list[FeatureRow]:
-    required = ("location_id", "date", "month", *FEATURE_NAMES, "larvae_count")
-    return [
-        FeatureRow(
-            location_id=row["location_id"],
-            date=ingest._field(path, line, row, "date", datetime.date.fromisoformat),
-            month=row["month"],
-            **{name: ingest._finite(path, line, row, name) for name in FEATURE_NAMES},
-            larvae_count=ingest._field(
-                path, line, row, "larvae_count", int,
-                lambda v: v >= 0, "count must be non-negative",
-            ),
-        )
-        for line, row in ingest._open_rows(path, required)
-    ]
+    return [FeatureRow(*values) for _, values in ingest.read_rows(path, ingest.FEATURE_COLUMNS)]
 
 
 # -- abundance training --------------------------------------------------
@@ -273,8 +258,6 @@ def cmd_train_climate(cfg: PipelineConfig) -> dict:
         raise ConfigError("train-climate needs --series")
     feature_rows = read_features(cfg.artifact(FEATURES_CSV))
     series_list = ingest.parse_series(cfg.series)
-    if not series_list:
-        raise DataError(f"{cfg.series}: no series found")
     window_cfg = WindowConfig(lookback=cfg.lookback, horizon=cfg.horizon)
 
     summary: dict = {"windows": {}, "skipped": []}
@@ -411,10 +394,10 @@ def cmd_forecast(cfg: PipelineConfig) -> dict:
         raise DataError("no region could be forecast")
 
     results.sort(key=lambda r: (r.region_id, r.variable))
-    _write_csv(
+    write_csv(
         cfg.path(FORECAST_CSV),
-        ["region_id", "variable", "year", "value"],
-        ([result.region_id, result.variable, year, _fmt(value)]
+        FORECAST_COLUMNS,
+        ([result.region_id, result.variable, year, fmt(value)]
          for result in results for year, value in zip(result.years(), result.values)),
     )
     return {
@@ -428,20 +411,11 @@ def cmd_forecast(cfg: PipelineConfig) -> dict:
 
 
 def _read_forecast(path) -> dict[str, dict[str, dict[int, float]]]:
-    return ingest.read_table(
-        path, ("region_id", "variable", "year", "value"),
-        lambda line, row: (row["region_id"], row["variable"],
-                           ingest._field(path, line, row, "year", int)),
-        lambda line, row: ingest._finite(path, line, row, "value"),
-    )
+    return ingest.read_table(path, FORECAST_COLUMNS, lambda v: v[:3], lambda v: v[3])
 
 
 def read_region_elevations(path) -> dict[str, float]:
-    return ingest.read_table(
-        path, ("region_id", "elevation_m"),
-        lambda line, row: (row["region_id"],),
-        lambda line, row: ingest._finite(path, line, row, "elevation_m"),
-    )
+    return ingest.read_table(path, REGION_COLUMNS, lambda v: v[:1], lambda v: v[1])
 
 
 def cmd_project(cfg: PipelineConfig) -> dict:
@@ -483,10 +457,10 @@ def cmd_project(cfg: PipelineConfig) -> dict:
     log_abundance = predict_log_abundance(net, scaler, features)
     abundance = log_transform.inverse(log_abundance)
 
-    _write_csv(
+    write_csv(
         cfg.path(PROJECTIONS_CSV),
-        ["region_id", "year", "log10_abundance", "abundance", *FEATURE_NAMES],
-        ([region_id, year, *(_fmt(v) for v in (log_value, value, *row))]
+        PROJECTION_COLUMNS,
+        ([region_id, year, *map(fmt, (log_value, value, *row))]
          for (region_id, year), log_value, value, row
          in zip(keys, log_abundance, abundance, features)),
     )
@@ -497,14 +471,9 @@ def cmd_project(cfg: PipelineConfig) -> dict:
 
 
 def _read_projections(path) -> dict[str, dict[int, dict]]:
-    required = ("region_id", "year", "log10_abundance", "abundance", *FEATURE_NAMES)
     return ingest.read_table(
-        path, required,
-        lambda line, row: (row["region_id"], ingest._field(path, line, row, "year", int)),
-        lambda line, row: {
-            "log10_abundance": ingest._finite(path, line, row, "log10_abundance"),
-            "abundance": ingest._finite(path, line, row, "abundance"),
-        },
+        path, PROJECTION_COLUMNS, lambda v: v[:2],
+        lambda v: {"log10_abundance": v[2], "abundance": v[3]},
     )
 
 
@@ -549,16 +518,16 @@ def cmd_report(cfg: PipelineConfig) -> dict:
         change = 100.0 * (v1 - v0) / v0 if v0 != 0 else None
         table.append((region, v0, v1, change))
 
-    _write_csv(
+    write_csv(
         cfg.path(PERCENT_CHANGE_CSV),
         ["region_id", f"abundance_{start_year}", f"abundance_{end_year}", "percent_change"],
-        ([region, _fmt(v0), _fmt(v1), "undefined" if change is None else _fmt(change)]
+        ([region, fmt(v0), fmt(v1), "undefined" if change is None else fmt(change)]
          for region, v0, v1, change in table),
     )
-    _write_csv(
+    write_csv(
         cfg.path(CHOROPLETH_CSV),
         ["region_id", "log10_abundance", "abundance"],
-        ([region, *(_fmt(v) for v in projections[region][end_year].values())]
+        ([region, *map(fmt, projections[region][end_year].values())]
          for region in regions),
     )
 

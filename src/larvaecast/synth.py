@@ -13,12 +13,21 @@ Run ``python -m larvaecast.synth OUT_DIR`` to materialize the CSV files.
 
 from __future__ import annotations
 
-import csv
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+from .ingest import (
+    FEATURE_NAMES,
+    OBSERVATION_COLUMNS,
+    SERIES_COLUMNS,
+    STATION_COLUMNS,
+    fmt,
+    write_csv,
+)
+from .pipeline import REGION_COLUMNS
 
 DEFAULT_SEED = 20220901
 
@@ -50,10 +59,6 @@ REGIONS = (
 
 STATIONS_PER_REGION = 2
 LOCATIONS_PER_REGION = 10
-
-
-def _fmt(value) -> str:
-    return repr(float(value))
 
 
 def planted_log_abundance(tmean, tmax, tmin, days, amount, elevation) -> float:
@@ -112,28 +117,14 @@ def generate_dataset(out_dir, seed: int = DEFAULT_SEED) -> dict[str, Path]:
                     )
 
     stations_path = out_dir / "stations.csv"
-    with stations_path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            [
-                "station_id", "latitude", "longitude", "month",
-                "tmean_c", "tmax_c", "tmin_c",
-                "precip_days", "precip_mm", "elevation_m",
-            ]
-        )
-        for station_id, lat, lon, _elev, _region in stations:
-            for year in OBSERVATION_YEARS:
-                for month in range(5, 11):
-                    rec = station_months[(station_id, f"{year:04d}-{month:02d}")]
-                    writer.writerow(
-                        [
-                            station_id, _fmt(lat), _fmt(lon),
-                            f"{year:04d}-{month:02d}",
-                            _fmt(rec["tmean_c"]), _fmt(rec["tmax_c"]),
-                            _fmt(rec["tmin_c"]), _fmt(rec["precip_days"]),
-                            _fmt(rec["precip_mm"]), _fmt(rec["elevation_m"]),
-                        ]
-                    )
+    coords = {station[0]: station[1:3] for station in stations}
+    write_csv(
+        stations_path,
+        STATION_COLUMNS,
+        ([station_id, *map(fmt, coords[station_id]), month,
+          *(fmt(rec[name]) for name in FEATURE_NAMES)]
+         for (station_id, month), rec in station_months.items()),
+    )
 
     # Observations: each location sits close to its home station so the
     # proximity join is unambiguous; counts follow the planted signal.
@@ -198,52 +189,52 @@ def generate_dataset(out_dir, seed: int = DEFAULT_SEED) -> dict[str, Path]:
         )
 
     observations_path = out_dir / "observations.csv"
-    with observations_path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            ["location_id", "latitude", "longitude", "date", "water_source", "larvae_count"]
-        )
-        for location_id, lat, lon, date, source, count in observations:
-            writer.writerow([location_id, _fmt(lat), _fmt(lon), date, source, int(count)])
+    write_csv(
+        observations_path,
+        OBSERVATION_COLUMNS,
+        ([location_id, fmt(lat), fmt(lon), date, source, int(count)]
+         for location_id, lat, lon, date, source, count in observations),
+    )
 
     # Annual summer series, 1979..2021, four variables per region.
+    series_rows = []
+    for region in REGIONS:
+        years = np.array(list(SERIES_YEARS))
+        t = years - years[0]
+        tmean = (
+            region.tmean_c
+            + 0.018 * t
+            + 0.25 * np.sin(0.6 * t)
+            + rng.normal(0, 0.08, t.size)
+        )
+        tmin = tmean - region.k_min + rng.normal(0, 0.05, t.size)
+        tmax = tmean + region.k_max + rng.normal(0, 0.05, t.size)
+        precip = np.maximum(
+            region.precip_mm
+            + 0.1 * t
+            + 2.0 * np.sin(0.5 * t)
+            + rng.normal(0, 1.2, t.size),
+            1.0,
+        )
+        for variable, values in (
+            ("summer_tmean", tmean),
+            ("summer_tmin", tmin),
+            ("summer_tmax", tmax),
+            ("summer_precip", precip),
+        ):
+            series_rows.extend(
+                [region.region_id, variable, int(year), fmt(value)]
+                for year, value in zip(years, values)
+            )
     series_path = out_dir / "series.csv"
-    with series_path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["region_id", "variable", "year", "value"])
-        for region in REGIONS:
-            years = np.array(list(SERIES_YEARS))
-            t = years - years[0]
-            tmean = (
-                region.tmean_c
-                + 0.018 * t
-                + 0.25 * np.sin(0.6 * t)
-                + rng.normal(0, 0.08, t.size)
-            )
-            tmin = tmean - region.k_min + rng.normal(0, 0.05, t.size)
-            tmax = tmean + region.k_max + rng.normal(0, 0.05, t.size)
-            precip = np.maximum(
-                region.precip_mm
-                + 0.1 * t
-                + 2.0 * np.sin(0.5 * t)
-                + rng.normal(0, 1.2, t.size),
-                1.0,
-            )
-            for variable, values in (
-                ("summer_tmean", tmean),
-                ("summer_tmin", tmin),
-                ("summer_tmax", tmax),
-                ("summer_precip", precip),
-            ):
-                for year, value in zip(years, values):
-                    writer.writerow([region.region_id, variable, int(year), _fmt(value)])
+    write_csv(series_path, SERIES_COLUMNS, series_rows)
 
     regions_path = out_dir / "regions.csv"
-    with regions_path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["region_id", "elevation_m"])
-        for region in REGIONS:
-            writer.writerow([region.region_id, _fmt(region.elevation_m)])
+    write_csv(
+        regions_path,
+        REGION_COLUMNS,
+        ([region.region_id, fmt(region.elevation_m)] for region in REGIONS),
+    )
 
     return {
         "observations": observations_path,
@@ -276,29 +267,14 @@ def write_prepare_fixture(out_dir) -> dict[str, Path]:
         ["remote-a", 42.50, -104.00, "2020-06-15", "still", 5],
     ]
     observations_path = out_dir / "observations.csv"
-    with observations_path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            ["location_id", "latitude", "longitude", "date", "water_source", "larvae_count"]
-        )
-        writer.writerows(rows)
-
-    station_rows = []
-    for month in ("2020-06", "2020-07", "2020-08"):
-        station_rows.append(
-            ["airfield-1", 40.0, -100.0, month, 21.5, 27.0, 15.5, 9.0, 62.0, 650.0]
-        )
+    write_csv(observations_path, OBSERVATION_COLUMNS, rows)
     stations_path = out_dir / "stations.csv"
-    with stations_path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            [
-                "station_id", "latitude", "longitude", "month",
-                "tmean_c", "tmax_c", "tmin_c",
-                "precip_days", "precip_mm", "elevation_m",
-            ]
-        )
-        writer.writerows(station_rows)
+    write_csv(
+        stations_path,
+        STATION_COLUMNS,
+        (["airfield-1", 40.0, -100.0, month, 21.5, 27.0, 15.5, 9.0, 62.0, 650.0]
+         for month in ("2020-06", "2020-07", "2020-08")),
+    )
     return {"observations": observations_path, "stations": stations_path}
 
 

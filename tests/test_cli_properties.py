@@ -1,5 +1,6 @@
-"""Property: whatever bytes an input file holds, ``cli.main`` returns one of
-the documented exit codes and, on failure, writes one JSON error object."""
+"""Property: whatever bytes an input file or an artifact a stage reads holds,
+``cli.main`` returns one of the documented exit codes and, on failure,
+writes one JSON error object."""
 
 import contextlib
 import io
@@ -17,6 +18,21 @@ HEADERS = {
     "stations": b"station_id,latitude,longitude,month,tmean_c,tmax_c,tmin_c,"
                 b"precip_days,precip_mm,elevation_m\n",
     "regions": b"region_id,elevation_m\n",
+    "series": b"region_id,variable,year,value\n",
+    "features": b"location_id,date,month,tmean_c,tmax_c,tmin_c,"
+                b"precip_days,precip_mm,elevation_m,larvae_count\n",
+    "forecast": b"region_id,variable,year,value\n",
+    "projections": b"region_id,year,log10_abundance,abundance,tmean_c,tmax_c,tmin_c,"
+                   b"precip_days,precip_mm,elevation_m\n",
+}
+
+# The stage that reads each file, run on its own copy of the pipeline
+# run's artifacts; an input file is passed in place of the bundled one.
+READERS = {
+    "series": ["forecast", "--series", "{file}"],
+    "features": ["train-abundance", "--seed", "1", "--max-epochs", "1"],
+    "forecast": ["project", "--regions", "{regions}", "--year", "2030"],
+    "projections": ["report", "--start-year", "2030", "--end-year", "2050"],
 }
 
 
@@ -64,3 +80,16 @@ def test_project_any_regions_bytes(project_dir, work, content):
     regions = work / "regions.csv"
     regions.write_bytes(content)
     run_cli(["project", "--out-dir", str(project_dir), "--regions", str(regions)])
+
+
+@pytest.mark.parametrize("name", READERS)
+@given(data=st.data())
+def test_stage_any_bytes(pipeline_run, work, name, data):
+    out = work / f"run-{name}"
+    if not out.exists():
+        shutil.copytree(pipeline_run.out_dir, out)
+    fuzzed = work / f"{name}.csv" if name == "series" else out / f"{name}.csv"
+    fuzzed.write_bytes(data.draw(contents(name)))
+    argv = [arg.format(file=fuzzed, regions=pipeline_run.data["regions"])
+            for arg in READERS[name]]
+    run_cli([argv[0], "--out-dir", str(out), *argv[1:]])

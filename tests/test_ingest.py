@@ -78,6 +78,15 @@ class TestParsing:
         with pytest.raises(ParseError, match="missing columns"):
             parse_observations(path)
 
+    def test_oversized_field(self, tmp_path):
+        path = tmp_path / "obs.csv"
+        path.write_text(
+            "location_id,latitude,longitude,date,water_source,larvae_count\n"
+            + "x" * 200_000 + ",40.0,-100.0,2020-06-01,still,3\n"
+        )
+        with pytest.raises(ParseError, match="field larger than field limit"):
+            parse_observations(path)
+
     def test_unparseable_count(self, tmp_path):
         path = tmp_path / "obs.csv"
         path.write_text(
@@ -131,6 +140,12 @@ class TestParsing:
             "region_id,variable,year,value\nwest,winter_tmean,2000,15.0\n"
         )
         with pytest.raises(ParseError, match="variable"):
+            parse_series(path)
+
+    def test_series_header_only_rejected(self, tmp_path):
+        path = tmp_path / "series.csv"
+        path.write_text("region_id,variable,year,value\n")
+        with pytest.raises(DataError, match="no series found"):
             parse_series(path)
 
 

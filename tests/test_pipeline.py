@@ -13,7 +13,7 @@ import pytest
 
 import larvaecast
 from larvaecast import cli, pipeline, synth
-from larvaecast.errors import ConfigError, DataError
+from larvaecast.errors import ConfigError, DataError, ParseError
 from larvaecast.pipeline import (
     ABUNDANCE_MODEL_JSON,
     ABUNDANCE_SCALERS_JSON,
@@ -390,12 +390,18 @@ class TestCliRejectsBadNumbers:
     def test_non_numeric_elevation(self, tmp_path, capsys):
         assert_parse_error(self.project(tmp_path, "high"), capsys, "elevation_m")
 
-    def test_nan_station_elevation(self, tmp_path, capsys):
+    def prepare(self, tmp_path, column, value):
+        """prepare on the fixture with ``column`` set to ``value`` at every station."""
         paths = synth.write_prepare_fixture(tmp_path / "data")
-        header, first, *rest = paths["stations"].read_text().splitlines()
-        first = first.rsplit(",", 1)[0] + ",nan"
-        paths["stations"].write_text("\n".join([header, first, *rest]) + "\n")
-        code = cli.main(
+        header, *rows = paths["stations"].read_text().splitlines()
+        index = header.split(",").index(column)
+        edited = [header]
+        for row in rows:
+            fields = row.split(",")
+            fields[index] = value
+            edited.append(",".join(fields))
+        paths["stations"].write_text("\n".join(edited) + "\n")
+        return cli.main(
             [
                 "prepare",
                 "--out-dir", str(tmp_path / "out"),
@@ -403,7 +409,12 @@ class TestCliRejectsBadNumbers:
                 "--stations", str(paths["stations"]),
             ]
         )
-        assert_parse_error(code, capsys, "elevation_m")
+
+    def test_nan_station_elevation(self, tmp_path, capsys):
+        assert_parse_error(self.prepare(tmp_path, "elevation_m", "nan"), capsys, "elevation_m")
+
+    def test_infinite_station_precipitation(self, tmp_path, capsys):
+        assert_parse_error(self.prepare(tmp_path, "precip_mm", "inf"), capsys, "precip_mm")
 
     def test_nan_series_value(self, tmp_path, capsys):
         series = tmp_path / "series.csv"
@@ -581,26 +592,63 @@ class TestReportGeometry:
         assert unmatched == ["a"]
 
 
+KEYED_FILES = ["regions.csv", FORECAST_CSV, PROJECTIONS_CSV]
+
+
+def keyed_file(tmp_path, pipeline_run, name):
+    """A copy of the pipeline run plus regions.csv, the path of ``name`` in
+    it, and a function running the stage that reads that file."""
+    out = tmp_path / "out"
+    shutil.copytree(pipeline_run.out_dir, out)
+    regions = tmp_path / "regions.csv"
+    shutil.copy(pipeline_run.data["regions"], regions)
+    if name == PROJECTIONS_CSV:
+        return out / name, lambda: report(out)
+    path = regions if name == "regions.csv" else out / name
+    return path, lambda: cli.main(["project", "--out-dir", str(out), "--regions", str(regions),
+                                   "--year", "2030", "--year", "2050"])
+
+
 class TestDuplicateKeys:
     """A key repeated in a keyed table is an error, not a silent overwrite."""
 
-    @pytest.mark.parametrize("name", ["regions.csv", FORECAST_CSV, PROJECTIONS_CSV])
+    @pytest.mark.parametrize("name", KEYED_FILES)
     def test_repeated_key_is_parse_error(self, tmp_path, capsys, pipeline_run, name):
-        out = tmp_path / "out"
-        shutil.copytree(pipeline_run.out_dir, out)
-        regions = tmp_path / "regions.csv"
-        shutil.copy(pipeline_run.data["regions"], regions)
-        path = regions if name == "regions.csv" else out / name
+        path, stage = keyed_file(tmp_path, pipeline_run, name)
         lines = path.read_text().splitlines()
         lines.append(lines[1].rsplit(",", 1)[0] + ",9999.0")  # row 2's key, another value
         path.write_text("\n".join(lines) + "\n")
-        if name == PROJECTIONS_CSV:
-            code = report(out)
-        else:
-            code = cli.main(["project", "--out-dir", str(out), "--regions", str(regions),
-                             "--year", "2030", "--year", "2050"])
-        doc = assert_data_error(code, capsys, "ParseError", f"row {len(lines)}: duplicate key")
+        doc = assert_data_error(stage(), capsys, "ParseError", f"row {len(lines)}: duplicate key")
         assert doc["message"].endswith("first at row 2")
+
+
+class TestColumns:
+    """Every declared column is present once and non-empty in every row."""
+
+    @pytest.mark.parametrize("name", KEYED_FILES)
+    def test_row_missing_its_key_is_parse_error(self, tmp_path, capsys, pipeline_run, name):
+        path, stage = keyed_file(tmp_path, pipeline_run, name)
+        rows = [line.split(",") for line in path.read_text().splitlines()]
+        assert rows[0][0] == "region_id"
+        rows = [row[1:] + row[:1] for row in rows]  # the key column last
+        rows[1].pop()
+        path.write_text("".join(",".join(row) + "\n" for row in rows))
+        assert_data_error(stage(), capsys, "ParseError", "row 2: column 'region_id' is empty")
+
+    def test_repeated_header_column(self, tmp_path):
+        path = tmp_path / "regions.csv"
+        path.write_text("region_id,elevation_m,elevation_m\nr1,100.0,9999.0\n")
+        with pytest.raises(ParseError, match="column 'elevation_m' repeats in the header"):
+            pipeline.read_region_elevations(path)
+
+
+def test_synth_reproduces_bundled_data(synth_data):
+    bundled = Path(__file__).resolve().parent.parent / "data"
+    assert sorted(p.name for p in synth_data.values()) == sorted(
+        p.name for p in bundled.glob("*.csv")
+    )
+    for path in synth_data.values():
+        assert path.read_bytes() == (bundled / path.name).read_bytes(), path.name
 
 
 class TestOutputErrors:
