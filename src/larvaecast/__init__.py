@@ -12,8 +12,6 @@ from .errors import (
 from .forecast import ForecastConfig, ForecastResult, forecast, forecast_series
 from .lstm import (
     LstmModel,
-    WindowConfig,
-    WindowPair,
     lstm_backward,
     lstm_cell,
     lstm_forward,

@@ -8,9 +8,8 @@ whole batch. The de-standardize / re-standardize sequence is kept
 literal (not algebraically collapsed) so intermediate windows can be
 inspected.
 
-A window whose population sigma falls below the floor of
-``preprocess.guard_sigma`` standardizes as a pure mean shift (sigma
-treated as 1).
+Every round standardizes through ``preprocess.standardize_rows``, as
+LSTM training does, so a window of near-zero sigma is a pure mean shift.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError, ShapeError
-from .preprocess import guard_sigma
+from .preprocess import standardize_rows
 
 
 @dataclass(frozen=True)
@@ -47,12 +46,6 @@ class ForecastResult:
         return list(range(self.start_year, self.start_year + self.values.size))
 
 
-def _standardize(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    mu = x.mean(axis=1, keepdims=True)
-    sigma = guard_sigma(x.std(axis=1, keepdims=True))
-    return (x - mu) / sigma, mu, sigma
-
-
 def forecast(predict, windows, cfg: ForecastConfig) -> np.ndarray:
     """Recursive forecast of ``rounds`` blocks for each input window.
 
@@ -70,7 +63,7 @@ def forecast(predict, windows, cfg: ForecastConfig) -> np.ndarray:
             f"windows must be (m, {cfg.lookback}), got shape {windows.shape}"
         )
     p = cfg.horizon
-    x, mu, sigma = _standardize(windows)
+    x, mu, sigma = standardize_rows(windows)
     collected = []
     for _ in range(cfg.rounds):
         y = np.asarray(predict(x), dtype=float)
@@ -81,16 +74,17 @@ def forecast(predict, windows, cfg: ForecastConfig) -> np.ndarray:
         y = y * sigma + mu
         x = x * sigma + mu
         collected.append(y)
-        x, mu, sigma = _standardize(np.concatenate([x[:, p:], y], axis=1))
+        x, mu, sigma = standardize_rows(np.concatenate([x[:, p:], y], axis=1))
     return np.concatenate(collected, axis=1)
 
 
-def require_window(series, lookback: int) -> None:
-    """Raise DataError if a series is shorter than one forecast window."""
-    if len(series.values) < lookback:
+def require_window(series, width: int) -> None:
+    """Raise DataError, naming the region and variable, if a series is
+    shorter than one window of ``width`` values."""
+    if len(series.values) < width:
         raise DataError(
             f"series {series.region_id!r}/{series.variable!r} has "
-            f"{len(series.values)} values; forecasting needs at least {lookback}"
+            f"{len(series.values)} values; needs at least {width}"
         )
 
 

@@ -165,8 +165,8 @@ class RegionSeries:
 
 def read_rows(path, columns: dict):
     """Yield ``(row_number, values)`` for each data row of ``path``, with
-    the values converted and checked in the order of ``columns``. The
-    header row is row 1 and blank lines are not counted."""
+    the values converted and checked in the order of ``columns``. The row
+    number is the row's (last) line in the file, blank lines included."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"input file not found: {path}")
@@ -185,11 +185,10 @@ def read_rows(path, columns: dict):
             spec = [(header.index(col), col, convert, convert is float, check, describe)
                     for col, (convert, check, describe) in columns.items()]
             width = len(header)
-            line = 1
             for row in reader:
                 if not row:
                     continue
-                line += 1
+                line = reader.line_num
                 if len(row) < width:
                     row += [""] * (width - len(row))
                 values = []

@@ -12,9 +12,9 @@ blocks of gate order i, f, o, g (``GATES``). A step is one matmul forward
 and one ``U^T @ d_pre`` backward; ``LstmModel.gate`` returns one gate's
 (w, u, b) views, which the per-gate document fields are written from.
 
-Training windows slide over an annual series with stride 1; each pair is
-standardized with the statistics of its own input window and keeps them
-for inversion.
+The model is univariate. Training windows are the raw stride-1 windows of
+an annual series; ``train_lstm`` z-scores each by its inputs through
+``preprocess.standardize_rows``, as the forecast roll does.
 """
 
 from __future__ import annotations
@@ -23,10 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, ShapeError
+from .errors import ConfigError, ShapeError
+from .forecast import require_window
 from .nn import _lift, dropout, mse_grad, mse_loss, xavier
 from .optim import TrainConfig, fit
-from .preprocess import guard_sigma
+from .preprocess import standardize_rows
 
 GATES = ("i", "f", "o", "g")
 
@@ -35,36 +36,13 @@ FORECAST_LOOKBACK = 20
 FORECAST_HORIZON = 10
 
 
-@dataclass(frozen=True)
-class WindowConfig:
-    lookback: int = FORECAST_LOOKBACK
-    horizon: int = FORECAST_HORIZON
-
-    def __post_init__(self):
-        if self.lookback < 1 or self.horizon < 1:
-            raise ConfigError("lookback and horizon must be positive")
-        if self.horizon > self.lookback:
-            raise ConfigError("horizon must not exceed lookback")
-
-
-@dataclass
-class WindowPair:
-    """One training pair, standardized by its own input-window statistics."""
-
-    x: np.ndarray
-    y: np.ndarray
-    mean: float
-    std: float
-
-
 @dataclass
 class LstmModel:
     hidden_size: int
-    input_size: int
     output_len: int
     lookback: int  # window length the model was trained on
     input_dropout_rate: float
-    weights: np.ndarray  # (4 * hidden, input + hidden), acts on [x_t; h_prev]
+    weights: np.ndarray  # (4 * hidden, 1 + hidden), acts on [x_t; h_prev]
     bias: np.ndarray  # (4 * hidden,)
     head_w: np.ndarray  # (output_len, hidden)
     head_b: np.ndarray  # (output_len,)
@@ -76,36 +54,39 @@ class LstmModel:
         return sum(p.size for p in self.parameters())
 
     def gate(self, name: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Views of one gate's w (hidden, input), u (hidden, hidden) and b (hidden,)."""
+        """Views of one gate's w (hidden, 1), u (hidden, hidden) and b (hidden,)."""
         k = GATES.index(name)
         block = self.weights.reshape(len(GATES), self.hidden_size, -1)[k]
         bias = self.bias.reshape(len(GATES), self.hidden_size)[k]
-        return block[:, : self.input_size], block[:, self.input_size :], bias
+        return block[:, :1], block[:, 1:], bias
+
+
+def check_lstm(hidden_size: int, output_len: int, lookback: int, input_dropout_rate: float):
+    """Raise ConfigError unless sizes are positive and dropout lies in [0, 1)."""
+    if min(hidden_size, output_len, lookback) < 1:
+        raise ConfigError("model dimensions must be positive")
+    if not (0.0 <= input_dropout_rate < 1.0):
+        raise ConfigError("input_dropout_rate must lie in [0, 1)")
 
 
 def lstm_init(
     seed: int,
     hidden_size: int = FORECAST_HIDDEN_SIZE,
-    input_size: int = 1,
     output_len: int = FORECAST_HORIZON,
     input_dropout_rate: float = 0.2,
     lookback: int = FORECAST_LOOKBACK,
 ) -> LstmModel:
     """Xavier-uniform gate and head weights; forget bias 1, other biases 0."""
-    if min(hidden_size, input_size, output_len, lookback) < 1:
-        raise ConfigError("model dimensions must be positive")
-    if not (0.0 <= input_dropout_rate < 1.0):
-        raise ConfigError("input_dropout_rate must lie in [0, 1)")
+    check_lstm(hidden_size, output_len, lookback, input_dropout_rate)
     rng = np.random.default_rng(seed)
     gates = len(GATES)
     return LstmModel(
         hidden_size=hidden_size,
-        input_size=input_size,
         output_len=output_len,
         lookback=lookback,
         input_dropout_rate=float(input_dropout_rate),
         weights=np.hstack(
-            [xavier(rng, hidden_size, input_size, gates),
+            [xavier(rng, hidden_size, 1, gates),
              xavier(rng, hidden_size, hidden_size, gates)]
         ),
         bias=np.repeat([1.0 if gate == "f" else 0.0 for gate in GATES], hidden_size),
@@ -118,7 +99,7 @@ def lstm_cell(model: LstmModel, x_t, h_prev, c_prev):
     """One step of the standard LSTM cell, batched over columns: h, c and
     the backprop cache (xh, c_prev, gates, tanh_c), with xh = [x_t; h_prev]
     and gates the activated (4 * hidden, batch) i, f, o, g blocks."""
-    x_t, squeeze = _lift(x_t, model.input_size, "cell input")
+    x_t, squeeze = _lift(x_t, 1, "cell input")
     h_prev, _ = _lift(h_prev, model.hidden_size, "previous hidden state")
     c_prev, _ = _lift(c_prev, model.hidden_size, "previous cell state")
     n = model.hidden_size
@@ -173,8 +154,6 @@ def lstm_forward(
     sequence before the recurrence and keeps the per-step activations for
     ``lstm_backward``; eval mode keeps only the inputs.
     """
-    if model.input_size != 1:
-        raise ShapeError("sequence forward expects a univariate model")
     if mode not in ("train", "eval"):
         raise ConfigError(f"unknown mode: {mode!r}")
     window = np.asarray(window, dtype=float)
@@ -199,7 +178,7 @@ def lstm_backward(model: LstmModel, cache: LstmCache, target) -> list[np.ndarray
         steps = _unroll(model, cache.xs, record=True)[1]
 
     n = model.hidden_size
-    u_t = model.weights[:, model.input_size :].T
+    u_t = model.weights[:, 1:].T
     g_weights = np.zeros_like(model.weights)
     g_bias = np.zeros_like(model.bias)
     dh = model.head_w.T @ d_pred
@@ -217,56 +196,30 @@ def lstm_backward(model: LstmModel, cache: LstmCache, target) -> list[np.ndarray
     return [g_weights, g_bias, d_pred @ cache.h_final.T, d_pred.sum(axis=1)]
 
 
-def make_windows(series, cfg: WindowConfig, name: str = "series") -> list[WindowPair]:
-    """All maximal stride-1 sliding (input, target) pairs of a series.
-
-    Accepts a raw value sequence or any object with ``values`` (and
-    optionally ``region_id``) attributes. Each pair is standardized with
-    the population statistics of its own input window.
-    """
-    if hasattr(series, "values"):
-        name = getattr(series, "region_id", name)
-        variable = getattr(series, "variable", None)
-        if variable:
-            name = f"{name}/{variable}"
-        values = np.asarray(series.values, dtype=float)
-    else:
-        values = np.asarray(series, dtype=float)
-    span = cfg.lookback + cfg.horizon
-    if values.size < span:
-        raise DataError(
-            f"series {name!r} has {values.size} values; "
-            f"windows need at least {span}"
-        )
-    pairs = []
-    for start in range(values.size - span + 1):
-        x = values[start : start + cfg.lookback]
-        y = values[start + cfg.lookback : start + span]
-        mean = float(x.mean())
-        std = guard_sigma(float(x.std()))
-        pairs.append(
-            WindowPair(x=(x - mean) / std, y=(y - mean) / std, mean=mean, std=std)
-        )
-    return pairs
+def make_windows(series, width: int) -> np.ndarray:
+    """The raw stride-1 windows of ``width`` values over a series' values,
+    as an (n, width) array; a series shorter than ``width`` is a DataError
+    naming its region and variable (see ``forecast.require_window``)."""
+    require_window(series, width)
+    return np.lib.stride_tricks.sliding_window_view(
+        np.asarray(series.values, dtype=float), width
+    )
 
 
 def train_lstm(
-    pairs: list[WindowPair],
+    windows,
     cfg: TrainConfig,
+    horizon: int = FORECAST_HORIZON,
     hidden_size: int = FORECAST_HIDDEN_SIZE,
     input_dropout_rate: float = 0.2,
 ) -> LstmModel:
-    """Train on standardized window pairs through ``optim.fit``, the dense
-    trainer's loop. Deterministic for a fixed seed."""
-    if not pairs:
+    """Train through ``optim.fit``, the dense trainer's loop, on raw
+    (n, lookback + horizon) windows: each row's first ``lookback`` values
+    are the input and its last ``horizon`` the target, both z-scored by
+    the input's statistics. Deterministic for a fixed seed."""
+    if len(windows) == 0:
         raise ConfigError("cannot train on an empty window set")
-    lookback = pairs[0].x.size
-    horizon = pairs[0].y.size
-    if any(p.x.size != lookback or p.y.size != horizon for p in pairs):
-        raise ShapeError("all window pairs must share lookback and horizon")
-    xs = np.stack([p.x for p in pairs], axis=1)  # (lookback, n)
-    ys = np.stack([p.y for p in pairs], axis=1)  # (horizon, n)
-
+    lookback = np.shape(windows)[1] - horizon
     model = lstm_init(
         cfg.seed,
         hidden_size=hidden_size,
@@ -274,11 +227,14 @@ def train_lstm(
         input_dropout_rate=input_dropout_rate,
         lookback=lookback,
     )
+    z = standardize_rows(windows, lookback)[0]
+    xs = z[:, :lookback].T  # (lookback, n)
+    ys = z[:, lookback:].T  # (horizon, n)
 
     def step(idx, rng):
         yb = ys[:, idx]
         pred, cache = lstm_forward(model, xs[:, idx], mode="train", rng=rng)
         return mse_loss(pred, yb) * idx.size, lstm_backward(model, cache, yb)
 
-    fit(model.parameters(), step, len(pairs), cfg, "LSTM")
+    fit(model.parameters(), step, len(z), cfg, "LSTM")
     return model

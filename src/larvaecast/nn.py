@@ -59,6 +59,18 @@ def xavier(rng: np.random.Generator, fan_out: int, fan_in: int, blocks: int = 1)
     return rng.uniform(-bound, bound, size=(blocks * fan_out, fan_in))
 
 
+def check_dense(layer_dims: tuple[int, ...], activations, dropout_rate: float) -> None:
+    """Raise ConfigError unless ``forward`` can run this architecture."""
+    if len(layer_dims) < 2 or any(d < 1 for d in layer_dims):
+        raise ConfigError("layer_dims needs at least two positive entries")
+    if not (0.0 <= dropout_rate < 1.0):
+        raise ConfigError("dropout_rate must lie in [0, 1)")
+    if len(activations) != len(layer_dims) - 1:
+        raise ConfigError("one activation per weight layer required")
+    if any(a not in ("relu", "identity") for a in activations):
+        raise ConfigError("activations must be 'relu' or 'identity'")
+
+
 def xavier_init(
     layer_dims,
     seed: int,
@@ -67,16 +79,9 @@ def xavier_init(
 ) -> DenseNetwork:
     """``xavier`` weights, zero biases."""
     layer_dims = tuple(int(d) for d in layer_dims)
-    if len(layer_dims) < 2 or any(d < 1 for d in layer_dims):
-        raise ConfigError("layer_dims needs at least two positive entries")
-    if not (0.0 <= dropout_rate < 1.0):
-        raise ConfigError("dropout_rate must lie in [0, 1)")
     if activations is None:
         activations = ("relu",) * (len(layer_dims) - 2) + ("identity",)
-    if len(activations) != len(layer_dims) - 1:
-        raise ConfigError("one activation per weight layer required")
-    if any(a not in ("relu", "identity") for a in activations):
-        raise ConfigError("activations must be 'relu' or 'identity'")
+    check_dense(layer_dims, activations, dropout_rate)
     rng = np.random.default_rng(seed)
     weights, biases = [], []
     for fan_in, fan_out in zip(layer_dims[:-1], layer_dims[1:]):

@@ -18,7 +18,7 @@ from . import ingest, lstm, serialize
 from .errors import ConfigError, DataError, ParseError
 from .forecast import ForecastConfig, forecast_series, require_window
 from .ingest import FEATURE_NAMES, NUMBER, TEXT, YEAR, FeatureRow, fmt, write_csv
-from .lstm import WindowConfig, lstm_forward, make_windows, train_lstm
+from .lstm import lstm_forward, make_windows, train_lstm
 from .nn import ABUNDANCE_LAYER_DIMS, forward, train_abundance
 from .optim import TrainConfig
 from .preprocess import LogCountTransform, StandardScaler
@@ -256,30 +256,32 @@ def cmd_train_climate(cfg: PipelineConfig) -> dict:
     """Train one LSTM per forecast variable plus the derived-series models."""
     if cfg.series is None:
         raise ConfigError("train-climate needs --series")
+    ForecastConfig(cfg.lookback, cfg.horizon, rounds=1)  # the window rule, before any read
     feature_rows = read_features(cfg.artifact(FEATURES_CSV))
     series_list = ingest.parse_series(cfg.series)
-    window_cfg = WindowConfig(lookback=cfg.lookback, horizon=cfg.horizon)
 
     summary: dict = {"windows": {}, "skipped": []}
     for offset, variable in enumerate(FORECAST_VARIABLES):
         by_region = _series_by_region(series_list, variable)
-        pairs = []
+        windows = []
         for region_id in sorted(by_region):
             try:
-                pairs.extend(make_windows(by_region[region_id], window_cfg))
+                windows.append(make_windows(by_region[region_id], cfg.lookback + cfg.horizon))
             except DataError as exc:
                 _warn(str(exc))
                 summary["skipped"].append(f"{region_id}/{variable}")
-        if not pairs:
+        if not windows:
             raise DataError(f"no trainable windows for variable {variable!r}")
+        windows = np.concatenate(windows)
         model = train_lstm(
-            pairs,
+            windows,
             cfg.train_config(seed_offset=offset, max_epochs=cfg.climate_max_epochs),
+            horizon=cfg.horizon,
             hidden_size=cfg.lstm_hidden_size,
         )
         with serialize.atomic_open(cfg.path(lstm_document_name(variable))) as handle:
             handle.write(serialize.serialize_lstm(model) + "\n")
-        summary["windows"][variable] = len(pairs)
+        summary["windows"][variable] = len(windows)
 
     # Per-region temperature offsets from the historical series.
     tmean = _series_by_region(series_list, "summer_tmean")

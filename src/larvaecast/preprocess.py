@@ -1,9 +1,9 @@
 """Statistical transforms: log-scaled counts and invertible z-score scalers.
 
 Larvae counts are modeled as log10(count + 1) so zero counts stay zero.
-Features are z-scored with population standard deviation; a degenerate
-sigma (below SIGMA_FLOOR) is replaced by 1 so constant columns become a
-pure mean shift instead of a division by zero.
+Features and windows are z-scored with population standard deviation; a
+degenerate sigma (below SIGMA_FLOOR) is replaced by 1 so constant columns
+become a pure mean shift instead of a division by zero.
 """
 
 from __future__ import annotations
@@ -20,6 +20,17 @@ def guard_sigma(sigma):
     sigma = np.asarray(sigma, dtype=float)
     guarded = np.where(sigma < SIGMA_FLOOR, 1.0, sigma)
     return float(guarded) if guarded.ndim == 0 else guarded
+
+
+def standardize_rows(x, width: int | None = None):
+    """``(z, mu, sigma)``: each row of a 2-D ``x`` z-scored by the population
+    mean and guarded sigma of its first ``width`` values (all by default),
+    with mu and sigma (rows, 1). LSTM training and every forecast round use it."""
+    x = np.asarray(x, dtype=float)
+    head = x[:, :width]
+    mu = head.mean(axis=1, keepdims=True)
+    sigma = guard_sigma(head.std(axis=1, keepdims=True))
+    return (x - mu) / sigma, mu, sigma
 
 
 class LogCountTransform:

@@ -9,15 +9,16 @@ serialize/deserialize round trip is bit-exact.
 from __future__ import annotations
 
 import json
+import math
 import os
 from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError
-from .lstm import GATES, LstmModel
-from .nn import DenseNetwork
+from .errors import ConfigError, ParseError
+from .lstm import GATES, LstmModel, check_lstm
+from .nn import DenseNetwork, check_dense
 from .preprocess import StandardScaler
 from .trend import LinearModel, OffsetK
 
@@ -47,17 +48,37 @@ def _vector(name: str, flat, length: int) -> np.ndarray:
     return np.array(flat, dtype=float)
 
 
+def _finite(text: str) -> float:
+    """A JSON float or constant (NaN, Infinity), which must be finite."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number: {text}")
+    return value
+
+
+def _checked(kind: str, check, *args) -> None:
+    """Run a model's own ConfigError check on a document's fields, as a ParseError."""
+    try:
+        check(*args)
+    except ConfigError as exc:
+        raise ParseError(f"{kind} document: {exc}") from None
+
+
 def dumps(doc: dict) -> str:
     return json.dumps(doc, indent=1)
 
 
 def loads(text: str, expected_kind: str | None = None) -> dict:
+    """Parse a document; NaN, Infinity and numbers beyond float range
+    (such as 1e999) are ParseErrors, as in every CSV."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_float=_finite, parse_constant=_finite)
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"malformed document at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    except ValueError as exc:  # from _finite, or an integer past the digit limit: no position
+        raise ParseError(f"malformed document: {exc}") from None
     if not isinstance(doc, dict):
         raise ParseError("document root must be an object")
     version = _require(doc, "schema_version", "model")
@@ -112,10 +133,9 @@ def serialize_network(net: DenseNetwork) -> str:
 def deserialize_network(text: str) -> DenseNetwork:
     doc = loads(text, "dense")
     dims = tuple(int(d) for d in _require(doc, "layer_dims", "dense"))
-    if len(dims) < 2:
-        raise ParseError("layer_dims needs at least two entries")
     activations = tuple(_require(doc, "activations", "dense"))
-    _check_length("activations", activations, len(dims) - 1)
+    dropout_rate = float(_require(doc, "dropout_rate", "dense"))
+    _checked("dense", check_dense, dims, activations, dropout_rate)
     raw_w = _require(doc, "weights", "dense")
     raw_b = _require(doc, "biases", "dense")
     _check_length("weights", raw_w, len(dims) - 1)
@@ -129,7 +149,7 @@ def deserialize_network(text: str) -> DenseNetwork:
         weights=weights,
         biases=biases,
         activations=activations,
-        dropout_rate=float(_require(doc, "dropout_rate", "dense")),
+        dropout_rate=dropout_rate,
     )
 
 
@@ -141,7 +161,7 @@ def serialize_lstm(model: LstmModel) -> str:
         "schema_version": SCHEMA_VERSION,
         "kind": "lstm",
         "hidden_size": model.hidden_size,
-        "input_size": model.input_size,
+        "input_size": 1,
         "output_len": model.output_len,
         "lookback": model.lookback,
         "input_dropout_rate": model.input_dropout_rate,
@@ -159,19 +179,22 @@ def serialize_lstm(model: LstmModel) -> str:
 def deserialize_lstm(text: str) -> LstmModel:
     doc = loads(text, "lstm")
     hidden = int(_require(doc, "hidden_size", "lstm"))
-    inp = int(_require(doc, "input_size", "lstm"))
+    if _require(doc, "input_size", "lstm") != 1:
+        raise ParseError(f"lstm document: input_size must be 1, got {doc['input_size']!r}")
     out = int(_require(doc, "output_len", "lstm"))
+    lookback = int(_require(doc, "lookback", "lstm"))
+    dropout_rate = float(_require(doc, "input_dropout_rate", "lstm"))
+    _checked("lstm", check_lstm, hidden, out, lookback, dropout_rate)
     w, u, b = [], [], []
     for gate in GATES:
-        w.append(_matrix(f"w_{gate}", _require(doc, f"w_{gate}", "lstm"), hidden, inp))
+        w.append(_matrix(f"w_{gate}", _require(doc, f"w_{gate}", "lstm"), hidden, 1))
         u.append(_matrix(f"u_{gate}", _require(doc, f"u_{gate}", "lstm"), hidden, hidden))
         b.append(_vector(f"b_{gate}", _require(doc, f"b_{gate}", "lstm"), hidden))
     return LstmModel(
         hidden_size=hidden,
-        input_size=inp,
         output_len=out,
-        lookback=int(_require(doc, "lookback", "lstm")),
-        input_dropout_rate=float(_require(doc, "input_dropout_rate", "lstm")),
+        lookback=lookback,
+        input_dropout_rate=dropout_rate,
         weights=np.hstack([np.vstack(w), np.vstack(u)]),
         bias=np.concatenate(b),
         head_w=_matrix("head_w", _require(doc, "head_w", "lstm"), out, hidden),

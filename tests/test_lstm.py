@@ -3,9 +3,11 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from larvaecast import lstm
 from larvaecast.errors import ConfigError, DataError, DivergenceError, ShapeError
+from larvaecast.forecast import ForecastConfig, forecast
+from larvaecast.ingest import RegionSeries
 from larvaecast.lstm import (
-    WindowConfig,
     lstm_backward,
     lstm_cell,
     lstm_forward,
@@ -15,6 +17,7 @@ from larvaecast.lstm import (
 )
 from larvaecast.nn import mse_loss
 from larvaecast.optim import TrainConfig
+from larvaecast.preprocess import standardize_rows
 
 
 def reference_cell(model, x_t, h_prev, c_prev):
@@ -206,82 +209,109 @@ class TestLstmBackward:
                 assert np.max(np.abs(a - n) / denom) < 1e-4
 
 
+def series(values, region_id="west"):
+    return RegionSeries(region_id, "summer_tmean", [], np.asarray(values, dtype=float))
+
+
+def training_pairs(windows, horizon):
+    """Standardized (inputs, targets) rows, split as train_lstm splits them."""
+    z = standardize_rows(windows, windows.shape[1] - horizon)[0]
+    return z[:, :-horizon], z[:, -horizon:]
+
+
 class TestMakeWindows:
     def test_single_window(self):
-        pairs = make_windows(np.arange(30.0), WindowConfig(20, 10))
-        assert len(pairs) == 1
+        assert make_windows(series(np.arange(30.0)), 30).shape == (1, 30)
 
     def test_43_year_series_yields_14(self):
-        pairs = make_windows(np.arange(43.0), WindowConfig(20, 10))
-        assert len(pairs) == 14
+        assert make_windows(series(np.arange(43.0)), 30).shape == (14, 30)
 
     def test_constant_series_guard(self):
-        pairs = make_windows(np.full(30, 7.0), WindowConfig(20, 10))
-        np.testing.assert_array_equal(pairs[0].x, np.zeros(20))
-        np.testing.assert_array_equal(pairs[0].y, np.zeros(10))
-        assert pairs[0].std == 1.0
+        windows = make_windows(series(np.full(30, 7.0)), 30)
+        z, mu, sigma = standardize_rows(windows, 20)
+        np.testing.assert_array_equal(z, np.zeros((1, 30)))
+        assert mu[0, 0] == 7.0 and sigma[0, 0] == 1.0
 
     def test_retains_inversion_statistics(self):
         values = np.arange(35.0) * 2 + 5
-        pairs = make_windows(values, WindowConfig(20, 10))
-        pair = pairs[3]
-        window = values[3:23]
-        assert pair.mean == pytest.approx(window.mean())
-        np.testing.assert_allclose(pair.x * pair.std + pair.mean, window)
-        np.testing.assert_allclose(pair.y * pair.std + pair.mean, values[23:33])
+        windows = make_windows(series(values), 30)
+        np.testing.assert_array_equal(windows[3], values[3:33])
+        z, mu, sigma = standardize_rows(windows, 20)
+        assert mu[3, 0] == pytest.approx(values[3:23].mean())
+        assert sigma[3, 0] == pytest.approx(values[3:23].std())
+        np.testing.assert_allclose(z * sigma + mu, windows)
 
     def test_too_short_names_series(self):
-        with pytest.raises(DataError, match="tiny"):
-            make_windows(np.arange(10.0), WindowConfig(20, 10), name="tiny")
-
-    def test_horizon_cannot_exceed_lookback(self):
-        with pytest.raises(ConfigError):
-            WindowConfig(lookback=5, horizon=6)
+        with pytest.raises(DataError, match="'tiny'/'summer_tmean'.*needs at least 30"):
+            make_windows(series(np.arange(10.0), region_id="tiny"), 30)
 
 
 class TestTrainLstm:
     def test_learns_linear_continuation(self):
-        values = 3.0 + 0.5 * np.arange(60.0)
-        cfg = WindowConfig(lookback=8, horizon=3)
-        pairs = make_windows(values, cfg)
-        held_out = pairs[-4:]
+        windows = make_windows(series(3.0 + 0.5 * np.arange(60.0)), 11)
         model = train_lstm(
-            pairs[:-4],
+            windows[:-4],
             TrainConfig(seed=21, max_epochs=400, plateau_patience=60),
+            horizon=3,
             hidden_size=8,
             input_dropout_rate=0.0,
         )
-        errors = []
-        for pair in held_out:
-            pred, _ = lstm_forward(model, pair.x)
-            errors.append(np.mean((pred - pair.y) ** 2))
-        assert float(np.mean(errors)) < 0.05
+        x, y = training_pairs(windows[-4:], 3)
+        pred, _ = lstm_forward(model, x.T)
+        assert float(np.mean((pred - y.T) ** 2)) < 0.05
 
     def test_memorizes_single_pair(self):
-        pairs = make_windows(np.sin(np.arange(12.0)), WindowConfig(8, 4))[:1]
+        windows = make_windows(series(np.sin(np.arange(12.0))), 12)[:1]
         model = train_lstm(
-            pairs,
+            windows,
             TrainConfig(seed=2, max_epochs=1500, plateau_patience=200),
+            horizon=4,
             hidden_size=6,
             input_dropout_rate=0.0,
         )
-        pred, _ = lstm_forward(model, pairs[0].x)
-        assert mse_loss(pred, pairs[0].y) < 1e-3
+        x, y = training_pairs(windows, 4)
+        pred, _ = lstm_forward(model, x[0])
+        assert mse_loss(pred, y[0]) < 1e-3
 
     def test_deterministic(self):
-        pairs = make_windows(np.arange(40.0) * 0.3, WindowConfig(10, 5))
+        windows = make_windows(series(np.arange(40.0) * 0.3), 15)
         cfg = TrainConfig(seed=77, max_epochs=30)
-        a = train_lstm(pairs, cfg, hidden_size=4)
-        b = train_lstm(pairs, cfg, hidden_size=4)
+        a = train_lstm(windows, cfg, horizon=5, hidden_size=4)
+        b = train_lstm(windows, cfg, horizon=5, hidden_size=4)
         for pa, pb in zip(a.parameters(), b.parameters()):
             np.testing.assert_array_equal(pa, pb)
 
     def test_diverging_run_fails_loudly(self):
-        pairs = make_windows(np.sin(np.arange(30.0)), WindowConfig(8, 4))
+        windows = make_windows(series(np.sin(np.arange(30.0))), 12)
         cfg = TrainConfig(seed=0, max_epochs=50, learning_rate=1e300)
         with np.errstate(all="ignore"), pytest.raises(DivergenceError, match="LSTM.*epoch 1$"):
-            train_lstm(pairs, cfg, hidden_size=4)
+            train_lstm(windows, cfg, horizon=4, hidden_size=4)
 
     def test_empty_pairs_rejected(self):
         with pytest.raises(ConfigError):
-            train_lstm([], TrainConfig(seed=0))
+            train_lstm(np.empty((0, 30)), TrainConfig(seed=0))
+
+    def test_inputs_standardized_like_forecast_round_one(self, monkeypatch):
+        """The last training window's inputs reach the model exactly as the
+        forecast's first round hands the same values to ``predict``."""
+        lookback, horizon = 8, 3
+        values = np.random.default_rng(5).normal(20.0, 3.0, size=40)
+        windows = make_windows(series(values), lookback + horizon)
+        trained_on = []
+
+        def recording_forward(model, window, *args, **kwargs):
+            trained_on.append(np.array(window))
+            return lstm_forward(model, window, *args, **kwargs)
+
+        monkeypatch.setattr(lstm, "lstm_forward", recording_forward)
+        train_lstm(windows[-1:], TrainConfig(seed=0, max_epochs=1), horizon=horizon,
+                   hidden_size=2, input_dropout_rate=0.0)
+        forecast_inputs = []
+
+        def recording_predict(x):
+            forecast_inputs.append(x.copy())
+            return np.zeros((x.shape[0], horizon))
+
+        forecast(recording_predict, windows[-1:, :lookback],
+                 ForecastConfig(lookback=lookback, horizon=horizon, rounds=1))
+        np.testing.assert_array_equal(trained_on[0][:, 0], forecast_inputs[0][0])

@@ -328,6 +328,19 @@ class TestCli:
                 )
             assert excinfo.value.code == 2
 
+    def test_train_climate_horizon_beyond_lookback(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = cli.main(
+            ["train-climate", "--out-dir", str(out), "--seed", "1",
+             "--series", str(tmp_path / "series.csv"), "--lookback", "5", "--horizon", "6"]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err) == {"error": "ConfigError",
+                                   "message": "horizon must not exceed lookback"}
+        assert not out.exists()
+
     def test_cli_import_leaves_scipy_unloaded(self):
         src = Path(larvaecast.__file__).resolve().parent.parent
         probe = subprocess.run(
@@ -455,6 +468,15 @@ class TestCliRejectsBadNumbers:
             "a,2050,2.0,99.0,20.0,26.0,14.0,8.0,55.0,100.0\n",
         )
         assert_parse_error(report(out), capsys, "abundance")
+
+    @pytest.mark.parametrize("number", ["NaN", "-Infinity", "1e999"])
+    def test_non_finite_number_in_scalers(self, tmp_path, capsys, pipeline_run, number):
+        _, project = keyed_file(tmp_path, pipeline_run, "regions.csv")
+        scalers = tmp_path / "out" / ABUNDANCE_SCALERS_JSON
+        doc = json.loads(scalers.read_text())
+        doc["std"][0] = "number"
+        scalers.write_text(json.dumps(doc).replace('"number"', number))
+        assert_data_error(project(), capsys, "ParseError", f"non-finite number: {number}")
 
 
 class TestCliConfig:
@@ -634,6 +656,18 @@ class TestColumns:
         rows[1].pop()
         path.write_text("".join(",".join(row) + "\n" for row in rows))
         assert_data_error(stage(), capsys, "ParseError", "row 2: column 'region_id' is empty")
+
+    def test_row_number_is_line_number(self, tmp_path):
+        path = tmp_path / "regions.csv"
+        path.write_text("region_id,elevation_m\n\nr1,100.0\n\nr2,abc\n")
+        with pytest.raises(ParseError, match="row 5: column 'elevation_m': cannot parse"):
+            pipeline.read_region_elevations(path)
+
+    def test_duplicate_key_rows_are_line_numbers(self, tmp_path):
+        path = tmp_path / "regions.csv"
+        path.write_text("region_id,elevation_m\n\nr1,100.0\n\nr1,200.0\n")
+        with pytest.raises(ParseError, match="row 5: duplicate key r1, first at row 3$"):
+            pipeline.read_region_elevations(path)
 
     def test_repeated_header_column(self, tmp_path):
         path = tmp_path / "regions.csv"

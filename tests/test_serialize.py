@@ -62,6 +62,25 @@ class TestDenseRoundTrip:
         with pytest.raises(ParseError, match="biases"):
             deserialize_network(json.dumps(doc))
 
+    @pytest.mark.parametrize(
+        "field, value, text",
+        [("activations", ["tanh", "tanh"], "activations must be 'relu' or 'identity'"),
+         ("dropout_rate", 1.5, "dropout_rate must lie in"),
+         ("layer_dims", [4, 0, 1], "layer_dims needs")],
+    )
+    def test_unrunnable_architecture_rejected(self, field, value, text):
+        doc = json.loads(serialize_network(xavier_init([4, 3, 1], seed=0)))
+        doc[field] = value
+        with pytest.raises(ParseError, match=f"dense document: {text}"):
+            deserialize_network(json.dumps(doc))
+
+    @pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity", "1e999"])
+    def test_non_finite_number_rejected(self, number):
+        text = serialize_network(xavier_init([2, 1], seed=0)).replace('"dropout_rate": 0.2',
+                                                                      f'"dropout_rate": {number}')
+        with pytest.raises(ParseError, match=number):
+            deserialize_network(text)
+
     def test_unsupported_version_rejected(self):
         doc = json.loads(serialize_network(xavier_init([2, 1], seed=0)))
         doc["schema_version"] = 99
@@ -120,6 +139,13 @@ class TestLstmRoundTrip:
         doc = json.loads(serialize_lstm(lstm_init(seed=0, hidden_size=3, output_len=2)))
         doc["u_f"] = doc["u_f"][:-2]
         with pytest.raises(ParseError, match="u_f"):
+            deserialize_lstm(json.dumps(doc))
+
+    def test_multivariate_input_rejected(self):
+        doc = json.loads(serialize_lstm(lstm_init(seed=0, hidden_size=3, output_len=2)))
+        doc["input_size"] = 2
+        doc["w_i"] = doc["w_f"] = doc["w_o"] = doc["w_g"] = [0.0] * 6
+        with pytest.raises(ParseError, match="input_size must be 1, got 2"):
             deserialize_lstm(json.dumps(doc))
 
     def test_missing_lookback_rejected(self):
