@@ -212,11 +212,12 @@ def train_lstm(
     horizon: int = FORECAST_HORIZON,
     hidden_size: int = FORECAST_HIDDEN_SIZE,
     input_dropout_rate: float = 0.2,
-) -> LstmModel:
+) -> tuple[LstmModel, int]:
     """Train through ``optim.fit``, the dense trainer's loop, on raw
     (n, lookback + horizon) windows: each row's first ``lookback`` values
     are the input and its last ``horizon`` the target, both z-scored by
-    the input's statistics. Deterministic for a fixed seed."""
+    the input's statistics. Returns the model and the number of epochs
+    run. Deterministic for a fixed seed."""
     if len(windows) == 0:
         raise ConfigError("cannot train on an empty window set")
     lookback = np.shape(windows)[1] - horizon
@@ -236,5 +237,4 @@ def train_lstm(
         pred, cache = lstm_forward(model, xs[:, idx], mode="train", rng=rng)
         return mse_loss(pred, yb) * idx.size, lstm_backward(model, cache, yb)
 
-    fit(model.parameters(), step, len(z), cfg, "LSTM")
-    return model
+    return model, fit(model.parameters(), step, len(z), cfg, "LSTM")

@@ -43,15 +43,31 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
+    """Adam's moments for a parameter list. ``first_moment`` and
+    ``second_moment`` are per-parameter views into rows 0 and 1 of
+    ``buffers``; rows 2-4 are scratch for the gradient, the update and its
+    denominator, so a step runs on whole rows and allocates nothing."""
+
     first_moment: list[np.ndarray]
     second_moment: list[np.ndarray]
+    buffers: np.ndarray  # (5, total parameter count)
+    update: list[np.ndarray]  # per-parameter views into buffers[3]
     step_count: int = 0
 
 
+def _views(flat: np.ndarray, params: list[np.ndarray]) -> list[np.ndarray]:
+    """``flat`` split into one view per parameter, shaped like it."""
+    bounds = np.cumsum([0] + [p.size for p in params])
+    return [flat[a:b].reshape(p.shape) for a, b, p in zip(bounds[:-1], bounds[1:], params)]
+
+
 def init_adam(params: list[np.ndarray]) -> AdamState:
+    buffers = np.zeros((5, sum(p.size for p in params)))
     return AdamState(
-        first_moment=[np.zeros_like(p) for p in params],
-        second_moment=[np.zeros_like(p) for p in params],
+        first_moment=_views(buffers[0], params),
+        second_moment=_views(buffers[1], params),
+        buffers=buffers,
+        update=_views(buffers[3], params),
     )
 
 
@@ -61,23 +77,37 @@ def adam_step(
     state: AdamState,
     cfg: TrainConfig,
 ) -> None:
-    """One bias-corrected Adam update, applied to ``params`` in place."""
+    """One bias-corrected Adam update, applied to ``params`` in place.
+
+    The arithmetic is the per-parameter textbook form, in the same order
+    (``(1 - beta2) * g * g``, ``lr * m_hat / (sqrt(v_hat) + eps)``), run
+    once over the concatenated gradient."""
     if len(params) != len(grads) or len(params) != len(state.first_moment):
         raise ShapeError("parameter, gradient, and state lists must align")
-    state.step_count += 1
-    t = state.step_count
-    bias1 = 1.0 - BETA1**t
-    bias2 = 1.0 - BETA2**t
-    for p, g, m, v in zip(params, grads, state.first_moment, state.second_moment):
+    for p, g in zip(params, grads):
         if p.shape != g.shape:
             raise ShapeError(
                 f"gradient shape {g.shape} does not match parameter shape {p.shape}"
             )
-        m *= BETA1
-        m += (1.0 - BETA1) * g
-        v *= BETA2
-        v += (1.0 - BETA2) * g * g
-        p -= cfg.learning_rate * (m / bias1) / (np.sqrt(v / bias2) + EPSILON)
+    state.step_count += 1
+    t = state.step_count
+    m, v, g, update, denominator = state.buffers
+    np.concatenate([grad.ravel() for grad in grads], out=g)
+    m *= BETA1
+    np.multiply(g, 1.0 - BETA1, out=update)
+    m += update
+    v *= BETA2
+    np.multiply(g, 1.0 - BETA2, out=update)
+    update *= g
+    v += update
+    np.divide(m, 1.0 - BETA1**t, out=update)
+    update *= cfg.learning_rate
+    np.divide(v, 1.0 - BETA2**t, out=denominator)
+    np.sqrt(denominator, out=denominator)
+    denominator += EPSILON
+    update /= denominator
+    for p, step in zip(params, state.update):
+        p -= step
 
 
 class PlateauDetector:

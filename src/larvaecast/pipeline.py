@@ -8,6 +8,8 @@ are plain CSV and JSON documents in the configured output directory.
 from __future__ import annotations
 
 import json
+import os
+import pickle
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -30,6 +32,7 @@ INGEST_REPORT_JSON = "ingest_report.json"
 ABUNDANCE_MODEL_JSON = "abundance_model.json"
 ABUNDANCE_SCALERS_JSON = "abundance_scalers.json"
 ABUNDANCE_REPORT_JSON = "abundance_report.json"
+CLIMATE_REPORT_JSON = "climate_report.json"
 OFFSETS_JSON = "offsets.json"
 DAYS_MODEL_JSON = "precip_days_model.json"
 FORECAST_CSV = "forecast.csv"
@@ -252,15 +255,91 @@ def _series_by_region(series_list, variable: str) -> dict[str, ingest.RegionSeri
     return {s.region_id: s for s in series_list if s.variable == variable}
 
 
+def _fork(job) -> tuple[int, int]:
+    """Run ``job()`` in a forked child. Returns the child's pid and the read
+    end of a pipe that carries its pickled result, or the exception it raised."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid:
+        os.close(write_fd)
+        return pid, read_fd
+    status = 1
+    try:  # the child: report through the pipe, never return into the caller
+        os.close(read_fd)
+        try:
+            result = job()
+        except Exception as exc:  # re-raised by the parent in _join
+            result = exc
+        with os.fdopen(write_fd, "wb") as pipe:
+            pickle.dump(result, pipe)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _join(pid: int, read_fd: int, name: str):
+    """Reap a ``_fork`` child and return its result. An exception it raised
+    is re-raised here unchanged; a child that ended without a result is a
+    ChildProcessError naming ``name``."""
+    try:
+        with os.fdopen(read_fd, "rb") as pipe:
+            data = pipe.read()
+    finally:
+        status = os.waitpid(pid, 0)[1]
+    if status != 0:
+        raise ChildProcessError(
+            f"the child process for {name!r} ended without a result "
+            f"(exit code {os.waitstatus_to_exitcode(status)})"
+        )
+    result = pickle.loads(data)  # written by this program's own child
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def _run_side_by_side(jobs: dict) -> list:
+    """The results of every ``{name: job}``, in order. The first job runs in
+    this process and each further one in its own forked child; if any
+    fails, the children still running are killed and reaped."""
+    (_, first), *others = jobs.items()
+    children = []
+    try:
+        for name, job in others:
+            children.append((*_fork(job), name))
+        results = [first()]
+        while children:
+            results.append(_join(*children.pop(0)))
+    except BaseException:
+        import signal  # here, so a run that succeeds imports nothing more
+
+        for pid, read_fd, _ in children:
+            os.kill(pid, signal.SIGKILL)
+            os.close(read_fd)
+            os.waitpid(pid, 0)
+        raise
+    return results
+
+
 def cmd_train_climate(cfg: PipelineConfig) -> dict:
-    """Train one LSTM per forecast variable plus the derived-series models."""
+    """Train one LSTM per forecast variable plus the derived-series models.
+
+    The LSTMs train side by side: the first variable's in this process,
+    every further one in a forked child (POSIX ``fork``). The documents are
+    written once every model has trained.
+    """
     if cfg.series is None:
         raise ConfigError("train-climate needs --series")
     ForecastConfig(cfg.lookback, cfg.horizon, rounds=1)  # the window rule, before any read
     feature_rows = read_features(cfg.artifact(FEATURES_CSV))
     series_list = ingest.parse_series(cfg.series)
 
-    summary: dict = {"windows": {}, "skipped": []}
+    summary: dict = {"windows": {}, "skipped": [], "epochs": {}}
+    jobs = {}
     for offset, variable in enumerate(FORECAST_VARIABLES):
         by_region = _series_by_region(series_list, variable)
         windows = []
@@ -273,15 +352,16 @@ def cmd_train_climate(cfg: PipelineConfig) -> dict:
         if not windows:
             raise DataError(f"no trainable windows for variable {variable!r}")
         windows = np.concatenate(windows)
-        model = train_lstm(
-            windows,
-            cfg.train_config(seed_offset=offset, max_epochs=cfg.climate_max_epochs),
-            horizon=cfg.horizon,
-            hidden_size=cfg.lstm_hidden_size,
+        train_cfg = cfg.train_config(seed_offset=offset, max_epochs=cfg.climate_max_epochs)
+        jobs[variable] = lambda windows=windows, train_cfg=train_cfg: train_lstm(
+            windows, train_cfg, horizon=cfg.horizon, hidden_size=cfg.lstm_hidden_size
         )
+        summary["windows"][variable] = len(windows)
+
+    for variable, (model, epochs) in zip(jobs, _run_side_by_side(jobs)):
         with serialize.atomic_open(cfg.path(lstm_document_name(variable))) as handle:
             handle.write(serialize.serialize_lstm(model) + "\n")
-        summary["windows"][variable] = len(windows)
+        summary["epochs"][variable] = epochs
 
     # Per-region temperature offsets from the historical series.
     tmean = _series_by_region(series_list, "summer_tmean")
@@ -310,6 +390,7 @@ def cmd_train_climate(cfg: PipelineConfig) -> dict:
     )
     summary["offsets_regions"] = len(offsets)
     summary["days_model"] = {"slope": days_model.slope, "intercept": days_model.intercept}
+    serialize.save_document(cfg.path(CLIMATE_REPORT_JSON), summary)
     return summary
 
 

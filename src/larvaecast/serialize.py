@@ -26,26 +26,52 @@ SCHEMA_VERSION = 1
 
 
 def _require(doc: dict, field: str, kind: str):
-    if field not in doc:
+    if not isinstance(doc, dict) or field not in doc:
         raise ParseError(f"{kind} document is missing field '{field}'")
     return doc[field]
 
 
-def _check_length(name: str, values, expected: int):
-    if len(values) != expected:
+# JSON types a typed field admits, by element type; a bool is never a number.
+_JSON_TYPES = {
+    float: ({int, float}, "number"),
+    int: ({int}, "integer"),
+    str: ({str}, "string"),
+    list: ({list}, "array"),
+}
+
+
+def _number(doc: dict, field: str, kind: str, element: type = float):
+    """``doc[field]``, which must be a JSON number (an integer when
+    ``element`` is int), converted to ``element``."""
+    value = _require(doc, field, kind)
+    types, name = _JSON_TYPES[element]
+    if type(value) not in types:
         raise ParseError(
-            f"field '{name}' has {len(values)} values, expected {expected}"
+            f"{kind} document: field '{field}' must be a JSON {name}, "
+            f"not {type(value).__name__}"
         )
+    return element(value)
+
+
+def _list(name: str, values, element: type = float, length: int | None = None) -> list:
+    """``values``, which must be a JSON array of ``element`` values (see
+    ``_number``), ``length`` of them unless None."""
+    types, what = _JSON_TYPES[element]
+    if not isinstance(values, list) or not set(map(type, values)) <= types:
+        raise ParseError(f"field '{name}' must be an array of JSON {what}s")
+    if length is not None and len(values) != length:
+        raise ParseError(
+            f"field '{name}' has {len(values)} values, expected {length}"
+        )
+    return values
 
 
 def _matrix(name: str, flat, rows: int, cols: int) -> np.ndarray:
-    _check_length(name, flat, rows * cols)
-    return np.array(flat, dtype=float).reshape(rows, cols)
+    return np.array(_list(name, flat, length=rows * cols), dtype=float).reshape(rows, cols)
 
 
 def _vector(name: str, flat, length: int) -> np.ndarray:
-    _check_length(name, flat, length)
-    return np.array(flat, dtype=float)
+    return np.array(_list(name, flat, length=length), dtype=float)
 
 
 def _finite(text: str) -> float:
@@ -54,6 +80,12 @@ def _finite(text: str) -> float:
     if not math.isfinite(value):
         raise ValueError(f"non-finite number: {text}")
     return value
+
+
+def _finite_int(text: str) -> int:
+    """A JSON integer, which must lie within float range."""
+    _finite(text)
+    return int(text)
 
 
 def _checked(kind: str, check, *args) -> None:
@@ -72,7 +104,9 @@ def loads(text: str, expected_kind: str | None = None) -> dict:
     """Parse a document; NaN, Infinity and numbers beyond float range
     (such as 1e999) are ParseErrors, as in every CSV."""
     try:
-        doc = json.loads(text, parse_float=_finite, parse_constant=_finite)
+        doc = json.loads(
+            text, parse_float=_finite, parse_int=_finite_int, parse_constant=_finite
+        )
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"malformed document at line {exc.lineno}, column {exc.colno}: {exc.msg}"
@@ -81,7 +115,7 @@ def loads(text: str, expected_kind: str | None = None) -> dict:
         raise ParseError(f"malformed document: {exc}") from None
     if not isinstance(doc, dict):
         raise ParseError("document root must be an object")
-    version = _require(doc, "schema_version", "model")
+    version = _number(doc, "schema_version", "model", int)
     if version != SCHEMA_VERSION:
         raise ParseError(f"unsupported schema_version: {version}")
     kind = _require(doc, "kind", "model")
@@ -132,14 +166,12 @@ def serialize_network(net: DenseNetwork) -> str:
 
 def deserialize_network(text: str) -> DenseNetwork:
     doc = loads(text, "dense")
-    dims = tuple(int(d) for d in _require(doc, "layer_dims", "dense"))
-    activations = tuple(_require(doc, "activations", "dense"))
-    dropout_rate = float(_require(doc, "dropout_rate", "dense"))
+    dims = tuple(_list("layer_dims", _require(doc, "layer_dims", "dense"), int))
+    activations = tuple(_list("activations", _require(doc, "activations", "dense"), str))
+    dropout_rate = _number(doc, "dropout_rate", "dense")
     _checked("dense", check_dense, dims, activations, dropout_rate)
-    raw_w = _require(doc, "weights", "dense")
-    raw_b = _require(doc, "biases", "dense")
-    _check_length("weights", raw_w, len(dims) - 1)
-    _check_length("biases", raw_b, len(dims) - 1)
+    raw_w = _list("weights", _require(doc, "weights", "dense"), list, len(dims) - 1)
+    raw_b = _list("biases", _require(doc, "biases", "dense"), list, len(dims) - 1)
     weights, biases = [], []
     for i, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
         weights.append(_matrix(f"weights[{i}]", raw_w[i], fan_out, fan_in))
@@ -178,12 +210,12 @@ def serialize_lstm(model: LstmModel) -> str:
 
 def deserialize_lstm(text: str) -> LstmModel:
     doc = loads(text, "lstm")
-    hidden = int(_require(doc, "hidden_size", "lstm"))
-    if _require(doc, "input_size", "lstm") != 1:
+    hidden = _number(doc, "hidden_size", "lstm", int)
+    if _number(doc, "input_size", "lstm", int) != 1:
         raise ParseError(f"lstm document: input_size must be 1, got {doc['input_size']!r}")
-    out = int(_require(doc, "output_len", "lstm"))
-    lookback = int(_require(doc, "lookback", "lstm"))
-    dropout_rate = float(_require(doc, "input_dropout_rate", "lstm"))
+    out = _number(doc, "output_len", "lstm", int)
+    lookback = _number(doc, "lookback", "lstm", int)
+    dropout_rate = _number(doc, "input_dropout_rate", "lstm")
     _checked("lstm", check_lstm, hidden, out, lookback, dropout_rate)
     w, u, b = [], [], []
     for gate in GATES:
@@ -220,12 +252,14 @@ def scalers_to_document(
 
 
 def scalers_from_document(doc: dict) -> tuple[StandardScaler, list[str], float]:
-    names = list(_require(doc, "feature_names", "scalers"))
+    names = _list("feature_names", _require(doc, "feature_names", "scalers"), str)
     scaler = StandardScaler()
     scaler.mean_ = _vector("mean", _require(doc, "mean", "scalers"), len(names))
     scaler.std_ = _vector("std", _require(doc, "std", "scalers"), len(names))
-    scaler.n_fit_rows_ = int(_require(doc, "n_fit_rows", "scalers"))
-    return scaler, names, float(_require(doc, "log_offset", "scalers"))
+    if np.any(scaler.std_ <= 0):
+        raise ParseError("scalers document: every 'std' value must be positive")
+    scaler.n_fit_rows_ = _number(doc, "n_fit_rows", "scalers", int)
+    return scaler, names, _number(doc, "log_offset", "scalers")
 
 
 def linear_to_document(model: LinearModel) -> dict:
@@ -239,8 +273,8 @@ def linear_to_document(model: LinearModel) -> dict:
 
 def linear_from_document(doc: dict) -> LinearModel:
     return LinearModel(
-        slope=float(_require(doc, "slope", "linear")),
-        intercept=float(_require(doc, "intercept", "linear")),
+        slope=_number(doc, "slope", "linear"),
+        intercept=_number(doc, "intercept", "linear"),
     )
 
 
@@ -257,10 +291,12 @@ def offsets_to_document(offsets: dict[str, OffsetK]) -> dict:
 
 def offsets_from_document(doc: dict) -> dict[str, OffsetK]:
     regions = _require(doc, "regions", "offsets")
-    out = {}
-    for region, entry in regions.items():
-        out[region] = OffsetK(
-            k_min=float(_require(entry, "k_min", "offsets")),
-            k_max=float(_require(entry, "k_max", "offsets")),
+    if not isinstance(regions, dict):
+        raise ParseError("offsets document: field 'regions' must be a JSON object")
+    return {
+        region: OffsetK(
+            k_min=_number(entry, "k_min", "offsets"),
+            k_max=_number(entry, "k_max", "offsets"),
         )
-    return out
+        for region, entry in regions.items()
+    }

@@ -249,7 +249,7 @@ class TestMakeWindows:
 class TestTrainLstm:
     def test_learns_linear_continuation(self):
         windows = make_windows(series(3.0 + 0.5 * np.arange(60.0)), 11)
-        model = train_lstm(
+        model, _ = train_lstm(
             windows[:-4],
             TrainConfig(seed=21, max_epochs=400, plateau_patience=60),
             horizon=3,
@@ -262,7 +262,7 @@ class TestTrainLstm:
 
     def test_memorizes_single_pair(self):
         windows = make_windows(series(np.sin(np.arange(12.0))), 12)[:1]
-        model = train_lstm(
+        model, _ = train_lstm(
             windows,
             TrainConfig(seed=2, max_epochs=1500, plateau_patience=200),
             horizon=4,
@@ -276,8 +276,8 @@ class TestTrainLstm:
     def test_deterministic(self):
         windows = make_windows(series(np.arange(40.0) * 0.3), 15)
         cfg = TrainConfig(seed=77, max_epochs=30)
-        a = train_lstm(windows, cfg, horizon=5, hidden_size=4)
-        b = train_lstm(windows, cfg, horizon=5, hidden_size=4)
+        a, _ = train_lstm(windows, cfg, horizon=5, hidden_size=4)
+        b, _ = train_lstm(windows, cfg, horizon=5, hidden_size=4)
         for pa, pb in zip(a.parameters(), b.parameters()):
             np.testing.assert_array_equal(pa, pb)
 

@@ -6,20 +6,24 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import larvaecast
-from larvaecast import cli, pipeline, synth
-from larvaecast.errors import ConfigError, DataError, ParseError
+from larvaecast import cli, ingest, pipeline, synth
+from larvaecast.errors import ConfigError, DataError, DivergenceError, ParseError
+from larvaecast.lstm import make_windows, train_lstm
 from larvaecast.pipeline import (
     ABUNDANCE_MODEL_JSON,
     ABUNDANCE_SCALERS_JSON,
     CHOROPLETH_CSV,
+    CLIMATE_REPORT_JSON,
     FEATURES_CSV,
     FORECAST_CSV,
+    FORECAST_VARIABLES,
     INGEST_REPORT_JSON,
     PERCENT_CHANGE_CSV,
     PROJECTIONS_CSV,
@@ -30,6 +34,7 @@ from larvaecast.pipeline import (
     cmd_report,
     cmd_train_abundance,
     cmd_train_climate,
+    lstm_document_name,
     merge_geometry,
     predict_log_abundance,
     read_features,
@@ -39,6 +44,7 @@ from larvaecast.serialize import (
     deserialize_network,
     load_document,
     scalers_from_document,
+    serialize_lstm,
 )
 
 
@@ -478,6 +484,24 @@ class TestCliRejectsBadNumbers:
         scalers.write_text(json.dumps(doc).replace('"number"', number))
         assert_data_error(project(), capsys, "ParseError", f"non-finite number: {number}")
 
+    def test_wrong_typed_model_field(self, tmp_path, capsys, pipeline_run):
+        _, project = keyed_file(tmp_path, pipeline_run, "regions.csv")
+        model = tmp_path / "out" / ABUNDANCE_MODEL_JSON
+        doc = json.loads(model.read_text())
+        doc["dropout_rate"] = [0.2]
+        model.write_text(json.dumps(doc))
+        assert_data_error(project(), capsys, "ParseError", "'dropout_rate' must be a JSON number")
+
+    def test_zero_scaler_std(self, tmp_path, capsys, pipeline_run):
+        _, project = keyed_file(tmp_path, pipeline_run, "regions.csv")
+        out = tmp_path / "out"
+        (out / PROJECTIONS_CSV).unlink()
+        doc = json.loads((out / ABUNDANCE_SCALERS_JSON).read_text())
+        doc["std"][0] = 0.0
+        (out / ABUNDANCE_SCALERS_JSON).write_text(json.dumps(doc))
+        assert_data_error(project(), capsys, "ParseError", "'std'")
+        assert not (out / PROJECTIONS_CSV).exists()
+
 
 class TestCliConfig:
     """Each flag sets one PipelineConfig field; an omitted flag keeps the
@@ -565,6 +589,87 @@ class TestMissingArtifacts:
             cmd_forecast(PipelineConfig(out_dir=tmp_path, series=self.series(tmp_path)))
         with pytest.raises(DataError, match=FEATURES_CSV):
             cmd_train_climate(PipelineConfig(out_dir=tmp_path, series=self.series(tmp_path)))
+
+
+CLIMATE_SEED = 7
+
+
+class TestTrainClimateSideBySide:
+    """The first variable's LSTM trains in the CLI process, the second in a
+    forked child; both documents are written only once both have trained."""
+
+    @staticmethod
+    def train_climate(tmp_path, pipeline_run):
+        out = tmp_path / "out"
+        out.mkdir()
+        shutil.copy(pipeline_run.out_dir / FEATURES_CSV, out)
+        code = cli.main(["train-climate", "--out-dir", str(out), "--seed", str(CLIMATE_SEED),
+                         "--series", str(pipeline_run.data["series"]), "--max-epochs", "3"])
+        return code, out
+
+    def test_documents_match_serial_training(self, tmp_path, pipeline_run, capsys):
+        code, out = self.train_climate(tmp_path, pipeline_run)
+        assert code == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert json.loads((out / CLIMATE_REPORT_JSON).read_text()) == summary
+        cfg = PipelineConfig(out_dir=out, seed=CLIMATE_SEED, climate_max_epochs=3)
+        series_list = ingest.parse_series(pipeline_run.data["series"])
+        for offset, variable in enumerate(FORECAST_VARIABLES):
+            windows = np.concatenate([
+                make_windows(s, cfg.lookback + cfg.horizon)
+                for s in sorted(series_list, key=lambda s: s.region_id)
+                if s.variable == variable
+            ])
+            model, epochs = train_lstm(
+                windows, cfg.train_config(seed_offset=offset, max_epochs=3),
+                horizon=cfg.horizon, hidden_size=cfg.lstm_hidden_size,
+            )
+            document = (out / lstm_document_name(variable)).read_text(encoding="utf-8")
+            same = document == serialize_lstm(model) + "\n"  # no diff of 4,682 numbers
+            assert same, f"{variable} differs from its serial training"
+            assert summary["epochs"][variable] == epochs == 3
+
+    def test_child_divergence_exits_3_and_writes_no_model(
+        self, tmp_path, pipeline_run, capsys, monkeypatch
+    ):
+        real = pipeline.train_lstm
+
+        def diverge_in_child(windows, cfg, **kwargs):
+            if cfg.seed == CLIMATE_SEED + 1:
+                raise DivergenceError("LSTM training diverged: mean loss is nan at epoch 1")
+            return real(windows, cfg, **kwargs)
+
+        monkeypatch.setattr(pipeline, "train_lstm", diverge_in_child)
+        code, out = self.train_climate(tmp_path, pipeline_run)
+        assert_data_error(code, capsys, "DivergenceError", "mean loss is nan at epoch 1")
+        assert not list(out.glob("lstm_*.json"))
+
+    def test_parent_failure_leaves_no_child_process(
+        self, tmp_path, pipeline_run, capsys, monkeypatch
+    ):
+        def fail_in_parent(windows, cfg, **kwargs):
+            if cfg.seed == CLIMATE_SEED:
+                raise DivergenceError("LSTM training diverged: mean loss is inf at epoch 2")
+            time.sleep(60)  # the child: only a kill ends it before the test does
+
+        monkeypatch.setattr(pipeline, "train_lstm", fail_in_parent)
+        code, _ = self.train_climate(tmp_path, pipeline_run)
+        assert_data_error(code, capsys, "DivergenceError", "epoch 2")
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_child_exit_without_result(self, tmp_path, pipeline_run, capsys, monkeypatch):
+        real = pipeline.train_lstm
+
+        def exit_in_child(windows, cfg, **kwargs):
+            if cfg.seed == CLIMATE_SEED + 1:
+                os._exit(1)
+            return real(windows, cfg, **kwargs)
+
+        monkeypatch.setattr(pipeline, "train_lstm", exit_in_child)
+        code, out = self.train_climate(tmp_path, pipeline_run)
+        assert_data_error(code, capsys, "ChildProcessError", "'summer_precip'")
+        assert not list(out.glob("lstm_*.json"))
 
 
 class TestReportGeometry:

@@ -1,4 +1,5 @@
 import json
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -174,6 +175,75 @@ class TestSmallDocuments:
         offsets = {"west": OffsetK(5.5, 6.25), "east": OffsetK(4.0, 5.0)}
         restored = offsets_from_document(offsets_to_document(offsets))
         assert restored == offsets
+
+
+def _scalers_doc():
+    scaler = StandardScaler().fit(np.arange(24.0).reshape(8, 3))
+    return scalers_to_document(scaler, ("a", "b", "c"), log_offset=1.0)
+
+
+def _set(doc, path, value):
+    *parents, last = path
+    for key in parents:
+        doc = doc[key]
+    doc[last] = value
+
+
+# One reader per document kind: (read, a valid document).
+READERS = {
+    "dense": (lambda doc: deserialize_network(json.dumps(doc)),
+              lambda: json.loads(serialize_network(xavier_init([4, 3, 1], seed=0)))),
+    "lstm": (lambda doc: deserialize_lstm(json.dumps(doc)),
+             lambda: json.loads(serialize_lstm(lstm_init(seed=0, hidden_size=3, output_len=2)))),
+    "scalers": (scalers_from_document, _scalers_doc),
+    "linear": (linear_from_document, lambda: linear_to_document(LinearModel(0.15, 1.9))),
+    "offsets": (offsets_from_document,
+                lambda: offsets_to_document({"west": OffsetK(5.5, 6.25)})),
+}
+
+
+class TestWrongTypes:
+    """A field of the wrong JSON type is a ParseError naming the field,
+    never a TypeError or a silent conversion."""
+
+    @pytest.mark.parametrize(
+        "kind, path, value, field",
+        [("dense", ["schema_version"], True, "schema_version"),
+         ("dense", ["dropout_rate"], [0.2], "dropout_rate"),
+         ("dense", ["layer_dims"], [4, "3", 1], "layer_dims"),
+         ("dense", ["activations"], 5, "activations"),
+         ("dense", ["weights"], 7, "weights"),
+         ("dense", ["biases", 0], [0.0, None, 0.0], "biases[0]"),
+         ("lstm", ["hidden_size"], 3.0, "hidden_size"),
+         ("lstm", ["input_size"], True, "input_size"),
+         ("lstm", ["head_b"], ["0.0", 0.0], "head_b"),
+         ("scalers", ["n_fit_rows"], "8", "n_fit_rows"),
+         ("scalers", ["mean"], [True, 1.0, 2.0], "mean"),
+         ("scalers", ["feature_names"], 3, "feature_names"),
+         ("linear", ["slope"], "0.15", "slope"),
+         ("offsets", ["regions", "west", "k_min"], None, "k_min"),
+         ("offsets", ["regions"], [1.0, 2.0], "regions"),
+         ("offsets", ["regions", "west"], "k_min", "k_min")],
+    )
+    def test_wrong_type_rejected(self, kind, path, value, field):
+        read, make = READERS[kind]
+        doc = make()
+        read(doc)  # the unaltered document is valid
+        _set(doc, path, value)
+        with pytest.raises(ParseError, match=re.escape(f"'{field}'")):
+            read(doc)
+
+    @pytest.mark.parametrize("std", [0.0, -1.0])
+    def test_scaler_std_must_be_positive(self, std):
+        doc = _scalers_doc()
+        doc["std"][1] = std
+        with pytest.raises(ParseError, match="'std'"):
+            scalers_from_document(doc)
+
+    def test_integer_beyond_float_range_rejected(self):
+        text = serialize_lstm(lstm_init(seed=0, hidden_size=3, output_len=2))
+        with pytest.raises(ParseError, match="non-finite"):
+            deserialize_lstm(text.replace('"lookback": 20', '"lookback": 1' + "0" * 400))
 
 
 class TestAtomicWrite:
