@@ -326,19 +326,26 @@ def merge_duplicates(observations: list[LarvaeObservation]) -> list[LarvaeObserv
     return [grouped[key] for key in sorted(grouped)]
 
 
-def haversine_km(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
-    """Great-circle distance in kilometers (Earth radius 6371 km)."""
-    for lat in (lat1, lat2):
-        if not -90 <= lat <= 90:
-            raise DomainError(f"latitude out of range: {lat}")
-    for lon in (lon1, lon2):
-        if not -180 <= lon <= 180:
-            raise DomainError(f"longitude out of range: {lon}")
-    phi1, phi2 = math.radians(lat1), math.radians(lat2)
-    dphi = math.radians(lat2 - lat1)
-    dlam = math.radians(lon2 - lon1)
-    a = math.sin(dphi / 2) ** 2 + math.cos(phi1) * math.cos(phi2) * math.sin(dlam / 2) ** 2
-    return 2.0 * EARTH_RADIUS_KM * math.asin(math.sqrt(a))
+def haversine_km(lat1, lon1, lat2, lon2):
+    """Great-circle distance in kilometers (Earth radius 6371 km) between
+    points in degrees; the arguments broadcast like numpy arrays. Any
+    coordinate out of range, NaN included, is a DomainError."""
+    lat1, lon1, lat2, lon2 = (np.asarray(x, dtype=float) for x in (lat1, lon1, lat2, lon2))
+    for values, bound, name in ((lat1, 90, "latitude"), (lat2, 90, "latitude"),
+                                (lon1, 180, "longitude"), (lon2, 180, "longitude")):
+        inside = np.abs(values) <= bound  # False for NaN
+        if not inside.all():
+            raise DomainError(f"{name} out of range: {values[~inside].flat[0]}")
+    phi1, phi2 = np.radians(lat1), np.radians(lat2)
+    dphi = np.radians(lat2 - lat1)
+    dlam = np.radians(lon2 - lon1)
+    a = np.sin(dphi / 2) ** 2 + np.cos(phi1) * np.cos(phi2) * np.sin(dlam / 2) ** 2
+    return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(a))
+
+
+# Observations per haversine call: a month's whole (observations, stations)
+# matrix would raise prepare's peak memory; 64-row blocks keep it flat.
+JOIN_BLOCK = 64
 
 
 def join_nearest_station(
@@ -352,37 +359,45 @@ def join_nearest_station(
     drops is returned alongside the joined rows. Ties break on
     station_id so the result does not depend on station file order.
     """
-    if max_km <= 0:
-        raise DomainError("max_km must be positive")
+    if not max_km > 0:
+        raise DomainError(f"max_km must be positive: {max_km}")
     by_month: dict[str, list[StationRecord]] = {}
-    for station in stations:
+    for station in sorted(stations, key=lambda s: s.station_id):
         by_month.setdefault(station.month, []).append(station)
-    rows: list[FeatureRow] = []
-    dropped = 0
-    for obs in observations:
-        month = f"{obs.date.year:04d}-{obs.date.month:02d}"
-        best = None
-        for station in by_month.get(month, []):
-            d = haversine_km(obs.latitude, obs.longitude, station.latitude, station.longitude)
-            key = (d, station.station_id)
-            if d <= max_km and (best is None or key < best[0]):
-                best = (key, station)
-        if best is None:
-            dropped += 1
+    obs_by_month: dict[str, list[int]] = {}
+    for i, obs in enumerate(observations):
+        obs_by_month.setdefault(f"{obs.date.year:04d}-{obs.date.month:02d}", []).append(i)
+    nearest: list[StationRecord | None] = [None] * len(observations)
+    for month, indices in obs_by_month.items():
+        candidates = by_month.get(month)
+        if not candidates:
             continue
-        station = best[1]
-        rows.append(
-            FeatureRow(
-                location_id=obs.location_id,
-                date=obs.date,
-                month=month,
-                tmean_c=station.tmean_c,
-                tmax_c=station.tmax_c,
-                tmin_c=station.tmin_c,
-                precip_days=station.precip_days,
-                precip_mm=station.precip_mm,
-                elevation_m=station.elevation_m,
-                larvae_count=obs.larvae_count,
-            )
+        station_lat = np.array([s.latitude for s in candidates])
+        station_lon = np.array([s.longitude for s in candidates])
+        obs_lat = np.array([observations[i].latitude for i in indices])[:, None]
+        obs_lon = np.array([observations[i].longitude for i in indices])[:, None]
+        for start in range(0, len(indices), JOIN_BLOCK):
+            block = slice(start, start + JOIN_BLOCK)
+            d = haversine_km(obs_lat[block], obs_lon[block], station_lat, station_lon)
+            best = d.argmin(axis=1)  # the first minimum: the smaller station_id
+            within = d[np.arange(len(best)), best] <= max_km
+            for i, j, ok in zip(indices[block], best.tolist(), within.tolist()):
+                if ok:
+                    nearest[i] = candidates[j]
+    rows = [
+        FeatureRow(
+            location_id=obs.location_id,
+            date=obs.date,
+            month=station.month,
+            tmean_c=station.tmean_c,
+            tmax_c=station.tmax_c,
+            tmin_c=station.tmin_c,
+            precip_days=station.precip_days,
+            precip_mm=station.precip_mm,
+            elevation_m=station.elevation_m,
+            larvae_count=obs.larvae_count,
         )
-    return rows, dropped
+        for obs, station in zip(observations, nearest)
+        if station is not None
+    ]
+    return rows, len(observations) - len(rows)

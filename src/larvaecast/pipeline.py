@@ -8,6 +8,7 @@ are plain CSV and JSON documents in the configured output directory.
 from __future__ import annotations
 
 import json
+import math
 import os
 import pickle
 import sys
@@ -101,6 +102,10 @@ class PipelineConfig:
             value = getattr(self, name)
             if value is not None:
                 setattr(self, name, Path(value))
+        if not math.isfinite(self.max_km) or self.max_km <= 0:
+            raise ConfigError(f"--max-km must be a positive finite number: {self.max_km}")
+        if not math.isfinite(self.learning_rate):
+            raise ConfigError(f"--learning-rate must be finite: {self.learning_rate}")
 
     def path(self, name: str) -> Path:
         return self.out_dir / name
@@ -148,7 +153,8 @@ def cmd_prepare(cfg: PipelineConfig) -> dict:
         cfg.path(FEATURES_CSV),
         ingest.FEATURE_COLUMNS,
         ([row.location_id, row.date.isoformat(), row.month,
-          *map(fmt, row.features()), int(row.larvae_count)] for row in rows),
+          *(fmt(getattr(row, name)) for name in FEATURE_NAMES), int(row.larvae_count)]
+         for row in rows),
     )
     report = {
         "input_rows": len(observations),

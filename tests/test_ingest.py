@@ -1,3 +1,4 @@
+import dataclasses
 import datetime
 import math
 
@@ -6,6 +7,7 @@ import pytest
 
 from larvaecast.errors import DataError, DomainError, ParseError
 from larvaecast.ingest import (
+    JOIN_BLOCK,
     LarvaeObservation,
     StationRecord,
     filter_container_sources,
@@ -216,6 +218,25 @@ class TestHaversine:
         with pytest.raises(DomainError):
             haversine_km(91.0, 0.0, 0.0, 0.0)
 
+    def test_arrays_broadcast_like_scalar_calls(self):
+        rng = np.random.default_rng(3)
+        lat1, lon1 = rng.uniform(-90, 90, (3, 1)), rng.uniform(-180, 180, (3, 1))
+        lat2, lon2 = rng.uniform(-90, 90, 4), rng.uniform(-180, 180, 4)
+        d = haversine_km(lat1, lon1, lat2, lon2)
+        assert d.shape == (3, 4)
+        for i in range(3):
+            for j in range(4):
+                assert d[i, j] == haversine_km(float(lat1[i, 0]), float(lon1[i, 0]),
+                                               float(lat2[j]), float(lon2[j]))
+
+    @pytest.mark.parametrize("bad", [math.nan, 91.0])
+    def test_one_bad_array_element_raises(self, bad):
+        lat = np.array([10.0, bad, 20.0])
+        with pytest.raises(DomainError):
+            haversine_km(lat[:, None], np.zeros((3, 1)), np.zeros(4), np.zeros(4))
+        with pytest.raises(DomainError):
+            haversine_km(0.0, 0.0, lat, np.zeros(3))
+
 
 class TestJoinNearestStation:
     def test_joins_within_radius(self):
@@ -249,3 +270,39 @@ class TestJoinNearestStation:
         rows_rev, _ = join_nearest_station(observations, list(reversed(stations)))
         assert rows_fwd == rows_rev
 
+    def test_tie_breaks_on_station_id(self):
+        stations = [dataclasses.replace(_station("s2"), elevation_m=2.0),
+                    dataclasses.replace(_station("s1"), elevation_m=1.0)]
+        rows, _ = join_nearest_station([_obs("a", lat=40.01)], stations)
+        assert rows[0].elevation_m == 1.0
+
+    def test_boundary_is_inclusive(self):
+        obs, station = _obs("a", lat=40.0), _station(lat=40.1)
+        d = haversine_km(obs.latitude, obs.longitude, station.latitude, station.longitude)
+        assert join_nearest_station([obs], [station], max_km=d)[1] == 0
+        assert join_nearest_station([obs], [station], max_km=np.nextafter(d, 0))[1] == 1
+
+    def test_blocks_match_brute_force(self):
+        rng = np.random.default_rng(21)
+        stations = [
+            dataclasses.replace(_station(f"s{k:02d}", lat=lat, lon=lon), elevation_m=float(k))
+            for k, (lat, lon) in enumerate(zip(rng.uniform(39, 41, 30), rng.uniform(-101, -99, 30)))
+        ]
+        # s99 ties s03 at the same place and comes first in the file
+        stations[7] = dataclasses.replace(stations[3], station_id="s99", elevation_m=7.0)
+        observations = [
+            _obs(f"o{k}", lat=lat, lon=lon)
+            for k, (lat, lon) in enumerate(zip(rng.uniform(38.5, 41.5, 2 * JOIN_BLOCK + 1),
+                                               rng.uniform(-101.5, -98.5, 2 * JOIN_BLOCK + 1)))
+        ]
+        max_km = 30.0
+        expected = []
+        for obs in observations:
+            within = [(d, s.station_id, s.elevation_m) for s in reversed(stations)
+                      if (d := haversine_km(obs.latitude, obs.longitude,
+                                            s.latitude, s.longitude)) <= max_km]
+            if within:
+                expected.append((obs.location_id, min(within)[2]))
+        rows, dropped = join_nearest_station(observations, list(reversed(stations)), max_km)
+        assert [(r.location_id, r.elevation_m) for r in rows] == expected
+        assert 0 < dropped == len(observations) - len(expected)

@@ -347,6 +347,32 @@ class TestCli:
                                    "message": "horizon must not exceed lookback"}
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, flag, value", [
+        ("prepare", "--max-km", "nan"),
+        ("prepare", "--max-km", "inf"),
+        ("prepare", "--max-km", "0"),
+        ("train-abundance", "--learning-rate", "nan"),
+    ])
+    def test_bad_float_flag_is_config_error(self, tmp_path, capsys, command, flag, value):
+        paths = synth.write_prepare_fixture(tmp_path / "data")
+        out = tmp_path / "out"
+        prepare = ["prepare", "--out-dir", str(out), "--observations",
+                   str(paths["observations"]), "--stations", str(paths["stations"])]
+        if command == "prepare":
+            code = cli.main([*prepare, flag, value])
+        else:
+            assert cli.main(prepare) == 0
+            capsys.readouterr()
+            code = cli.main([command, "--out-dir", str(out), "--seed", "1", flag, value])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        doc = json.loads(err)
+        assert doc["error"] == "ConfigError"
+        assert flag in doc["message"]
+        written = FEATURES_CSV if command == "prepare" else ABUNDANCE_MODEL_JSON
+        assert not (out / written).exists()
+
     def test_cli_import_leaves_scipy_unloaded(self):
         src = Path(larvaecast.__file__).resolve().parent.parent
         probe = subprocess.run(
