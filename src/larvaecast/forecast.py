@@ -56,8 +56,6 @@ def forecast(predict, windows, cfg: ForecastConfig) -> np.ndarray:
     original units. Rows are independent of each other.
     """
     windows = np.asarray(windows, dtype=float)
-    if windows.ndim == 1:
-        windows = windows[None, :]
     if windows.ndim != 2 or windows.shape[1] != cfg.lookback:
         raise ShapeError(
             f"windows must be (m, {cfg.lookback}), got shape {windows.shape}"

@@ -6,9 +6,10 @@ mapping from column name to its kind ``(convert, check, describe)``:
 the inputs, ``FEATURE_COLUMNS`` for ``features.csv`` and, in
 ``pipeline``, the forecast, region and projection tables. ``read_rows``
 applies the same rules to every file: UTF-8 text, a header row naming
-each declared column once, and in every row each declared field
-present, non-empty, convertible, finite if a number, and passing its
-kind's check. ``write_csv`` writes a table's header and rows.
+each declared column once, no row with more fields than the header,
+and in every row each declared field present, non-empty, convertible,
+finite if a number, and passing its kind's check. ``write_csv`` writes
+a table's header and rows.
 
 Cleaning is lossless-or-loud: every dropped observation is attributable
 to exactly one rule (container filter, duplicate merge, station
@@ -20,7 +21,7 @@ from __future__ import annotations
 import csv
 import datetime
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -189,6 +190,10 @@ def read_rows(path, columns: dict):
                 if not row:
                     continue
                 line = reader.line_num
+                if len(row) > width:
+                    raise ParseError(
+                        f"{path}: row {line}: {len(row)} fields, header has {width}"
+                    )
                 if len(row) < width:
                     row += [""] * (width - len(row))
                 values = []
@@ -315,14 +320,7 @@ def merge_duplicates(observations: list[LarvaeObservation]) -> list[LarvaeObserv
         if seen is None:
             grouped[key] = obs
         else:
-            grouped[key] = LarvaeObservation(
-                location_id=seen.location_id,
-                latitude=seen.latitude,
-                longitude=seen.longitude,
-                date=seen.date,
-                water_source=seen.water_source,
-                larvae_count=seen.larvae_count + obs.larvae_count,
-            )
+            grouped[key] = replace(seen, larvae_count=seen.larvae_count + obs.larvae_count)
     return [grouped[key] for key in sorted(grouped)]
 
 

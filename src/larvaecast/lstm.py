@@ -12,9 +12,10 @@ blocks of gate order i, f, o, g (``GATES``). A step is one matmul forward
 and one ``U^T @ d_pre`` backward; ``LstmModel.gate`` returns one gate's
 (w, u, b) views, which the per-gate document fields are written from.
 
-The model is univariate. Training windows are the raw stride-1 windows of
-an annual series; ``train_lstm`` z-scores each by its inputs through
-``preprocess.standardize_rows``, as the forecast roll does.
+The model is univariate, and its one input shape is a (steps, batch)
+matrix: one window per column. Training windows are the raw stride-1
+windows of an annual series; ``train_lstm`` z-scores each by its inputs
+through ``preprocess.standardize_rows``, as the forecast roll does.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .forecast import require_window
-from .nn import _lift, dropout, mse_grad, mse_loss, xavier
+from .nn import dropout, mse_grad, mse_loss, xavier
 from .optim import TrainConfig, fit
 from .preprocess import standardize_rows
 
@@ -96,12 +97,10 @@ def lstm_init(
 
 
 def lstm_cell(model: LstmModel, x_t, h_prev, c_prev):
-    """One step of the standard LSTM cell, batched over columns: h, c and
-    the backprop cache (xh, c_prev, gates, tanh_c), with xh = [x_t; h_prev]
-    and gates the activated (4 * hidden, batch) i, f, o, g blocks."""
-    x_t, squeeze = _lift(x_t, 1, "cell input")
-    h_prev, _ = _lift(h_prev, model.hidden_size, "previous hidden state")
-    c_prev, _ = _lift(c_prev, model.hidden_size, "previous cell state")
+    """One step of the standard LSTM cell on (1, batch) inputs and
+    (hidden, batch) states: h, c and the backprop cache (xh, c_prev,
+    gates, tanh_c), with xh = [x_t; h_prev] and gates the activated
+    (4 * hidden, batch) i, f, o, g blocks."""
     n = model.hidden_size
     xh = np.concatenate((x_t, h_prev))
     gates = model.weights @ xh
@@ -114,31 +113,14 @@ def lstm_cell(model: LstmModel, x_t, h_prev, c_prev):
     c = f * c_prev + i * g
     tanh_c = np.tanh(c)
     h = o * tanh_c
-    cache = (xh, c_prev, gates, tanh_c)
-    if squeeze:
-        return h[:, 0], c[:, 0], cache
-    return h, c, cache
+    return h, c, (xh, c_prev, gates, tanh_c)
 
 
 @dataclass
 class LstmCache:
-    xs: np.ndarray  # (steps, batch) inputs, after dropout in train mode
     steps: list[tuple] | None  # per-step lstm_cell caches; None in eval mode
     h_final: np.ndarray
     prediction: np.ndarray
-
-
-def _unroll(model: LstmModel, xs: np.ndarray, record: bool):
-    """Final hidden state over (steps, batch) inputs, and the per-step
-    caches if ``record`` is set (else None)."""
-    h = np.zeros((model.hidden_size, xs.shape[1]))
-    c = np.zeros_like(h)
-    steps = []
-    for x_t in xs:
-        h, c, step = lstm_cell(model, x_t[None, :], h, c)
-        if record:
-            steps.append(step)
-    return h, steps if record else None
 
 
 def lstm_forward(
@@ -147,35 +129,38 @@ def lstm_forward(
     mode: str = "eval",
     rng: np.random.Generator | None = None,
 ) -> tuple[np.ndarray, LstmCache]:
-    """Unroll the cell over a standardized window and predict the next block.
+    """Unroll the cell over standardized windows and predict the next block.
 
-    ``window`` is one sequence (1-D, length lookback) or a batch shaped
-    (lookback, batch). Train mode applies inverted dropout to the input
-    sequence before the recurrence and keeps the per-step activations for
-    ``lstm_backward``; eval mode keeps only the inputs.
+    ``window`` is a (steps, batch) matrix, one sequence per column; the
+    prediction is (output_len, batch). Train mode applies inverted dropout
+    to the input sequence before the recurrence and keeps the per-step
+    activations for ``lstm_backward``; eval mode keeps none.
     """
     if mode not in ("train", "eval"):
         raise ConfigError(f"unknown mode: {mode!r}")
-    window = np.asarray(window, dtype=float)
-    squeeze = window.ndim == 1
-    xs = window[:, None] if squeeze else window
+    xs = np.asarray(window, dtype=float)
     if xs.ndim != 2:
-        raise ShapeError(f"window must be 1-D or 2-D, got shape {window.shape}")
-    if mode == "train" and model.input_dropout_rate > 0:
+        raise ShapeError(f"window must be (steps, batch), got shape {xs.shape}")
+    train = mode == "train"
+    if train and model.input_dropout_rate > 0:
         xs = dropout(xs, model.input_dropout_rate, rng)[0]
-    h, steps = _unroll(model, xs, record=mode == "train")
+    h = np.zeros((model.hidden_size, xs.shape[1]))
+    c = np.zeros_like(h)
+    steps = [] if train else None
+    for x_t in xs:
+        h, c, step = lstm_cell(model, x_t[None, :], h, c)
+        if train:
+            steps.append(step)
     prediction = model.head_w @ h + model.head_b[:, None]
-    cache = LstmCache(xs=xs, steps=steps, h_final=h, prediction=prediction)
-    return (prediction[:, 0] if squeeze else prediction), cache
+    return prediction, LstmCache(steps=steps, h_final=h, prediction=prediction)
 
 
 def lstm_backward(model: LstmModel, cache: LstmCache, target) -> list[np.ndarray]:
-    """Gradients of mse_loss(prediction, target) via BPTT, in parameters() order.
-    An eval-mode cache has its steps recomputed from its inputs."""
+    """Gradients of mse_loss(prediction, target) via BPTT, in parameters()
+    order, from a train-mode cache; an eval-mode cache is a ConfigError."""
+    if cache.steps is None:
+        raise ConfigError("lstm_backward needs the cache of a train-mode forward")
     d_pred = mse_grad(cache.prediction, target)
-    steps = cache.steps
-    if steps is None:
-        steps = _unroll(model, cache.xs, record=True)[1]
 
     n = model.hidden_size
     u_t = model.weights[:, 1:].T
@@ -183,7 +168,7 @@ def lstm_backward(model: LstmModel, cache: LstmCache, target) -> list[np.ndarray
     g_bias = np.zeros_like(model.bias)
     dh = model.head_w.T @ d_pred
     dc = np.zeros_like(dh)
-    for xh, c_prev, gates, tanh_c in reversed(steps):
+    for xh, c_prev, gates, tanh_c in reversed(cache.steps):
         i, f, o, g = gates.reshape(len(GATES), n, -1)
         dc = dc + dh * o * (1.0 - tanh_c * tanh_c)
         d_pre = np.concatenate((dc * g, dc * c_prev, dh * tanh_c, dc * i))

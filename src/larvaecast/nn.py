@@ -6,8 +6,8 @@ the mean squared error, and a training step for ``optim.fit``. The production
 architecture is six hidden layers of 64 relu units feeding one linear
 output (21,313 parameters for 6 input features).
 
-Arrays are column-oriented: a batch is a matrix of shape
-(features, batch) so a single example can be passed as a 1-D vector.
+Arrays are column-oriented: the one input shape is a (features, batch)
+matrix, so one example is a single column.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ class ForwardCache:
     pre_activations: list[np.ndarray]
     activations: list[np.ndarray]
     masks: list[np.ndarray | None]
-    squeeze: bool
 
 
 def xavier(rng: np.random.Generator, fan_out: int, fan_in: int, blocks: int = 1) -> np.ndarray:
@@ -96,16 +95,6 @@ def xavier_init(
     )
 
 
-def _lift(x, width: int, what: str) -> tuple[np.ndarray, bool]:
-    x = np.asarray(x, dtype=float)
-    squeeze = x.ndim == 1
-    if squeeze:
-        x = x[:, None]
-    if x.ndim != 2 or x.shape[0] != width:
-        raise ShapeError(f"{what} must have {width} rows, got shape {x.shape}")
-    return x, squeeze
-
-
 def dropout(x: np.ndarray, rate: float, rng: np.random.Generator | None):
     """Inverted dropout: ``x`` with each entry kept with probability
     1 - ``rate`` and scaled by 1 / (1 - rate), and the 0/1 mask drawn."""
@@ -123,12 +112,13 @@ def forward(
 ) -> tuple[np.ndarray, ForwardCache]:
     """Run the network; in train mode hidden activations get inverted dropout.
 
-    Accepts a single example (1-D) or a batch as a (features, batch)
-    matrix, returning the prediction in the matching shape.
+    ``x`` is a (features, batch) matrix; the prediction is (outputs, batch).
     """
     if mode not in ("train", "eval"):
         raise ConfigError(f"unknown mode: {mode!r}")
-    a, squeeze = _lift(x, net.layer_dims[0], "input")
+    a = np.asarray(x, dtype=float)
+    if a.ndim != 2 or a.shape[0] != net.layer_dims[0]:
+        raise ShapeError(f"input must be ({net.layer_dims[0]}, batch), got shape {a.shape}")
     train = mode == "train" and net.dropout_rate > 0
     pre_activations, activations_out, masks = [], [a], []
     n_layers = len(net.weights)
@@ -142,9 +132,7 @@ def forward(
                 a, mask = dropout(a, net.dropout_rate, rng)
             masks.append(mask)
         activations_out.append(a)
-    cache = ForwardCache(pre_activations, activations_out, masks, squeeze)
-    prediction = a[:, 0] if squeeze else a
-    return prediction, cache
+    return a, ForwardCache(pre_activations, activations_out, masks)
 
 
 def mse_loss(pred, target) -> float:
@@ -159,12 +147,13 @@ def mse_loss(pred, target) -> float:
 
 
 def mse_grad(pred: np.ndarray, target) -> np.ndarray:
-    """Gradient of mse_loss w.r.t. a (rows, batch) prediction; a 1-D
-    target is lifted to one column."""
-    target, _ = _lift(target, pred.shape[0], "target")
-    if target.shape != pred.shape:
+    """Gradient of mse_loss w.r.t. a (rows, batch) prediction and a
+    target of the same shape."""
+    target = np.asarray(target, dtype=float)
+    if pred.ndim != 2 or target.shape != pred.shape:
         raise ShapeError(
-            f"target shape {target.shape} does not match prediction {pred.shape}"
+            f"prediction and target must share one (rows, batch) shape, "
+            f"got {pred.shape} and {target.shape}"
         )
     return 2.0 * (pred - target) / pred.size
 

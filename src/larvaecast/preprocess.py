@@ -15,11 +15,9 @@ from .errors import DataError, DomainError
 SIGMA_FLOOR = 1e-9
 
 
-def guard_sigma(sigma):
-    """Replace degenerate standard deviations by 1 (scalar or array)."""
-    sigma = np.asarray(sigma, dtype=float)
-    guarded = np.where(sigma < SIGMA_FLOOR, 1.0, sigma)
-    return float(guarded) if guarded.ndim == 0 else guarded
+def guard_sigma(sigma: np.ndarray) -> np.ndarray:
+    """An array of standard deviations with each degenerate one replaced by 1."""
+    return np.where(sigma < SIGMA_FLOOR, 1.0, sigma)
 
 
 def standardize_rows(x, width: int | None = None):
@@ -53,7 +51,7 @@ class LogCountTransform:
 
 
 class StandardScaler:
-    """Z-score scaler; per-column when fitted on a 2-D matrix.
+    """Per-column z-score scaler, fitted on an (n, columns) matrix.
 
     Remembers how many rows it was fitted on so the pipeline can assert
     that only the training split fed the statistics.
@@ -66,18 +64,13 @@ class StandardScaler:
 
     def fit(self, values) -> "StandardScaler":
         values = np.asarray(values, dtype=float)
+        if values.ndim != 2:
+            raise DataError(f"scaler input must be (n, columns), got shape {values.shape}")
         if values.size == 0:
             raise DataError("cannot fit a scaler on an empty array")
-        if values.ndim == 1:
-            self.mean_ = float(values.mean())
-            self.std_ = guard_sigma(values.std())
-            self.n_fit_rows_ = values.shape[0]
-        elif values.ndim == 2:
-            self.mean_ = values.mean(axis=0)
-            self.std_ = guard_sigma(values.std(axis=0))
-            self.n_fit_rows_ = values.shape[0]
-        else:
-            raise DataError("scaler input must be 1-D or 2-D")
+        self.mean_ = values.mean(axis=0)
+        self.std_ = guard_sigma(values.std(axis=0))
+        self.n_fit_rows_ = values.shape[0]
         return self
 
     def _check_fitted(self):

@@ -86,8 +86,8 @@ def test_criterion_2_gradient_correctness():
         for case in range(20):
             hidden = int(rng.integers(4, 10))
             net = xavier_init([6, hidden, hidden, 1], seed=case, dropout_rate=0.0)
-            x = rng.normal(size=6)
-            target = rng.normal(size=1)
+            x = rng.normal(size=(6, 1))
+            target = rng.normal(size=(1, 1))
             _, cache = forward(net, x)
             analytic = backward(net, cache, target)
             numeric = central_differences(
@@ -99,9 +99,9 @@ def test_criterion_2_gradient_correctness():
             model = lstm_init(
                 seed=500 + case, hidden_size=3, output_len=2, input_dropout_rate=0.0
             )
-            window = rng.normal(size=5)
-            target = rng.normal(size=2)
-            _, cache = lstm_forward(model, window)
+            window = rng.normal(size=(5, 1))
+            target = rng.normal(size=(2, 1))
+            _, cache = lstm_forward(model, window, mode="train")
             analytic = lstm_backward(model, cache, target)
             numeric = central_differences(
                 model.parameters(),

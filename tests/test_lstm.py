@@ -28,7 +28,7 @@ def reference_cell(model, x_t, h_prev, c_prev):
 
     def pre(gate):
         w, u, b = model.gate(gate)
-        return w @ x_t + u @ h_prev + b
+        return w @ x_t + u @ h_prev + b[:, None]
 
     i = sigmoid(pre("i"))
     f = sigmoid(pre("f"))
@@ -71,8 +71,8 @@ class TestArchitecture:
 
     def test_prediction_length_matches_head(self):
         model = lstm_init(seed=1)
-        pred, _ = lstm_forward(model, np.zeros(20))
-        assert pred.shape == (10,)
+        pred, _ = lstm_forward(model, np.zeros((20, 1)))
+        assert pred.shape == (10, 1)
 
     def test_forget_bias_starts_at_one(self):
         model = lstm_init(seed=3)
@@ -83,14 +83,14 @@ class TestArchitecture:
 class TestLstmCell:
     def test_zero_model_gate_values(self):
         model = _zero_model()
-        h, c, _ = lstm_cell(model, np.zeros(1), np.zeros(3), np.zeros(3))
-        np.testing.assert_array_equal(h, np.zeros(3))
-        np.testing.assert_array_equal(c, np.zeros(3))
+        h, c, _ = lstm_cell(model, np.zeros((1, 1)), np.zeros((3, 1)), np.zeros((3, 1)))
+        np.testing.assert_array_equal(h, np.zeros((3, 1)))
+        np.testing.assert_array_equal(c, np.zeros((3, 1)))
 
     def test_zero_weights_halve_cell_state(self):
         model = _zero_model()
-        c0 = np.array([0.8, -1.2, 0.1])
-        h, c, _ = lstm_cell(model, np.zeros(1), np.zeros(3), c0)
+        c0 = np.array([[0.8], [-1.2], [0.1]])
+        h, c, _ = lstm_cell(model, np.zeros((1, 1)), np.zeros((3, 1)), c0)
         np.testing.assert_allclose(c, 0.5 * c0)
         np.testing.assert_allclose(h, 0.5 * np.tanh(0.5 * c0))
 
@@ -98,29 +98,24 @@ class TestLstmCell:
         rng = np.random.default_rng(17)
         model = lstm_init(seed=5, hidden_size=4, output_len=2,
                           input_dropout_rate=0.0)
-        x = rng.normal(size=1)
-        h_prev = rng.normal(size=4)
-        c_prev = rng.normal(size=4)
+        x = rng.normal(size=(1, 1))
+        h_prev = rng.normal(size=(4, 1))
+        c_prev = rng.normal(size=(4, 1))
         h, c, _ = lstm_cell(model, x, h_prev, c_prev)
         h_ref, c_ref = reference_cell(model, x, h_prev, c_prev)
         np.testing.assert_allclose(h, h_ref, atol=1e-12)
         np.testing.assert_allclose(c, c_ref, atol=1e-12)
 
-    def test_shape_mismatch(self):
-        model = _zero_model()
-        with pytest.raises(ShapeError):
-            lstm_cell(model, np.zeros(1), np.zeros(5), np.zeros(3))
-
 
 class TestLstmForward:
     def test_zero_model_predicts_bias(self):
         model = _zero_model(output_len=4)
-        pred, _ = lstm_forward(model, np.linspace(-1, 1, 6))
-        np.testing.assert_array_equal(pred, np.zeros(4))
+        pred, _ = lstm_forward(model, np.linspace(-1, 1, 6)[:, None])
+        np.testing.assert_array_equal(pred, np.zeros((4, 1)))
 
     def test_eval_is_pure(self):
         model = lstm_init(seed=9, hidden_size=6, output_len=3)
-        window = np.sin(np.arange(8.0))
+        window = np.sin(np.arange(8.0))[:, None]
         a, _ = lstm_forward(model, window)
         b, _ = lstm_forward(model, window)
         np.testing.assert_array_equal(a, b)
@@ -129,17 +124,17 @@ class TestLstmForward:
         model = lstm_init(seed=6, hidden_size=5, output_len=2,
                           input_dropout_rate=0.0)
         window = np.array([0.5, -0.3, 1.2, 0.0])
-        h = np.zeros(5)
-        c = np.zeros(5)
+        h = np.zeros((5, 1))
+        c = np.zeros((5, 1))
         for value in window:
-            h, c = reference_cell(model, np.array([value]), h, c)
-        expected = model.head_w @ h + model.head_b
-        pred, _ = lstm_forward(model, window)
+            h, c = reference_cell(model, np.array([[value]]), h, c)
+        expected = model.head_w @ h + model.head_b[:, None]
+        pred, _ = lstm_forward(model, window[:, None])
         np.testing.assert_allclose(pred, expected, atol=1e-12)
 
     def test_prediction_finite_for_wild_windows(self):
         model = lstm_init(seed=10, hidden_size=8, output_len=3)
-        window = np.array([1e6, -1e7, 1e5, 0.0, 2e6, -5e4])
+        window = np.array([[1e6], [-1e7], [1e5], [0.0], [2e6], [-5e4]])
         pred, _ = lstm_forward(model, window)
         assert np.all(np.isfinite(pred))
 
@@ -148,8 +143,8 @@ class TestLstmForward:
         windows = np.random.default_rng(14).normal(size=(9, 5))
         batch, _ = lstm_forward(model, windows)
         for col in range(windows.shape[1]):
-            single, _ = lstm_forward(model, windows[:, col])
-            np.testing.assert_allclose(batch[:, col], single, rtol=1e-12, atol=0)
+            single, _ = lstm_forward(model, windows[:, [col]])
+            np.testing.assert_allclose(batch[:, [col]], single, rtol=1e-12, atol=0)
 
     def test_eval_keeps_no_step_cache(self):
         model = lstm_init(seed=15, hidden_size=4, output_len=2, input_dropout_rate=0.0)
@@ -159,18 +154,22 @@ class TestLstmForward:
         _, train_cache = lstm_forward(model, window, mode="train")
         assert eval_cache.steps is None
         assert len(train_cache.steps) == 6
-        for a, b in zip(lstm_backward(model, eval_cache, target),
-                        lstm_backward(model, train_cache, target)):
-            np.testing.assert_array_equal(a, b)
+        with pytest.raises(ConfigError, match="train-mode"):
+            lstm_backward(model, eval_cache, target)
 
     def test_train_mode_requires_rng(self):
         model = lstm_init(seed=0, hidden_size=3, output_len=2)
         with pytest.raises(ConfigError):
-            lstm_forward(model, np.zeros(5), mode="train")
+            lstm_forward(model, np.zeros((5, 1)), mode="train")
+
+    def test_one_dimensional_window_rejected(self):
+        model = lstm_init(seed=0, hidden_size=3, output_len=2)
+        with pytest.raises(ShapeError, match=r"\(steps, batch\)"):
+            lstm_forward(model, np.zeros(5))
 
     def test_thread_safe_shared_inference(self):
         model = lstm_init(seed=11, hidden_size=6, output_len=3)
-        windows = [np.cos(np.arange(8.0) + k) for k in range(16)]
+        windows = [np.cos(np.arange(8.0) + k)[:, None] for k in range(16)]
         expected = [lstm_forward(model, w)[0] for w in windows]
         with ThreadPoolExecutor(max_workers=8) as pool:
             got = list(pool.map(lambda w: lstm_forward(model, w)[0], windows))
@@ -181,27 +180,27 @@ class TestLstmForward:
 class TestLstmBackward:
     def test_zero_model_zero_target(self):
         model = _zero_model()
-        _, cache = lstm_forward(model, np.zeros(4))
-        for g in lstm_backward(model, cache, np.zeros(2)):
+        _, cache = lstm_forward(model, np.zeros((4, 1)), mode="train")
+        for g in lstm_backward(model, cache, np.zeros((2, 1))):
             np.testing.assert_array_equal(g, np.zeros_like(g))
 
     def test_head_bias_gradient_formula(self):
         model = lstm_init(seed=12, hidden_size=4, output_len=3,
                           input_dropout_rate=0.0)
-        window = np.array([0.2, -0.4, 0.6, 0.1, 0.0])
-        target = np.array([0.5, -0.5, 0.25])
-        pred, cache = lstm_forward(model, window)
+        window = np.array([[0.2], [-0.4], [0.6], [0.1], [0.0]])
+        target = np.array([[0.5], [-0.5], [0.25]])
+        pred, cache = lstm_forward(model, window, mode="train")
         grads = lstm_backward(model, cache, target)
-        np.testing.assert_allclose(grads[-1], 2.0 * (pred - target) / 3.0, atol=1e-12)
+        np.testing.assert_allclose(grads[-1], 2.0 * (pred - target)[:, 0] / 3.0, atol=1e-12)
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(13)
         for seed in range(3):
             model = lstm_init(seed=seed, hidden_size=4, output_len=2,
                               input_dropout_rate=0.0)
-            window = rng.normal(size=5)
-            target = rng.normal(size=2)
-            _, cache = lstm_forward(model, window)
+            window = rng.normal(size=(5, 1))
+            target = rng.normal(size=(2, 1))
+            _, cache = lstm_forward(model, window, mode="train")
             analytic = lstm_backward(model, cache, target)
             numeric = finite_difference_grads(model, window, target)
             for a, n in zip(analytic, numeric):
@@ -270,8 +269,8 @@ class TestTrainLstm:
             input_dropout_rate=0.0,
         )
         x, y = training_pairs(windows, 4)
-        pred, _ = lstm_forward(model, x[0])
-        assert mse_loss(pred, y[0]) < 1e-3
+        pred, _ = lstm_forward(model, x[:1].T)
+        assert mse_loss(pred, y[:1].T) < 1e-3
 
     def test_deterministic(self):
         windows = make_windows(series(np.arange(40.0) * 0.3), 15)

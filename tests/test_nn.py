@@ -6,6 +6,7 @@ from larvaecast.nn import (
     ABUNDANCE_LAYER_DIMS,
     backward,
     forward,
+    mse_grad,
     mse_loss,
     train_abundance,
     xavier_init,
@@ -79,22 +80,22 @@ class TestForward:
         net = xavier_init([2, 2], seed=0, dropout_rate=0.0, activations=("relu",))
         net.weights[0] = np.eye(2)
         net.biases[0] = np.zeros(2)
-        pred, _ = forward(net, np.array([-1.0, 2.0]))
-        np.testing.assert_array_equal(pred, [0.0, 2.0])
+        pred, _ = forward(net, np.array([[-1.0], [2.0]]))
+        np.testing.assert_array_equal(pred, [[0.0], [2.0]])
 
     def test_zero_network_outputs_zero(self):
         net = xavier_init([3, 5, 2], seed=0, dropout_rate=0.0)
         for w in net.weights:
             w[:] = 0.0
-        pred, _ = forward(net, np.array([1.0, -4.0, 2.5]))
-        np.testing.assert_array_equal(pred, [0.0, 0.0])
+        pred, _ = forward(net, np.array([[1.0], [-4.0], [2.5]]))
+        np.testing.assert_array_equal(pred, [[0.0], [0.0]])
 
     def test_dropout_masks_scale_survivors(self):
         net = xavier_init([2, 16, 1], seed=1, dropout_rate=0.2)
         net.weights[0][:] = 1.0
         net.biases[0][:] = 0.0
         rng = np.random.default_rng(123)
-        _, cache = forward(net, np.array([0.5, 0.5]), mode="train", rng=rng)
+        _, cache = forward(net, np.array([[0.5], [0.5]]), mode="train", rng=rng)
         hidden = cache.activations[1]
         # each unit saw pre-activation 1.0: either dropped or scaled by 1/0.8
         assert set(np.round(hidden.ravel(), 12)) <= {0.0, 1.25}
@@ -102,7 +103,7 @@ class TestForward:
 
     def test_eval_mode_is_pure(self):
         net = xavier_init([6, 8, 1], seed=3)
-        x = np.arange(6.0)
+        x = np.arange(6.0)[:, None]
         first, _ = forward(net, x)
         second, _ = forward(net, x)
         np.testing.assert_array_equal(first, second)
@@ -110,12 +111,17 @@ class TestForward:
     def test_dimension_mismatch(self):
         net = xavier_init([4, 2], seed=0)
         with pytest.raises(ShapeError):
-            forward(net, np.zeros(3))
+            forward(net, np.zeros((3, 1)))
+
+    def test_one_dimensional_input_rejected(self):
+        net = xavier_init([4, 2], seed=0)
+        with pytest.raises(ShapeError, match=r"\(4, batch\)"):
+            forward(net, np.zeros(4))
 
     def test_train_mode_requires_rng(self):
         net = xavier_init([2, 4, 1], seed=0, dropout_rate=0.2)
         with pytest.raises(ConfigError):
-            forward(net, np.zeros(2), mode="train")
+            forward(net, np.zeros((2, 1)), mode="train")
 
     def test_dropout_expectation_preserved(self):
         # inverted dropout: E[masked activation] == activation, checked
@@ -126,7 +132,7 @@ class TestForward:
         rng = np.random.default_rng(77)
         total, draws = 0.0, 0
         for _ in range(4200):
-            _, cache = forward(net, np.array([1.0]), mode="train", rng=rng)
+            _, cache = forward(net, np.array([[1.0]]), mode="train", rng=rng)
             hidden = cache.activations[1]
             total += float(hidden.sum())
             draws += hidden.size
@@ -149,12 +155,22 @@ class TestMseLoss:
             mse_loss([1.0], [1.0, 2.0])
 
 
+class TestMseGrad:
+    @pytest.mark.parametrize("pred, target", [
+        (np.zeros((2, 1)), np.zeros(2)),
+        (np.zeros(2), np.zeros(2)),
+    ])
+    def test_one_dimensional_rejected(self, pred, target):
+        with pytest.raises(ShapeError):
+            mse_grad(pred, target)
+
+
 class TestBackward:
     def test_zero_network_zero_gradients(self):
         net = xavier_init([1, 1], seed=0, dropout_rate=0.0)
         net.weights[0][:] = 0.0
-        _, cache = forward(net, np.array([1.0]))
-        grads = backward(net, cache, np.array([0.0]))
+        _, cache = forward(net, np.array([[1.0]]))
+        grads = backward(net, cache, np.array([[0.0]]))
         for g in grads:
             np.testing.assert_array_equal(g, np.zeros_like(g))
 
@@ -163,8 +179,8 @@ class TestBackward:
         # dL/dW = 2*(2-0)*2 = 8, dL/db = 4
         net = xavier_init([1, 1], seed=0, dropout_rate=0.0)
         net.weights[0][0, 0] = 1.0
-        _, cache = forward(net, np.array([2.0]))
-        grads = backward(net, cache, np.array([0.0]))
+        _, cache = forward(net, np.array([[2.0]]))
+        grads = backward(net, cache, np.array([[0.0]]))
         assert grads[0][0, 0] == pytest.approx(8.0)
         assert grads[1][0] == pytest.approx(4.0)
 
@@ -172,8 +188,8 @@ class TestBackward:
         rng = np.random.default_rng(31)
         for seed in range(5):
             net = xavier_init([6, 8, 1], seed=seed, dropout_rate=0.0)
-            x = rng.normal(size=6)
-            target = rng.normal(size=1)
+            x = rng.normal(size=(6, 1))
+            target = rng.normal(size=(1, 1))
             _, cache = forward(net, x)
             analytic = backward(net, cache, target)
             numeric = finite_difference_grads(net, x, target)
@@ -182,8 +198,8 @@ class TestBackward:
     def test_matches_finite_differences_deeper(self):
         rng = np.random.default_rng(32)
         net = xavier_init([6, 16, 16, 1], seed=8, dropout_rate=0.0)
-        x = rng.normal(size=6)
-        target = rng.normal(size=1)
+        x = rng.normal(size=(6, 1))
+        target = rng.normal(size=(1, 1))
         _, cache = forward(net, x)
         assert_grads_close(
             backward(net, cache, target), finite_difference_grads(net, x, target)
@@ -197,8 +213,8 @@ class TestBackward:
         batched = backward(net, cache, ys)
         summed = None
         for j in range(4):
-            _, cache_j = forward(net, xs[:, j])
-            grads_j = backward(net, cache_j, ys[:, j])
+            _, cache_j = forward(net, xs[:, [j]])
+            grads_j = backward(net, cache_j, ys[:, [j]])
             if summed is None:
                 summed = [g / 4 for g in grads_j]
             else:
@@ -226,8 +242,8 @@ class TestTrainAbundance:
         y = np.full(8, 1.3)
         cfg = TrainConfig(seed=2, max_epochs=2000, plateau_patience=100)
         net = train_abundance(x, y, cfg, layer_dims=(6, 8, 1), dropout_rate=0.0)
-        pred, _ = forward(net, x[0])
-        assert mse_loss(pred, [1.3]) < 1e-4
+        pred, _ = forward(net, x[:1].T)
+        assert mse_loss(pred, [[1.3]]) < 1e-4
 
     def test_deterministic(self):
         x, y = self._linear_dataset(n=64, seed=3)

@@ -746,6 +746,16 @@ class TestReportGeometry:
 
 
 KEYED_FILES = ["regions.csv", FORECAST_CSV, PROJECTIONS_CSV]
+# Every column table, by the file of a pipeline run (or its data) that it reads.
+COLUMN_TABLES = {
+    "observations.csv": ingest.OBSERVATION_COLUMNS,
+    "stations.csv": ingest.STATION_COLUMNS,
+    "series.csv": ingest.SERIES_COLUMNS,
+    "regions.csv": pipeline.REGION_COLUMNS,
+    FEATURES_CSV: ingest.FEATURE_COLUMNS,
+    FORECAST_CSV: pipeline.FORECAST_COLUMNS,
+    PROJECTIONS_CSV: pipeline.PROJECTION_COLUMNS,
+}
 
 
 def keyed_file(tmp_path, pipeline_run, name):
@@ -787,6 +797,26 @@ class TestColumns:
         rows[1].pop()
         path.write_text("".join(",".join(row) + "\n" for row in rows))
         assert_data_error(stage(), capsys, "ParseError", "row 2: column 'region_id' is empty")
+
+    @pytest.mark.parametrize("name", COLUMN_TABLES)
+    def test_row_longer_than_header_is_parse_error(self, tmp_path, pipeline_run, name):
+        source = pipeline_run.data.get(Path(name).stem, pipeline_run.out_dir / name)
+        header, first, *rest = source.read_text().splitlines()
+        path = tmp_path / name
+        path.write_text("\n".join([header, first + ",1", *rest]) + "\n")
+        width = len(header.split(","))
+        with pytest.raises(ParseError, match=f"row 2: {width + 1} fields, header has {width}$"):
+            list(ingest.read_rows(path, COLUMN_TABLES[name]))
+
+    def test_long_row_exits_3(self, tmp_path, capsys):
+        paths = synth.write_prepare_fixture(tmp_path / "data")
+        header, first, *rest = paths["observations"].read_text().splitlines()
+        paths["observations"].write_text("\n".join([header, first + ",400", *rest]) + "\n")
+        code = cli.main(
+            ["prepare", "--out-dir", str(tmp_path / "out"),
+             "--observations", str(paths["observations"]), "--stations", str(paths["stations"])]
+        )
+        assert_data_error(code, capsys, "ParseError", "row 2: 7 fields, header has 6")
 
     def test_row_number_is_line_number(self, tmp_path):
         path = tmp_path / "regions.csv"

@@ -31,18 +31,18 @@ class TestLogCountTransform:
 
 class TestStandardScaler:
     def test_two_point_example(self):
-        scaler = fit_scaler([2.0, 4.0])
-        assert scaler.mean_ == 3.0
-        assert scaler.std_ == 1.0
-        np.testing.assert_allclose(scaler.transform([2.0, 4.0]), [-1.0, 1.0])
+        scaler = fit_scaler([[2.0], [4.0]])
+        np.testing.assert_array_equal(scaler.mean_, [3.0])
+        np.testing.assert_array_equal(scaler.std_, [1.0])
+        np.testing.assert_allclose(scaler.transform([[2.0], [4.0]]), [[-1.0], [1.0]])
 
     def test_constant_input_guard(self):
-        scaler = fit_scaler([7.0, 7.0, 7.0])
-        np.testing.assert_array_equal(scaler.transform([7.0, 7.0, 7.0]), [0, 0, 0])
+        scaler = fit_scaler([[7.0], [7.0], [7.0]])
+        np.testing.assert_array_equal(scaler.transform([[7.0], [7.0], [7.0]]), [[0], [0], [0]])
 
     def test_transformed_moments(self):
         rng = np.random.default_rng(11)
-        values = rng.normal(3.0, 2.5, size=500)
+        values = rng.normal(3.0, 2.5, size=(500, 1))
         out = fit_scaler(values).transform(values)
         assert abs(out.mean()) < 1e-10
         assert abs(out.std() - 1.0) < 1e-10
@@ -61,9 +61,9 @@ class TestStandardScaler:
         assert np.max(np.abs(restored - values)) < 1e-12
 
     def test_explicit_round_trip(self):
-        scaler = fit_scaler([5.0, 10.0])
+        scaler = fit_scaler([[5.0], [10.0]])
         np.testing.assert_allclose(
-            scaler.inverse_transform(scaler.transform([5.0, 10.0])), [5.0, 10.0]
+            scaler.inverse_transform(scaler.transform([[5.0], [10.0]])), [[5.0], [10.0]]
         )
 
     def test_per_column_statistics(self):
@@ -74,11 +74,15 @@ class TestStandardScaler:
 
     def test_empty_rejected(self):
         with pytest.raises(DataError):
-            fit_scaler([])
+            fit_scaler(np.zeros((0, 3)))
+
+    def test_matrix_required(self):
+        with pytest.raises(DataError, match=r"\(n, columns\)"):
+            fit_scaler([2.0, 4.0])
 
     def test_order_preserving(self):
         rng = np.random.default_rng(3)
-        values = rng.normal(size=60)
+        values = rng.normal(size=(60, 1))
         transformed = fit_scaler(values).transform(values)
         assert np.argmax(values) == np.argmax(transformed)
         assert np.argmin(values) == np.argmin(transformed)

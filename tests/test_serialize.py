@@ -129,12 +129,12 @@ class TestLstmRoundTrip:
         model = deserialize_lstm(json.dumps(doc))
 
         per_gate = SimpleNamespace(gate=gates.__getitem__)
-        window = rng.normal(size=4)
-        h, c = np.zeros(hidden), np.zeros(hidden)
+        window = rng.normal(size=(4, 1))
+        h, c = np.zeros((hidden, 1)), np.zeros((hidden, 1))
         for value in window:
-            h, c = reference_cell(per_gate, np.array([value]), h, c)
+            h, c = reference_cell(per_gate, value[:, None], h, c)
         pred, _ = lstm_forward(model, window)
-        np.testing.assert_allclose(pred, head_w @ h + head_b, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(pred, head_w @ h + head_b[:, None], rtol=1e-12, atol=1e-12)
 
     def test_gate_length_validation(self):
         doc = json.loads(serialize_lstm(lstm_init(seed=0, hidden_size=3, output_len=2)))
