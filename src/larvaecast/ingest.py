@@ -9,7 +9,10 @@ applies the same rules to every file: UTF-8 text, a header row naming
 each declared column once, no row with more fields than the header,
 and in every row each declared field present, non-empty, convertible,
 finite if a number, and passing its kind's check. ``write_csv`` writes
-a table's header and rows.
+a table's header and rows. The row types ``LarvaeObservation``,
+``StationRecord`` and ``FeatureRow`` are named tuples built from the
+keys of their tables, and ``feature_values`` reads the six features off
+a station record or a feature row.
 
 Cleaning is lossless-or-loud: every dropped observation is attributable
 to exactly one rule (container filter, duplicate merge, station
@@ -21,7 +24,9 @@ from __future__ import annotations
 import csv
 import datetime
 import math
-from dataclasses import dataclass, replace
+from collections import namedtuple
+from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -104,56 +109,13 @@ FEATURE_COLUMNS = {
 }
 
 
-@dataclass(frozen=True)
-class LarvaeObservation:
-    location_id: str
-    latitude: float
-    longitude: float
-    date: datetime.date
-    water_source: str
-    larvae_count: int
-
-
-@dataclass(frozen=True)
-class StationRecord:
-    station_id: str
-    latitude: float
-    longitude: float
-    month: str  # YYYY-MM
-    tmean_c: float
-    tmax_c: float
-    tmin_c: float
-    precip_days: float
-    precip_mm: float
-    elevation_m: float
-
-
-@dataclass(frozen=True)
-class FeatureRow:
-    """One training example: six features plus the larvae-count target."""
-
-    location_id: str
-    date: datetime.date
-    month: str
-    tmean_c: float
-    tmax_c: float
-    tmin_c: float
-    precip_days: float
-    precip_mm: float
-    elevation_m: float
-    larvae_count: int
-
-    def features(self) -> np.ndarray:
-        return np.array(
-            [
-                self.tmean_c,
-                self.tmax_c,
-                self.tmin_c,
-                self.precip_days,
-                self.precip_mm,
-                self.elevation_m,
-            ]
-        )
+# One row type per CSV table, its fields the table's columns in order, so
+# ``Type(*values)`` from ``read_rows`` cannot fall out of step with it.
+LarvaeObservation = namedtuple("LarvaeObservation", OBSERVATION_COLUMNS)
+StationRecord = namedtuple("StationRecord", STATION_COLUMNS)
+FeatureRow = namedtuple("FeatureRow", FEATURE_COLUMNS)
+# The six features of a StationRecord or FeatureRow, as a tuple in FEATURE_NAMES order.
+feature_values = attrgetter(*FEATURE_NAMES)
 
 
 @dataclass
@@ -320,7 +282,7 @@ def merge_duplicates(observations: list[LarvaeObservation]) -> list[LarvaeObserv
         if seen is None:
             grouped[key] = obs
         else:
-            grouped[key] = replace(seen, larvae_count=seen.larvae_count + obs.larvae_count)
+            grouped[key] = seen._replace(larvae_count=seen.larvae_count + obs.larvae_count)
     return [grouped[key] for key in sorted(grouped)]
 
 
@@ -382,20 +344,7 @@ def join_nearest_station(
             for i, j, ok in zip(indices[block], best.tolist(), within.tolist()):
                 if ok:
                     nearest[i] = candidates[j]
-    rows = [
-        FeatureRow(
-            location_id=obs.location_id,
-            date=obs.date,
-            month=station.month,
-            tmean_c=station.tmean_c,
-            tmax_c=station.tmax_c,
-            tmin_c=station.tmin_c,
-            precip_days=station.precip_days,
-            precip_mm=station.precip_mm,
-            elevation_m=station.elevation_m,
-            larvae_count=obs.larvae_count,
-        )
-        for obs, station in zip(observations, nearest)
-        if station is not None
-    ]
+    rows = [FeatureRow(obs.location_id, obs.date, station.month, *feature_values(station),
+                       obs.larvae_count)
+            for obs, station in zip(observations, nearest) if station is not None]
     return rows, len(observations) - len(rows)

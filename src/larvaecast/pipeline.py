@@ -7,7 +7,6 @@ are plain CSV and JSON documents in the configured output directory.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import pickle
@@ -20,7 +19,7 @@ import numpy as np
 from . import ingest, lstm, serialize
 from .errors import ConfigError, DataError, ParseError
 from .forecast import ForecastConfig, forecast_series, require_window
-from .ingest import FEATURE_NAMES, NUMBER, TEXT, YEAR, FeatureRow, fmt, write_csv
+from .ingest import FEATURE_NAMES, NUMBER, TEXT, YEAR, FeatureRow, feature_values, fmt, write_csv
 from .lstm import lstm_forward, make_windows, train_lstm
 from .nn import ABUNDANCE_LAYER_DIMS, forward, train_abundance
 from .optim import TrainConfig
@@ -153,7 +152,7 @@ def cmd_prepare(cfg: PipelineConfig) -> dict:
         cfg.path(FEATURES_CSV),
         ingest.FEATURE_COLUMNS,
         ([row.location_id, row.date.isoformat(), row.month,
-          *(fmt(getattr(row, name)) for name in FEATURE_NAMES), int(row.larvae_count)]
+          *map(fmt, feature_values(row)), int(row.larvae_count)]
          for row in rows),
     )
     report = {
@@ -212,9 +211,9 @@ def cmd_train_abundance(cfg: PipelineConfig) -> dict:
     train_rows = ordered[cfg.holdout_oldest :]
 
     log_transform = LogCountTransform()
-    train_x = np.stack([r.features() for r in train_rows])
+    train_x = np.array([feature_values(r) for r in train_rows])
     train_y = log_transform.transform([r.larvae_count for r in train_rows])
-    val_x = np.stack([r.features() for r in val_rows])
+    val_x = np.array([feature_values(r) for r in val_rows])
     val_y = log_transform.transform([r.larvae_count for r in val_rows])
 
     scaler = StandardScaler().fit(train_x)
@@ -414,7 +413,7 @@ def cmd_forecast(cfg: PipelineConfig) -> dict:
     series_list = ingest.parse_series(cfg.series)
     models = {
         variable: serialize.deserialize_lstm(
-            cfg.artifact(lstm_document_name(variable)).read_text(encoding="utf-8")
+            serialize.read_text(cfg.artifact(lstm_document_name(variable)))
         )
         for variable in FORECAST_VARIABLES
     }
@@ -515,7 +514,7 @@ def cmd_project(cfg: PipelineConfig) -> dict:
     table = _read_forecast(cfg.artifact(FORECAST_CSV))
     elevations = read_region_elevations(cfg.regions)
     net = serialize.deserialize_network(
-        cfg.artifact(ABUNDANCE_MODEL_JSON).read_text(encoding="utf-8")
+        serialize.read_text(cfg.artifact(ABUNDANCE_MODEL_JSON))
     )
     scaler, names, log_offset = serialize.scalers_from_document(
         serialize.load_document(cfg.artifact(ABUNDANCE_SCALERS_JSON), "scalers")
@@ -567,18 +566,12 @@ def _read_projections(path) -> dict[str, dict[int, dict]]:
 
 
 def read_geometry(path) -> dict:
-    """Load a GeoJSON document; anything but a JSON object is a ParseError."""
+    """Load a GeoJSON document under the JSON rules of ``serialize.parse_json``
+    (no schema check); anything but a JSON object is a ParseError."""
     path = Path(path)
     if not path.is_file():
         raise DataError(f"input file not found: {path}")
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    except json.JSONDecodeError as exc:
-        raise ParseError(
-            f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from None
+    doc = serialize.parse_json(serialize.read_text(path))
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: GeoJSON root must be an object")
     return doc

@@ -100,19 +100,35 @@ def dumps(doc: dict) -> str:
     return json.dumps(doc, indent=1)
 
 
-def loads(text: str, expected_kind: str | None = None) -> dict:
-    """Parse a document; NaN, Infinity and numbers beyond float range
-    (such as 1e999) are ParseErrors, as in every CSV."""
+def read_text(path) -> str:
+    """The text of the file at ``path``, which must be UTF-8; any other
+    bytes are a ParseError naming the file."""
+    path = Path(path)
     try:
-        doc = json.loads(
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def parse_json(text: str):
+    """Parse JSON text; NaN, Infinity and numbers beyond float range (such
+    as 1e999) are ParseErrors, as in every CSV."""
+    try:
+        return json.loads(
             text, parse_float=_finite, parse_int=_finite_int, parse_constant=_finite
         )
     except json.JSONDecodeError as exc:
         raise ParseError(
-            f"malformed document at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+            f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
     except ValueError as exc:  # from _finite, or an integer past the digit limit: no position
-        raise ParseError(f"malformed document: {exc}") from None
+        raise ParseError(f"malformed JSON: {exc}") from None
+
+
+def loads(text: str, expected_kind: str | None = None) -> dict:
+    """Parse a document (see ``parse_json``) of this schema version and,
+    unless None, of ``expected_kind``."""
+    doc = parse_json(text)
     if not isinstance(doc, dict):
         raise ParseError("document root must be an object")
     version = _number(doc, "schema_version", "model", int)
@@ -145,7 +161,7 @@ def save_document(path, doc: dict) -> None:
 
 
 def load_document(path, expected_kind: str | None = None) -> dict:
-    return loads(Path(path).read_text(encoding="utf-8"), expected_kind)
+    return loads(read_text(path), expected_kind)
 
 
 # -- dense network ------------------------------------------------------

@@ -1,4 +1,3 @@
-import dataclasses
 import datetime
 import math
 
@@ -271,8 +270,8 @@ class TestJoinNearestStation:
         assert rows_fwd == rows_rev
 
     def test_tie_breaks_on_station_id(self):
-        stations = [dataclasses.replace(_station("s2"), elevation_m=2.0),
-                    dataclasses.replace(_station("s1"), elevation_m=1.0)]
+        stations = [_station("s2")._replace(elevation_m=2.0),
+                    _station("s1")._replace(elevation_m=1.0)]
         rows, _ = join_nearest_station([_obs("a", lat=40.01)], stations)
         assert rows[0].elevation_m == 1.0
 
@@ -285,11 +284,11 @@ class TestJoinNearestStation:
     def test_blocks_match_brute_force(self):
         rng = np.random.default_rng(21)
         stations = [
-            dataclasses.replace(_station(f"s{k:02d}", lat=lat, lon=lon), elevation_m=float(k))
+            _station(f"s{k:02d}", lat=lat, lon=lon)._replace(elevation_m=float(k))
             for k, (lat, lon) in enumerate(zip(rng.uniform(39, 41, 30), rng.uniform(-101, -99, 30)))
         ]
         # s99 ties s03 at the same place and comes first in the file
-        stations[7] = dataclasses.replace(stations[3], station_id="s99", elevation_m=7.0)
+        stations[7] = stations[3]._replace(station_id="s99", elevation_m=7.0)
         observations = [
             _obs(f"o{k}", lat=lat, lon=lon)
             for k, (lat, lon) in enumerate(zip(rng.uniform(38.5, 41.5, 2 * JOIN_BLOCK + 1),

@@ -1,5 +1,6 @@
 import csv
 import errno
+import importlib
 import inspect
 import json
 import os
@@ -21,10 +22,12 @@ from larvaecast.pipeline import (
     ABUNDANCE_SCALERS_JSON,
     CHOROPLETH_CSV,
     CLIMATE_REPORT_JSON,
+    DAYS_MODEL_JSON,
     FEATURES_CSV,
     FORECAST_CSV,
     FORECAST_VARIABLES,
     INGEST_REPORT_JSON,
+    OFFSETS_JSON,
     PERCENT_CHANGE_CSV,
     PROJECTIONS_CSV,
     PipelineConfig,
@@ -45,6 +48,11 @@ from larvaecast.serialize import (
     load_document,
     scalers_from_document,
     serialize_lstm,
+)
+
+
+MODULES = sorted(
+    p.stem for p in Path(larvaecast.__file__).parent.glob("*.py") if p.stem != "__init__"
 )
 
 
@@ -191,7 +199,7 @@ class TestPipelineOutputs:
             load_document(pipeline_run.out_dir / ABUNDANCE_SCALERS_JSON, "scalers")
         )
         rows = read_features(pipeline_run.out_dir / FEATURES_CSV)
-        features = np.stack([r.features() for r in rows[:5]])
+        features = np.array([ingest.feature_values(r) for r in rows[:5]])
         once = predict_log_abundance(net, scaler, features)
         again = predict_log_abundance(net, scaler, features)
         np.testing.assert_array_equal(once, again)
@@ -383,6 +391,22 @@ class TestCli:
             check=True,
         )
         assert probe.stdout.strip() == "False"
+
+    @pytest.mark.parametrize("module", MODULES)
+    def test_module_imports_alone(self, module):
+        """Each module imports first in a fresh interpreter, without warnings,
+        so no import cycle hides behind the order of another import."""
+        src = Path(larvaecast.__file__).resolve().parent.parent
+        probe = subprocess.run(
+            [sys.executable, "-W", "error", "-c", f"import larvaecast.{module}"],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+        )
+        assert probe.returncode == 0, probe.stderr
+
+    def test_package_attribute_is_the_module(self):
+        assert larvaecast.forecast is importlib.import_module("larvaecast.forecast")
 
 
 def assert_data_error(code, capsys, error, text):
@@ -698,6 +722,11 @@ class TestTrainClimateSideBySide:
         assert not list(out.glob("lstm_*.json"))
 
 
+# A region's feature with one coordinate left to fill in.
+GEOMETRY_POINT = ('{"features": [{"properties": {"region_id": "a"}, '
+                  '"geometry": {"type": "Point", "coordinates": [%s, 2.0]}}]}')
+
+
 class TestReportGeometry:
     def report(self, tmp_path, content, *extra):
         out = tmp_path / "out"
@@ -715,11 +744,15 @@ class TestReportGeometry:
             ('{"features": [', "ParseError", "malformed JSON"),
             ("[]", "ParseError", "root must be an object"),
             ('{"features": [1]}', "DataError", "feature 0"),
+            *((GEOMETRY_POINT % number, "ParseError", f"non-finite number: {number}")
+              for number in ("NaN", "-Infinity", "1e999")),
         ],
-        ids=["missing", "malformed", "non-object-root", "non-object-feature"],
+        ids=["missing", "malformed", "non-object-root", "non-object-feature",
+             "nan", "infinity", "beyond-float-range"],
     )
     def test_bad_geometry_is_data_error(self, tmp_path, capsys, content, error, text):
         assert_data_error(self.report(tmp_path, content), capsys, error, text)
+        assert not (tmp_path / "out" / "choropleth.geojson").exists()
 
     def test_geometry_out_directory_missing(self, tmp_path, capsys):
         missing = tmp_path / "missing" / "x.geojson"
@@ -868,6 +901,30 @@ class TestOutputErrors:
         monkeypatch.setattr(os, "replace", full_disk)
         assert_data_error(report(out), capsys, "OSError", os.strerror(errno.ENOSPC))
         assert sorted(p.name for p in out.iterdir()) == [PROJECTIONS_CSV]
+
+
+# One JSON document of each kind, by the stage that reads it.
+DOCUMENT_STAGES = {
+    lstm_document_name("summer_tmean"): "forecast",
+    OFFSETS_JSON: "forecast",
+    DAYS_MODEL_JSON: "forecast",
+    ABUNDANCE_MODEL_JSON: "project",
+    ABUNDANCE_SCALERS_JSON: "project",
+}
+
+
+@pytest.mark.parametrize("name", DOCUMENT_STAGES)
+def test_non_utf8_document(tmp_path, capsys, pipeline_run, name):
+    out = tmp_path / "out"
+    shutil.copytree(pipeline_run.out_dir, out)
+    (out / name).write_bytes(b"\xff")
+    stage = DOCUMENT_STAGES[name]
+    if stage == "forecast":
+        extra = ["--series", str(pipeline_run.data["series"])]
+    else:
+        extra = ["--regions", str(pipeline_run.data["regions"]), "--year", "2030"]
+    code = cli.main([stage, "--out-dir", str(out), *extra])
+    assert_data_error(code, capsys, "ParseError", f"{out / name}: not UTF-8")
 
 
 def test_non_utf8_observations(tmp_path, capsys):
