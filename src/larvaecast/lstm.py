@@ -11,6 +11,7 @@ on the stacked column [x_t; h_prev], plus one (4 * hidden,) bias, in row
 blocks of gate order i, f, o, g (``GATES``). A step is one matmul forward
 and one ``U^T @ d_pre`` backward; ``LstmModel.gate`` returns one gate's
 (w, u, b) views, which the per-gate document fields are written from.
+All four arrays view one flat ``params`` (see ``nn.FlatParameters``).
 
 The model is univariate, and its one input shape is a (steps, batch)
 matrix: one window per column. Training windows are the raw stride-1
@@ -26,7 +27,7 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .forecast import require_window
-from .nn import dropout, mse_grad, mse_loss, xavier
+from .nn import FlatParameters, dropout, mse_grad, mse_loss, xavier
 from .optim import TrainConfig, fit
 from .preprocess import standardize_rows
 
@@ -38,7 +39,7 @@ FORECAST_HORIZON = 10
 
 
 @dataclass
-class LstmModel:
+class LstmModel(FlatParameters):
     hidden_size: int
     output_len: int
     lookback: int  # window length the model was trained on
@@ -48,11 +49,13 @@ class LstmModel:
     head_w: np.ndarray  # (output_len, hidden)
     head_b: np.ndarray  # (output_len,)
 
-    def parameters(self) -> list[np.ndarray]:
-        return [self.weights, self.bias, self.head_w, self.head_b]
+    def __post_init__(self):
+        arrays = (self.weights, self.bias, self.head_w, self.head_b)
+        self.weights, self.bias, self.head_w, self.head_b = self._pack(arrays)
 
-    def parameter_count(self) -> int:
-        return sum(p.size for p in self.parameters())
+    def shapes(self) -> list[tuple[int, ...]]:
+        n, out = self.hidden_size, self.output_len
+        return [(4 * n, 1 + n), (4 * n,), (out, n), (out,)]
 
     def gate(self, name: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Views of one gate's w (hidden, 1), u (hidden, hidden) and b (hidden,)."""
@@ -155,17 +158,20 @@ def lstm_forward(
     return prediction, LstmCache(steps=steps, h_final=h, prediction=prediction)
 
 
-def lstm_backward(model: LstmModel, cache: LstmCache, target) -> list[np.ndarray]:
-    """Gradients of mse_loss(prediction, target) via BPTT, in parameters()
-    order, from a train-mode cache; an eval-mode cache is a ConfigError."""
+def lstm_backward(model: LstmModel, cache: LstmCache, target) -> np.ndarray:
+    """The gradient of mse_loss(prediction, target) in ``params`` via BPTT,
+    as one vector laid out like it, from a train-mode cache; an eval-mode
+    cache is a ConfigError."""
     if cache.steps is None:
         raise ConfigError("lstm_backward needs the cache of a train-mode forward")
     d_pred = mse_grad(cache.prediction, target)
 
     n = model.hidden_size
     u_t = model.weights[:, 1:].T
-    g_weights = np.zeros_like(model.weights)
-    g_bias = np.zeros_like(model.bias)
+    grad = np.zeros_like(model.params)
+    g_weights, g_bias, g_head_w, g_head_b = model.unpack(grad)
+    np.matmul(d_pred, cache.h_final.T, out=g_head_w)
+    d_pred.sum(axis=1, out=g_head_b)
     dh = model.head_w.T @ d_pred
     dc = np.zeros_like(dh)
     for xh, c_prev, gates, tanh_c in reversed(cache.steps):
@@ -178,7 +184,7 @@ def lstm_backward(model: LstmModel, cache: LstmCache, target) -> list[np.ndarray
         g_bias += d_pre.sum(axis=1)
         dh = u_t @ d_pre
         dc = dc * f
-    return [g_weights, g_bias, d_pred @ cache.h_final.T, d_pred.sum(axis=1)]
+    return grad
 
 
 def make_windows(series, width: int) -> np.ndarray:
@@ -222,4 +228,4 @@ def train_lstm(
         pred, cache = lstm_forward(model, xs[:, idx], mode="train", rng=rng)
         return mse_loss(pred, yb) * idx.size, lstm_backward(model, cache, yb)
 
-    return model, fit(model.parameters(), step, len(z), cfg, "LSTM")
+    return model, fit(model.params, step, len(z), cfg, "LSTM")

@@ -4,7 +4,8 @@ Everything is plain numpy: Xavier-uniform initialization, a forward pass
 with inverted dropout between the dense layers, analytic gradients of
 the mean squared error, and a training step for ``optim.fit``. The production
 architecture is six hidden layers of 64 relu units feeding one linear
-output (21,313 parameters for 6 input features).
+output (21,313 parameters for 6 input features), held in one flat vector
+``params`` that ``weights`` and ``biases`` view (see ``FlatParameters``).
 
 Arrays are column-oriented: the one input shape is a (features, batch)
 matrix, so one example is a single column.
@@ -12,7 +13,9 @@ matrix, so one example is a single column.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
+from itertools import accumulate
 
 import numpy as np
 
@@ -23,24 +26,41 @@ ABUNDANCE_LAYER_DIMS = (6, 64, 64, 64, 64, 64, 64, 1)
 DEFAULT_DROPOUT = 0.2
 
 
+class FlatParameters:
+    """Base of a dataclass model whose parameter arrays are views into one flat
+    vector ``params``, end to end in ``shapes()`` order. Pickling and copying
+    go through the constructor, which packs the arrays into a new vector."""
+
+    def _pack(self, arrays) -> list[np.ndarray]:
+        self.params = np.concatenate([np.ravel(a) for a in arrays], dtype=float)
+        return self.unpack(self.params)
+
+    def unpack(self, flat: np.ndarray) -> list[np.ndarray]:
+        """Views into ``flat``, a vector laid out like ``params``, one per shape."""
+        shapes = self.shapes()
+        bounds = [0, *accumulate(map(math.prod, shapes))]
+        return [flat[a:b].reshape(s) for a, b, s in zip(bounds, bounds[1:], shapes)]
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+
 @dataclass
-class DenseNetwork:
+class DenseNetwork(FlatParameters):
     layer_dims: tuple[int, ...]
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    weights: tuple[np.ndarray, ...]
+    biases: tuple[np.ndarray, ...]
     activations: tuple[str, ...]
     dropout_rate: float
 
-    def parameters(self) -> list[np.ndarray]:
-        """Flat parameter list, alternating weight and bias per layer."""
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
+    def __post_init__(self):
+        views = self._pack(a for layer in zip(self.weights, self.biases) for a in layer)
+        self.weights, self.biases = tuple(views[0::2]), tuple(views[1::2])
 
-    def parameter_count(self) -> int:
-        return sum(p.size for p in self.parameters())
+    def shapes(self) -> list[tuple[int, ...]]:
+        """Weight then bias shape per layer."""
+        dims = self.layer_dims
+        return [s for n, m in zip(dims[:-1], dims[1:]) for s in ((m, n), (m,))]
 
 
 @dataclass
@@ -158,21 +178,20 @@ def mse_grad(pred: np.ndarray, target) -> np.ndarray:
     return 2.0 * (pred - target) / pred.size
 
 
-def backward(net: DenseNetwork, cache: ForwardCache, target) -> list[np.ndarray]:
-    """Gradients of mse_loss w.r.t. every parameter, in parameters() order.
+def backward(net: DenseNetwork, cache: ForwardCache, target) -> np.ndarray:
+    """The gradient of mse_loss in ``params``, as one vector laid out like it.
 
     Dropout masks recorded during the forward pass are replayed exactly.
     """
     keep = 1.0 - net.dropout_rate
-    n_layers = len(net.weights)
-    grads: list[np.ndarray | None] = [None] * (2 * n_layers)
+    grad = np.empty_like(net.params)
+    views = net.unpack(grad)  # weight then bias per layer
     delta = mse_grad(cache.activations[-1], target)
     if net.activations[-1] == "relu":
         delta = delta * (cache.pre_activations[-1] > 0)
-    for layer in range(n_layers - 1, -1, -1):
-        a_prev = cache.activations[layer]
-        grads[2 * layer] = delta @ a_prev.T
-        grads[2 * layer + 1] = delta.sum(axis=1)
+    for layer in range(len(net.weights) - 1, -1, -1):
+        np.matmul(delta, cache.activations[layer].T, out=views[2 * layer])
+        delta.sum(axis=1, out=views[2 * layer + 1])
         if layer == 0:
             break
         da = net.weights[layer].T @ delta
@@ -183,7 +202,7 @@ def backward(net: DenseNetwork, cache: ForwardCache, target) -> list[np.ndarray]
             delta = da * (cache.pre_activations[layer - 1] > 0)
         else:
             delta = da
-    return grads  # type: ignore[return-value]
+    return grad
 
 
 def train_abundance(
@@ -222,5 +241,5 @@ def train_abundance(
         pred, cache = forward(net, x_all[:, idx], mode="train", rng=rng)
         return mse_loss(pred, yb) * idx.size, backward(net, cache, yb)
 
-    fit(net.parameters(), step, n, cfg, "abundance network")
+    fit(net.params, step, n, cfg, "abundance network")
     return net

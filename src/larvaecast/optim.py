@@ -1,10 +1,10 @@
 """Adam, convergence detection and ``fit``, the one epoch loop of both trainers.
 
-Parameters travel as flat lists of numpy arrays so the dense regressor
-and the LSTM share one loop. Training stops when the relative
-improvement of the epoch loss over ``plateau_patience`` epochs falls
-below ``PLATEAU_TOLERANCE``, or at ``max_epochs``; a non-finite epoch
-loss stops it with ``DivergenceError``.
+Parameters and gradients travel as one flat vector per model, so both
+networks share one loop and Adam runs on whole vectors. Training stops
+when the relative improvement of the epoch loss over ``plateau_patience``
+epochs falls below ``PLATEAU_TOLERANCE``, or at ``max_epochs``; a
+non-finite epoch loss stops it with ``DivergenceError``.
 """
 
 from __future__ import annotations
@@ -43,62 +43,34 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    """Adam's moments for a parameter list. ``first_moment`` and
-    ``second_moment`` are per-parameter views into rows 0 and 1 of
-    ``buffers``; rows 2-4 are scratch for the gradient, the update and its
-    denominator, so a step runs on whole rows and allocates nothing."""
+    """Adam's two moments of one parameter vector in rows 0 and 1 of ``buffers``;
+    rows 2 and 3 are scratch for the update and its denominator."""
 
-    first_moment: list[np.ndarray]
-    second_moment: list[np.ndarray]
-    buffers: np.ndarray  # (5, total parameter count)
-    update: list[np.ndarray]  # per-parameter views into buffers[3]
+    buffers: np.ndarray  # (4, parameter count)
     step_count: int = 0
 
 
-def _views(flat: np.ndarray, params: list[np.ndarray]) -> list[np.ndarray]:
-    """``flat`` split into one view per parameter, shaped like it."""
-    bounds = np.cumsum([0] + [p.size for p in params])
-    return [flat[a:b].reshape(p.shape) for a, b, p in zip(bounds[:-1], bounds[1:], params)]
+def init_adam(params: np.ndarray) -> AdamState:
+    return AdamState(np.zeros((4, params.size)))
 
 
-def init_adam(params: list[np.ndarray]) -> AdamState:
-    buffers = np.zeros((5, sum(p.size for p in params)))
-    return AdamState(
-        first_moment=_views(buffers[0], params),
-        second_moment=_views(buffers[1], params),
-        buffers=buffers,
-        update=_views(buffers[3], params),
-    )
-
-
-def adam_step(
-    params: list[np.ndarray],
-    grads: list[np.ndarray],
-    state: AdamState,
-    cfg: TrainConfig,
-) -> None:
+def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState, cfg: TrainConfig) -> None:
     """One bias-corrected Adam update, applied to ``params`` in place.
 
     The arithmetic is the per-parameter textbook form, in the same order
     (``(1 - beta2) * g * g``, ``lr * m_hat / (sqrt(v_hat) + eps)``), run
-    once over the concatenated gradient."""
-    if len(params) != len(grads) or len(params) != len(state.first_moment):
-        raise ShapeError("parameter, gradient, and state lists must align")
-    for p, g in zip(params, grads):
-        if p.shape != g.shape:
-            raise ShapeError(
-                f"gradient shape {g.shape} does not match parameter shape {p.shape}"
-            )
+    once over the whole vector."""
+    if grad.shape != params.shape or state.buffers.shape[1:] != params.shape:
+        raise ShapeError(f"gradient {grad.shape} and state must match parameters {params.shape}")
     state.step_count += 1
     t = state.step_count
-    m, v, g, update, denominator = state.buffers
-    np.concatenate([grad.ravel() for grad in grads], out=g)
+    m, v, update, denominator = state.buffers
     m *= BETA1
-    np.multiply(g, 1.0 - BETA1, out=update)
+    np.multiply(grad, 1.0 - BETA1, out=update)
     m += update
     v *= BETA2
-    np.multiply(g, 1.0 - BETA2, out=update)
-    update *= g
+    np.multiply(grad, 1.0 - BETA2, out=update)
+    update *= grad
     v += update
     np.divide(m, 1.0 - BETA1**t, out=update)
     update *= cfg.learning_rate
@@ -106,8 +78,7 @@ def adam_step(
     np.sqrt(denominator, out=denominator)
     denominator += EPSILON
     update /= denominator
-    for p, step in zip(params, state.update):
-        p -= step
+    params -= update
 
 
 class PlateauDetector:
@@ -148,13 +119,13 @@ def dropout_stream(seed: int) -> np.random.Generator:
     return np.random.default_rng([seed, 2])
 
 
-def fit(params: list[np.ndarray], step, n: int, cfg: TrainConfig, model: str) -> int:
-    """Train ``params`` in place with Adam over seeded mini-batches of ``n``
-    rows until the plateau rule fires or ``cfg.max_epochs``; returns the
-    number of epochs run.
+def fit(params: np.ndarray, step, n: int, cfg: TrainConfig, model: str) -> int:
+    """Train the flat vector ``params`` in place with Adam over seeded
+    mini-batches of ``n`` rows until the plateau rule fires or
+    ``cfg.max_epochs``; returns the number of epochs run.
 
     ``step(idx, rng)`` returns the summed loss of the rows ``idx`` and the
-    gradients of their mean loss in ``params`` order; ``rng`` is the
+    gradient of their mean loss, laid out like ``params``; ``rng`` is the
     dropout stream. ``model`` names the network in a ``DivergenceError``.
     """
     state = init_adam(params)
@@ -164,9 +135,9 @@ def fit(params: list[np.ndarray], step, n: int, cfg: TrainConfig, model: str) ->
         order = epoch_order(cfg.seed, epoch, n)
         epoch_loss = 0.0
         for start in range(0, n, cfg.batch_size):
-            loss, grads = step(order[start : start + cfg.batch_size], rng)
+            loss, grad = step(order[start : start + cfg.batch_size], rng)
             epoch_loss += loss
-            adam_step(params, grads, state, cfg)
+            adam_step(params, grad, state, cfg)
         if detector.update(finite_loss(epoch_loss / n, model, epoch)):
             break
     return epoch + 1

@@ -412,16 +412,18 @@ def cmd_forecast(cfg: PipelineConfig) -> dict:
         raise ConfigError("forecast needs --series")
     series_list = ingest.parse_series(cfg.series)
     models = {
-        variable: serialize.deserialize_lstm(
-            serialize.read_text(cfg.artifact(lstm_document_name(variable)))
+        variable: serialize.read_file(
+            cfg.artifact(lstm_document_name(variable)), serialize.deserialize_lstm
         )
         for variable in FORECAST_VARIABLES
     }
-    offsets = serialize.offsets_from_document(
-        serialize.load_document(cfg.artifact(OFFSETS_JSON), "offsets")
+    offsets = serialize.read_file(
+        cfg.artifact(OFFSETS_JSON),
+        lambda text: serialize.offsets_from_document(serialize.loads(text, "offsets")),
     )
-    days_model = serialize.linear_from_document(
-        serialize.load_document(cfg.artifact(DAYS_MODEL_JSON), "linear")
+    days_model = serialize.read_file(
+        cfg.artifact(DAYS_MODEL_JSON),
+        lambda text: serialize.linear_from_document(serialize.loads(text, "linear")),
     )
 
     last_year = max(max(s.years) for s in series_list)
@@ -513,11 +515,10 @@ def cmd_project(cfg: PipelineConfig) -> dict:
     years = sorted(set(cfg.years or [cfg.target_year]))
     table = _read_forecast(cfg.artifact(FORECAST_CSV))
     elevations = read_region_elevations(cfg.regions)
-    net = serialize.deserialize_network(
-        serialize.read_text(cfg.artifact(ABUNDANCE_MODEL_JSON))
-    )
-    scaler, names, log_offset = serialize.scalers_from_document(
-        serialize.load_document(cfg.artifact(ABUNDANCE_SCALERS_JSON), "scalers")
+    net = serialize.read_file(cfg.artifact(ABUNDANCE_MODEL_JSON), serialize.deserialize_network)
+    scaler, names, log_offset = serialize.read_file(
+        cfg.artifact(ABUNDANCE_SCALERS_JSON),
+        lambda text: serialize.scalers_from_document(serialize.loads(text, "scalers")),
     )
     if tuple(names) != FEATURE_NAMES:
         raise DataError(f"scaler features {names} do not match {list(FEATURE_NAMES)}")
@@ -567,11 +568,11 @@ def _read_projections(path) -> dict[str, dict[int, dict]]:
 
 def read_geometry(path) -> dict:
     """Load a GeoJSON document under the JSON rules of ``serialize.parse_json``
-    (no schema check); anything but a JSON object is a ParseError."""
+    (no schema check); anything but a JSON object is a ParseError naming the file."""
     path = Path(path)
     if not path.is_file():
         raise DataError(f"input file not found: {path}")
-    doc = serialize.parse_json(serialize.read_text(path))
+    doc = serialize.read_file(path, serialize.parse_json)
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: GeoJSON root must be an object")
     return doc

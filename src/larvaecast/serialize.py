@@ -100,14 +100,15 @@ def dumps(doc: dict) -> str:
     return json.dumps(doc, indent=1)
 
 
-def read_text(path) -> str:
-    """The text of the file at ``path``, which must be UTF-8; any other
-    bytes are a ParseError naming the file."""
-    path = Path(path)
+def read_file(path, parse):
+    """``parse`` of the UTF-8 text of the file at ``path``. A ParseError from the
+    read or from ``parse`` (the JSON, the document kind, a field) names the file."""
     try:
-        return path.read_text(encoding="utf-8")
+        return parse(Path(path).read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
 
 def parse_json(text: str):
@@ -125,9 +126,9 @@ def parse_json(text: str):
         raise ParseError(f"malformed JSON: {exc}") from None
 
 
-def loads(text: str, expected_kind: str | None = None) -> dict:
-    """Parse a document (see ``parse_json``) of this schema version and,
-    unless None, of ``expected_kind``."""
+def loads(text: str, expected_kind: str) -> dict:
+    """Parse a document (see ``parse_json``) of this schema version and of
+    ``expected_kind``."""
     doc = parse_json(text)
     if not isinstance(doc, dict):
         raise ParseError("document root must be an object")
@@ -135,7 +136,7 @@ def loads(text: str, expected_kind: str | None = None) -> dict:
     if version != SCHEMA_VERSION:
         raise ParseError(f"unsupported schema_version: {version}")
     kind = _require(doc, "kind", "model")
-    if expected_kind is not None and kind != expected_kind:
+    if kind != expected_kind:
         raise ParseError(f"expected a {expected_kind!r} document, found {kind!r}")
     return doc
 
@@ -160,8 +161,8 @@ def save_document(path, doc: dict) -> None:
         handle.write(dumps(doc) + "\n")
 
 
-def load_document(path, expected_kind: str | None = None) -> dict:
-    return loads(read_text(path), expected_kind)
+def load_document(path, expected_kind: str) -> dict:
+    return read_file(path, lambda text: loads(text, expected_kind))
 
 
 # -- dense network ------------------------------------------------------

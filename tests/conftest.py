@@ -1,4 +1,5 @@
-"""Shared fixtures: the synthetic dataset and one fully trained pipeline run."""
+"""Shared fixtures: the synthetic dataset and one fully trained pipeline
+run; and the central-difference gradient oracle."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -24,6 +26,9 @@ from larvaecast.pipeline import (
 PIPELINE_SEED = 4242
 DENSE_EPOCHS = 600
 LSTM_EPOCHS = 150
+
+GRADIENT_STEP = 1e-5
+GRADIENT_REL_TOL = 1e-4
 
 # Property tests draw the same examples on every run and write no example
 # database, so the suite stays deterministic. Hypothesis still caches the
@@ -90,3 +95,21 @@ def run_pipeline(data: dict[str, Path], out_dir: Path) -> PipelineRun:
 @pytest.fixture(scope="session")
 def pipeline_run(synth_data, tmp_path_factory) -> PipelineRun:
     return run_pipeline(synth_data, tmp_path_factory.mktemp("pipeline"))
+
+
+def gradient_error(analytic, params, loss) -> float:
+    """The largest relative error of the ``analytic`` gradient against
+    central differences of ``loss()`` in the flat vector ``params`` (step
+    ``GRADIENT_STEP``). Each entry of ``params`` is moved in place and put
+    back, so the oracle shares nothing with a backward pass."""
+    numeric = np.zeros_like(params)
+    for k in range(params.size):
+        orig = params[k]
+        params[k] = orig + GRADIENT_STEP
+        plus = loss()
+        params[k] = orig - GRADIENT_STEP
+        minus = loss()
+        params[k] = orig
+        numeric[k] = (plus - minus) / (2 * GRADIENT_STEP)
+    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
+    return float(np.max(np.abs(analytic - numeric) / denom))

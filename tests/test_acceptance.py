@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import test_forecast
-from conftest import run_pipeline
+from conftest import GRADIENT_REL_TOL, gradient_error, run_pipeline
 from larvaecast import synth
 from larvaecast.forecast import ForecastConfig, forecast
 from larvaecast.lstm import lstm_backward, lstm_forward, lstm_init
@@ -35,9 +35,6 @@ from larvaecast.serialize import (
 from larvaecast.stats import correlation_p_value
 from larvaecast.trend import FIT_START, TrendParams, estimate_k, eval_trend, fit_trend
 
-GRADIENT_STEP = 1e-5
-GRADIENT_REL_TOL = 1e-4
-
 
 @contextmanager
 def criterion(number: int, description: str):
@@ -49,35 +46,10 @@ def criterion(number: int, description: str):
     print(f"[criterion {number}] PASS - {description}")
 
 
-def central_differences(params, loss):
-    grads = []
-    for p in params:
-        g = np.zeros_like(p)
-        flat_p, flat_g = p.ravel(), g.ravel()
-        for k in range(flat_p.size):
-            orig = flat_p[k]
-            flat_p[k] = orig + GRADIENT_STEP
-            plus = loss()
-            flat_p[k] = orig - GRADIENT_STEP
-            minus = loss()
-            flat_p[k] = orig
-            flat_g[k] = (plus - minus) / (2 * GRADIENT_STEP)
-        grads.append(g)
-    return grads
-
-
-def max_relative_error(analytic, numeric):
-    worst = 0.0
-    for a, n in zip(analytic, numeric):
-        denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), 1e-8)
-        worst = max(worst, float(np.max(np.abs(a - n) / denom)))
-    return worst
-
-
 def test_criterion_1_architecture_fidelity():
     with criterion(1, "abundance network has 21,313 parameters; LSTM has 4,682"):
-        assert xavier_init(ABUNDANCE_LAYER_DIMS, seed=0).parameter_count() == 21_313
-        assert lstm_init(seed=0).parameter_count() == 4_682
+        assert xavier_init(ABUNDANCE_LAYER_DIMS, seed=0).params.size == 21_313
+        assert lstm_init(seed=0).params.size == 4_682
 
 
 def test_criterion_2_gradient_correctness():
@@ -90,10 +62,8 @@ def test_criterion_2_gradient_correctness():
             target = rng.normal(size=(1, 1))
             _, cache = forward(net, x)
             analytic = backward(net, cache, target)
-            numeric = central_differences(
-                net.parameters(), lambda: mse_loss(forward(net, x)[0], target)
-            )
-            assert max_relative_error(analytic, numeric) < GRADIENT_REL_TOL
+            loss = lambda: mse_loss(forward(net, x)[0], target)
+            assert gradient_error(analytic, net.params, loss) < GRADIENT_REL_TOL
 
         for case in range(20):
             model = lstm_init(
@@ -103,11 +73,8 @@ def test_criterion_2_gradient_correctness():
             target = rng.normal(size=(2, 1))
             _, cache = lstm_forward(model, window, mode="train")
             analytic = lstm_backward(model, cache, target)
-            numeric = central_differences(
-                model.parameters(),
-                lambda: mse_loss(lstm_forward(model, window)[0], target),
-            )
-            assert max_relative_error(analytic, numeric) < GRADIENT_REL_TOL
+            loss = lambda: mse_loss(lstm_forward(model, window)[0], target)
+            assert gradient_error(analytic, model.params, loss) < GRADIENT_REL_TOL
 
 
 def test_criterion_3_forecast_oracle_equivalence():
@@ -182,13 +149,11 @@ def test_criterion_8_round_trips(tmp_path):
     with criterion(8, "serialization, scaler, and ingestion round trips are exact"):
         net = xavier_init(ABUNDANCE_LAYER_DIMS, seed=8)
         restored = deserialize_network(serialize_network(net))
-        for a, b in zip(net.parameters(), restored.parameters()):
-            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(net.params, restored.params)
 
         model = lstm_init(seed=8)
         restored_lstm = deserialize_lstm(serialize_lstm(model))
-        for a, b in zip(model.parameters(), restored_lstm.parameters()):
-            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(model.params, restored_lstm.params)
 
         rng = np.random.default_rng(88)
         values = rng.normal(5.0, 3.0, size=(60, 4))

@@ -3,6 +3,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from conftest import GRADIENT_REL_TOL, gradient_error
 from larvaecast import lstm
 from larvaecast.errors import ConfigError, DataError, DivergenceError, ShapeError
 from larvaecast.forecast import ForecastConfig, forecast
@@ -39,35 +40,17 @@ def reference_cell(model, x_t, h_prev, c_prev):
     return h, c
 
 
-def finite_difference_grads(model, window, target, h=1e-5):
-    grads = []
-    for p in model.parameters():
-        g = np.zeros_like(p)
-        flat_p, flat_g = p.ravel(), g.ravel()
-        for k in range(flat_p.size):
-            orig = flat_p[k]
-            flat_p[k] = orig + h
-            plus = mse_loss(lstm_forward(model, window)[0], target)
-            flat_p[k] = orig - h
-            minus = mse_loss(lstm_forward(model, window)[0], target)
-            flat_p[k] = orig
-            flat_g[k] = (plus - minus) / (2 * h)
-        grads.append(g)
-    return grads
-
-
 def _zero_model(hidden=3, output_len=2):
     model = lstm_init(seed=0, hidden_size=hidden, output_len=output_len,
                       input_dropout_rate=0.0)
-    for p in model.parameters():
-        p[:] = 0.0
+    model.params[:] = 0.0
     return model
 
 
 class TestArchitecture:
     def test_production_parameter_count(self):
         model = lstm_init(seed=0)
-        assert model.parameter_count() == 4_682
+        assert model.params.size == 4_682
 
     def test_prediction_length_matches_head(self):
         model = lstm_init(seed=1)
@@ -181,8 +164,7 @@ class TestLstmBackward:
     def test_zero_model_zero_target(self):
         model = _zero_model()
         _, cache = lstm_forward(model, np.zeros((4, 1)), mode="train")
-        for g in lstm_backward(model, cache, np.zeros((2, 1))):
-            np.testing.assert_array_equal(g, np.zeros_like(g))
+        np.testing.assert_array_equal(lstm_backward(model, cache, np.zeros((2, 1))), 0.0)
 
     def test_head_bias_gradient_formula(self):
         model = lstm_init(seed=12, hidden_size=4, output_len=3,
@@ -190,8 +172,8 @@ class TestLstmBackward:
         window = np.array([[0.2], [-0.4], [0.6], [0.1], [0.0]])
         target = np.array([[0.5], [-0.5], [0.25]])
         pred, cache = lstm_forward(model, window, mode="train")
-        grads = lstm_backward(model, cache, target)
-        np.testing.assert_allclose(grads[-1], 2.0 * (pred - target)[:, 0] / 3.0, atol=1e-12)
+        head_b = model.unpack(lstm_backward(model, cache, target))[-1]
+        np.testing.assert_allclose(head_b, 2.0 * (pred - target)[:, 0] / 3.0, atol=1e-12)
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(13)
@@ -202,10 +184,8 @@ class TestLstmBackward:
             target = rng.normal(size=(2, 1))
             _, cache = lstm_forward(model, window, mode="train")
             analytic = lstm_backward(model, cache, target)
-            numeric = finite_difference_grads(model, window, target)
-            for a, n in zip(analytic, numeric):
-                denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), 1e-8)
-                assert np.max(np.abs(a - n) / denom) < 1e-4
+            loss = lambda: mse_loss(lstm_forward(model, window)[0], target)
+            assert gradient_error(analytic, model.params, loss) < GRADIENT_REL_TOL
 
 
 def series(values, region_id="west"):
@@ -277,8 +257,7 @@ class TestTrainLstm:
         cfg = TrainConfig(seed=77, max_epochs=30)
         a, _ = train_lstm(windows, cfg, horizon=5, hidden_size=4)
         b, _ = train_lstm(windows, cfg, horizon=5, hidden_size=4)
-        for pa, pb in zip(a.parameters(), b.parameters()):
-            np.testing.assert_array_equal(pa, pb)
+        np.testing.assert_array_equal(a.params, b.params)
 
     def test_diverging_run_fails_loudly(self):
         windows = make_windows(series(np.sin(np.arange(30.0))), 12)

@@ -1,7 +1,13 @@
+import copy
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
+from conftest import GRADIENT_REL_TOL, gradient_error
 from larvaecast.errors import ConfigError, DivergenceError, ShapeError
+from larvaecast.lstm import lstm_init
 from larvaecast.nn import (
     ABUNDANCE_LAYER_DIMS,
     backward,
@@ -15,34 +21,10 @@ from larvaecast.optim import TrainConfig
 from larvaecast.stats import pearson_r
 
 
-def finite_difference_grads(net, x, target, h=1e-5):
-    """Central-difference gradient oracle; independent of backward()."""
-    grads = []
-    for p in net.parameters():
-        g = np.zeros_like(p)
-        flat_p, flat_g = p.ravel(), g.ravel()
-        for k in range(flat_p.size):
-            orig = flat_p[k]
-            flat_p[k] = orig + h
-            plus = mse_loss(forward(net, x)[0], target)
-            flat_p[k] = orig - h
-            minus = mse_loss(forward(net, x)[0], target)
-            flat_p[k] = orig
-            flat_g[k] = (plus - minus) / (2 * h)
-        grads.append(g)
-    return grads
-
-
-def assert_grads_close(analytic, numeric, rel=1e-4):
-    for a, n in zip(analytic, numeric):
-        denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), 1e-8)
-        assert np.max(np.abs(a - n) / denom) < rel
-
-
 class TestXavierInit:
     def test_production_parameter_count(self):
         net = xavier_init(ABUNDANCE_LAYER_DIMS, seed=0)
-        assert net.parameter_count() == 21_313
+        assert net.params.size == 21_313
 
     def test_single_weight_bound(self):
         for seed in range(20):
@@ -54,8 +36,7 @@ class TestXavierInit:
     def test_deterministic(self):
         a = xavier_init(ABUNDANCE_LAYER_DIMS, seed=99)
         b = xavier_init(ABUNDANCE_LAYER_DIMS, seed=99)
-        for wa, wb in zip(a.parameters(), b.parameters()):
-            np.testing.assert_array_equal(wa, wb)
+        np.testing.assert_array_equal(a.params, b.params)
 
     def test_respects_glorot_bounds(self):
         net = xavier_init([6, 64, 1], seed=5)
@@ -78,8 +59,8 @@ class TestXavierInit:
 class TestForward:
     def test_relu_clips_negative(self):
         net = xavier_init([2, 2], seed=0, dropout_rate=0.0, activations=("relu",))
-        net.weights[0] = np.eye(2)
-        net.biases[0] = np.zeros(2)
+        net.weights[0][:] = np.eye(2)
+        net.biases[0][:] = 0.0
         pred, _ = forward(net, np.array([[-1.0], [2.0]]))
         np.testing.assert_array_equal(pred, [[0.0], [2.0]])
 
@@ -170,9 +151,7 @@ class TestBackward:
         net = xavier_init([1, 1], seed=0, dropout_rate=0.0)
         net.weights[0][:] = 0.0
         _, cache = forward(net, np.array([[1.0]]))
-        grads = backward(net, cache, np.array([[0.0]]))
-        for g in grads:
-            np.testing.assert_array_equal(g, np.zeros_like(g))
+        np.testing.assert_array_equal(backward(net, cache, np.array([[0.0]])), 0.0)
 
     def test_single_layer_chain_rule(self):
         # W=[[1]], b=[0], identity, x=[2], target=[0]:
@@ -180,9 +159,9 @@ class TestBackward:
         net = xavier_init([1, 1], seed=0, dropout_rate=0.0)
         net.weights[0][0, 0] = 1.0
         _, cache = forward(net, np.array([[2.0]]))
-        grads = backward(net, cache, np.array([[0.0]]))
-        assert grads[0][0, 0] == pytest.approx(8.0)
-        assert grads[1][0] == pytest.approx(4.0)
+        grad_w, grad_b = net.unpack(backward(net, cache, np.array([[0.0]])))
+        assert grad_w[0, 0] == pytest.approx(8.0)
+        assert grad_b[0] == pytest.approx(4.0)
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(31)
@@ -191,9 +170,8 @@ class TestBackward:
             x = rng.normal(size=(6, 1))
             target = rng.normal(size=(1, 1))
             _, cache = forward(net, x)
-            analytic = backward(net, cache, target)
-            numeric = finite_difference_grads(net, x, target)
-            assert_grads_close(analytic, numeric)
+            loss = lambda: mse_loss(forward(net, x)[0], target)
+            assert gradient_error(backward(net, cache, target), net.params, loss) < GRADIENT_REL_TOL
 
     def test_matches_finite_differences_deeper(self):
         rng = np.random.default_rng(32)
@@ -201,9 +179,8 @@ class TestBackward:
         x = rng.normal(size=(6, 1))
         target = rng.normal(size=(1, 1))
         _, cache = forward(net, x)
-        assert_grads_close(
-            backward(net, cache, target), finite_difference_grads(net, x, target)
-        )
+        loss = lambda: mse_loss(forward(net, x)[0], target)
+        assert gradient_error(backward(net, cache, target), net.params, loss) < GRADIENT_REL_TOL
 
     def test_batched_gradient_is_mean_of_per_example(self):
         net = xavier_init([3, 5, 1], seed=4, dropout_rate=0.0)
@@ -211,16 +188,39 @@ class TestBackward:
         ys = np.random.default_rng(1).normal(size=(1, 4))
         _, cache = forward(net, xs)
         batched = backward(net, cache, ys)
-        summed = None
+        summed = np.zeros_like(batched)
         for j in range(4):
             _, cache_j = forward(net, xs[:, [j]])
-            grads_j = backward(net, cache_j, ys[:, [j]])
-            if summed is None:
-                summed = [g / 4 for g in grads_j]
-            else:
-                summed = [s + g / 4 for s, g in zip(summed, grads_j)]
-        for b, s in zip(batched, summed):
-            np.testing.assert_allclose(b, s, atol=1e-12)
+            summed += backward(net, cache_j, ys[:, [j]]) / 4
+        np.testing.assert_allclose(batched, summed, atol=1e-12)
+
+
+class TestFlatParameters:
+    """Each model's named arrays are views into its one ``params`` vector,
+    also in a pickled, copied or replaced model."""
+
+    MODELS = {
+        "dense": (lambda: xavier_init([3, 4, 2], seed=0), lambda m: m.weights[0]),
+        "lstm": (lambda: lstm_init(seed=0, hidden_size=3, output_len=2), lambda m: m.weights),
+    }
+
+    @pytest.mark.parametrize("model", MODELS)
+    @pytest.mark.parametrize("remake", [
+        lambda m: pickle.loads(pickle.dumps(m)), copy.deepcopy, copy.copy, dataclasses.replace,
+    ], ids=["pickle", "deepcopy", "copy", "replace"])
+    def test_first_array_views_params(self, model, remake):
+        make, first_array = self.MODELS[model]
+        original = make()
+        clone = remake(original)
+        np.testing.assert_array_equal(clone.params, original.params)
+        clone.params[0] = 123.0
+        assert first_array(clone).flat[0] == 123.0
+        assert original.params[0] != 123.0 and first_array(original).flat[0] != 123.0
+
+    def test_dense_layers_cannot_be_rebound(self):
+        net = xavier_init([2, 2], seed=0)
+        with pytest.raises(TypeError):
+            net.weights[0] = np.eye(2)
 
 
 class TestTrainAbundance:
@@ -250,8 +250,7 @@ class TestTrainAbundance:
         cfg = TrainConfig(seed=11, max_epochs=40)
         a = train_abundance(x, y, cfg, layer_dims=(6, 8, 1))
         b = train_abundance(x, y, cfg, layer_dims=(6, 8, 1))
-        for pa, pb in zip(a.parameters(), b.parameters()):
-            np.testing.assert_array_equal(pa, pb)
+        np.testing.assert_array_equal(a.params, b.params)
 
     def test_nan_target_fails_loudly(self):
         x, y = self._linear_dataset(n=32, seed=4)

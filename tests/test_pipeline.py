@@ -913,18 +913,63 @@ DOCUMENT_STAGES = {
 }
 
 
-@pytest.mark.parametrize("name", DOCUMENT_STAGES)
-def test_non_utf8_document(tmp_path, capsys, pipeline_run, name):
+def document_reader(tmp_path, pipeline_run, name):
+    """A copy of the pipeline run, the path of ``name`` in it, and a function
+    running the stage that reads that file; a name outside DOCUMENT_STAGES
+    is a ``--geometry`` file for report."""
     out = tmp_path / "out"
     shutil.copytree(pipeline_run.out_dir, out)
-    (out / name).write_bytes(b"\xff")
-    stage = DOCUMENT_STAGES[name]
+    stage = DOCUMENT_STAGES.get(name, "report")
     if stage == "forecast":
         extra = ["--series", str(pipeline_run.data["series"])]
-    else:
+    elif stage == "project":
         extra = ["--regions", str(pipeline_run.data["regions"]), "--year", "2030"]
-    code = cli.main([stage, "--out-dir", str(out), *extra])
-    assert_data_error(code, capsys, "ParseError", f"{out / name}: not UTF-8")
+    else:
+        extra = ["--start-year", "2030", "--end-year", "2050", "--geometry", str(out / name)]
+    return out / name, lambda: cli.main([stage, "--out-dir", str(out), *extra])
+
+
+@pytest.mark.parametrize("name", DOCUMENT_STAGES)
+def test_non_utf8_document(tmp_path, capsys, pipeline_run, name):
+    path, run = document_reader(tmp_path, pipeline_run, name)
+    path.write_bytes(b"\xff")
+    assert_data_error(run(), capsys, "ParseError", f"{path}: not UTF-8")
+
+
+def replaced(field, change):
+    """An edit of a JSON document's text setting ``field`` to ``change`` of
+    its value; ``json.dumps`` writes a float NaN as ``NaN``."""
+
+    def edit(text):
+        doc = json.loads(text)
+        doc[field] = change(doc[field])
+        return json.dumps(doc)
+
+    return edit
+
+
+# UTF-8 JSON that fails the parse, the finiteness rule or a field's type:
+# (file, edit of its text, the message after the path).
+BAD_JSON = {
+    "unclosed-offsets": (OFFSETS_JSON, lambda text: "{", "malformed JSON at line 1"),
+    "truncated-lstm": (lstm_document_name("summer_tmean"), lambda text: text[: len(text) // 2],
+                       "malformed JSON at line"),
+    "nan-dropout-rate": (ABUNDANCE_MODEL_JSON, replaced("dropout_rate", lambda _: float("nan")),
+                         "malformed JSON: non-finite number: NaN"),
+    "true-in-scaler-mean": (ABUNDANCE_SCALERS_JSON, replaced("mean", lambda v: [True, *v[1:]]),
+                            "field 'mean' must be an array of JSON numbers"),
+    "unclosed-geometry": ("regions.geojson", lambda text: '{"features": [',
+                          "malformed JSON at line 1"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_JSON)
+def test_bad_json_error_names_the_file(tmp_path, capsys, pipeline_run, case):
+    name, edit, message = BAD_JSON[case]
+    path, run = document_reader(tmp_path, pipeline_run, name)
+    path.write_text(edit(path.read_text(encoding="utf-8") if path.exists() else ""))
+    doc = assert_data_error(run(), capsys, "ParseError", message)
+    assert doc["message"].startswith(f"{path}: {message}")
 
 
 def test_non_utf8_observations(tmp_path, capsys):

@@ -37,8 +37,7 @@ class TestDenseRoundTrip:
         assert restored.layer_dims == net.layer_dims
         assert restored.activations == net.activations
         assert restored.dropout_rate == net.dropout_rate
-        for original, back in zip(net.parameters(), restored.parameters()):
-            np.testing.assert_array_equal(original, back)
+        np.testing.assert_array_equal(net.params, restored.params)
 
     def test_truncated_document_rejected(self):
         text = serialize_network(xavier_init([4, 3, 1], seed=0))
@@ -86,7 +85,7 @@ class TestDenseRoundTrip:
         doc = json.loads(serialize_network(xavier_init([2, 1], seed=0)))
         doc["schema_version"] = 99
         with pytest.raises(ParseError, match="schema_version"):
-            loads(json.dumps(doc))
+            loads(json.dumps(doc), "dense")
 
 
 class TestLstmRoundTrip:
@@ -97,8 +96,7 @@ class TestLstmRoundTrip:
         assert restored.output_len == model.output_len
         assert restored.lookback == model.lookback
         assert restored.input_dropout_rate == model.input_dropout_rate
-        for original, back in zip(model.parameters(), restored.parameters()):
-            np.testing.assert_array_equal(original, back)
+        np.testing.assert_array_equal(model.params, restored.params)
 
     def test_field_names_and_order(self):
         doc = json.loads(serialize_lstm(lstm_init(seed=0, hidden_size=3, output_len=2)))
