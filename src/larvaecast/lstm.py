@@ -8,10 +8,17 @@ to the input sequence in train mode.
 
 The gates are fused: one (4 * hidden, input + hidden) weight matrix acts
 on the stacked column [x_t; h_prev], plus one (4 * hidden,) bias, in row
-blocks of gate order i, f, o, g (``GATES``). A step is one matmul forward
-and one ``U^T @ d_pre`` backward; ``LstmModel.gate`` returns one gate's
-(w, u, b) views, which the per-gate document fields are written from.
-All four arrays view one flat ``params`` (see ``nn.FlatParameters``).
+blocks of gate order i, f, o, g (``GATES``). ``LstmModel.gate`` returns
+one gate's (w, u, b) views, which the per-gate document fields are
+written from. All four arrays view one flat ``params`` (see
+``nn.FlatParameters``).
+
+The step loops allocate no array memory: ``lstm_forward`` writes every
+step into (steps, rows, batch) stacks made once per call (eval mode
+reuses one step's slot), and ``lstm_backward`` forms the weight and bias
+gradients from its stack of gate gradients after its loop. The arithmetic
+is that of a plain step-by-step cell, bit for bit (``tests/conftest.py``
+keeps one as the oracle).
 
 The model is univariate, and its one input shape is a (steps, batch)
 matrix: one window per column. Training windows are the raw stride-1
@@ -22,6 +29,7 @@ through ``preprocess.standardize_rows``, as the forecast roll does.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -99,31 +107,28 @@ def lstm_init(
     )
 
 
-def lstm_cell(model: LstmModel, x_t, h_prev, c_prev):
-    """One step of the standard LSTM cell on (1, batch) inputs and
-    (hidden, batch) states: h, c and the backprop cache (xh, c_prev,
-    gates, tanh_c), with xh = [x_t; h_prev] and gates the activated
-    (4 * hidden, batch) i, f, o, g blocks."""
-    n = model.hidden_size
-    xh = np.concatenate((x_t, h_prev))
-    gates = model.weights @ xh
-    gates += model.bias[:, None]
-    gates[: 3 * n] *= 0.5  # sigmoid(z) = 0.5 * (1 + tanh(z / 2)): one tanh for all
-    np.tanh(gates, out=gates)
-    gates[: 3 * n] += 1.0
-    gates[: 3 * n] *= 0.5
-    i, f, o, g = gates.reshape(len(GATES), n, -1)
-    c = f * c_prev + i * g
-    tanh_c = np.tanh(c)
-    h = o * tanh_c
-    return h, c, (xh, c_prev, gates, tanh_c)
-
-
 @dataclass
 class LstmCache:
-    steps: list[tuple] | None  # per-step lstm_cell caches; None in eval mode
-    h_final: np.ndarray
+    """What ``lstm_forward`` leaves for ``lstm_backward``: stacks over the
+    steps in train mode, one step's slot in eval mode.
+
+    ``xh[t]`` is the cell input ``[x_t; h_{t-1}]`` and ``xh[-1, 1:]`` the
+    final hidden state; ``c[t]`` is the cell state before step ``t`` and
+    ``c[-1]`` the final one; ``gates[t]`` holds the activated i, f, o, g
+    blocks and ``tanh_c[t]`` the tanh of the new cell state. Train mode
+    keeps ``steps + 1`` slots of ``xh`` and ``c`` and ``steps`` of the
+    rest; eval mode overwrites one slot of each."""
+
+    train: bool
+    xh: np.ndarray  # (slots, 1 + hidden, batch)
+    c: np.ndarray  # (slots, hidden, batch)
+    gates: np.ndarray  # (slots, 4 * hidden, batch)
+    tanh_c: np.ndarray  # (slots, hidden, batch)
     prediction: np.ndarray
+
+    @property
+    def h_final(self) -> np.ndarray:
+        return self.xh[-1, 1:]
 
 
 def lstm_forward(
@@ -147,43 +152,95 @@ def lstm_forward(
     train = mode == "train"
     if train and model.input_dropout_rate > 0:
         xs = dropout(xs, model.input_dropout_rate, rng)[0]
-    h = np.zeros((model.hidden_size, xs.shape[1]))
-    c = np.zeros_like(h)
-    steps = [] if train else None
-    for x_t in xs:
-        h, c, step = lstm_cell(model, x_t[None, :], h, c)
-        if train:
-            steps.append(step)
-    prediction = model.head_w @ h + model.head_b[:, None]
-    return prediction, LstmCache(steps=steps, h_final=h, prediction=prediction)
+    steps, batch = xs.shape
+    n = model.hidden_size
+    # sigmoid(z) = 0.5 * (1 + tanh(z / 2)): halving the i, f, o rows of the
+    # weights and bias (exact in binary) lets one tanh activate all four gates.
+    weights = model.weights.copy()
+    weights[: 3 * n] *= 0.5
+    bias = np.repeat(model.bias[:, None], batch, axis=1)
+    bias[: 3 * n] *= 0.5
+    slots = steps if train else 1
+    xh = np.zeros((slots + train, 1 + n, batch))
+    c = np.zeros((slots + train, n, batch))
+    gates = np.empty((slots, 4 * n, batch))
+    tanh_c = np.empty((slots, n, batch))
+    # Each step's slots, with h and c written to the next step's; eval
+    # mode keeps one slot and overwrites it in place.
+    stacks = (xh, xh[train:, 1:], c, c[train:], gates, gates[:, : 3 * n],
+              gates.reshape(slots, len(GATES), n, batch), tanh_c)
+    slot_views = zip(*stacks) if train else repeat(tuple(a[0] for a in stacks))
+    scratch = np.empty((n, batch))
+    for x_t, (xh_t, h_t, c_prev, c_t, gates_t, sigmoids, (i, f, o, g), tanh_c_t) in zip(
+        xs, slot_views
+    ):
+        xh_t[0] = x_t
+        np.matmul(weights, xh_t, out=gates_t)
+        gates_t += bias
+        np.tanh(gates_t, out=gates_t)
+        sigmoids += 1.0
+        sigmoids *= 0.5
+        np.multiply(f, c_prev, out=c_t)
+        np.multiply(i, g, out=scratch)
+        c_t += scratch
+        np.tanh(c_t, out=tanh_c_t)
+        np.multiply(o, tanh_c_t, out=h_t)
+    prediction = model.head_w @ xh[-1, 1:] + model.head_b[:, None]
+    return prediction, LstmCache(train, xh, c, gates, tanh_c, prediction)
 
 
 def lstm_backward(model: LstmModel, cache: LstmCache, target) -> np.ndarray:
     """The gradient of mse_loss(prediction, target) in ``params`` via BPTT,
     as one vector laid out like it, from a train-mode cache; an eval-mode
-    cache is a ConfigError."""
-    if cache.steps is None:
+    cache is a ConfigError.
+
+    The weight and bias gradients are summed from the stack of gate
+    gradients after the loop, latest step first from ``initial=0.0``, as a
+    per-step accumulation into zeros adds them, down to the sign of a zero."""
+    if not cache.train:
         raise ConfigError("lstm_backward needs the cache of a train-mode forward")
     d_pred = mse_grad(cache.prediction, target)
 
     n = model.hidden_size
-    u_t = model.weights[:, 1:].T
+    xh, c, gates, tanh_c = cache.xh, cache.c, cache.gates, cache.tanh_c
+    steps, _, batch = gates.shape
     grad = np.zeros_like(model.params)
     g_weights, g_bias, g_head_w, g_head_b = model.unpack(grad)
     np.matmul(d_pred, cache.h_final.T, out=g_head_w)
     d_pred.sum(axis=1, out=g_head_b)
+
+    # d_pre starts as every step's activation derivatives, sigmoid' =
+    # a * (1 - a) on the i, f, o rows and tanh' = 1 - g * g on the g rows;
+    # the loop multiplies each step's slot by the gradient reaching it.
+    d_pre = 1.0 - gates
+    d_pre[:, : 3 * n] *= gates[:, : 3 * n]
+    np.multiply(gates[:, 3 * n :], gates[:, 3 * n :], out=d_pre[:, 3 * n :])
+    np.subtract(1.0, d_pre[:, 3 * n :], out=d_pre[:, 3 * n :])
+    d_tanh_c = tanh_c * tanh_c
+    np.subtract(1.0, d_tanh_c, out=d_tanh_c)
+
+    u_t = model.weights[:, 1:].T
     dh = model.head_w.T @ d_pred
     dc = np.zeros_like(dh)
-    for xh, c_prev, gates, tanh_c in reversed(cache.steps):
-        i, f, o, g = gates.reshape(len(GATES), n, -1)
-        dc = dc + dh * o * (1.0 - tanh_c * tanh_c)
-        d_pre = np.concatenate((dc * g, dc * c_prev, dh * tanh_c, dc * i))
-        d_pre[: 3 * n] *= gates[: 3 * n] * (1.0 - gates[: 3 * n])
-        d_pre[3 * n :] *= 1.0 - g * g
-        g_weights += d_pre @ xh.T
-        g_bias += d_pre.sum(axis=1)
-        dh = u_t @ d_pre
-        dc = dc * f
+    d_cell = np.empty_like(dh)
+    d_gates = np.empty((4 * n, batch))
+    d_i, d_f, d_o, d_g = d_gates.reshape(len(GATES), n, batch)
+    latest_first = zip(d_pre[::-1], gates.reshape(steps, len(GATES), n, batch)[::-1],
+                       c[-2::-1], tanh_c[::-1], d_tanh_c[::-1])
+    for d_pre_t, (i, f, o, g), c_prev, tanh_c_t, d_tanh_c_t in latest_first:
+        np.multiply(dh, o, out=d_cell)
+        d_cell *= d_tanh_c_t
+        dc += d_cell
+        np.multiply(dc, g, out=d_i)
+        np.multiply(dc, c_prev, out=d_f)
+        np.multiply(dh, tanh_c_t, out=d_o)
+        np.multiply(dc, i, out=d_g)
+        d_pre_t *= d_gates
+        np.matmul(u_t, d_pre_t, out=dh)
+        dc *= f
+    np.add.reduce(np.matmul(d_pre, xh[:-1].transpose(0, 2, 1))[::-1], axis=0,
+                  initial=0.0, out=g_weights)
+    np.add.reduce(d_pre.sum(axis=2)[::-1], axis=0, initial=0.0, out=g_bias)
     return grad
 
 

@@ -28,18 +28,20 @@ DEFAULT_DROPOUT = 0.2
 
 class FlatParameters:
     """Base of a dataclass model whose parameter arrays are views into one flat
-    vector ``params``, end to end in ``shapes()`` order. Pickling and copying
-    go through the constructor, which packs the arrays into a new vector."""
+    vector ``params``, end to end in ``shapes()`` order; the layout is worked
+    out once, when the constructor packs the arrays into a new vector, which
+    pickling and copying go through too."""
 
     def _pack(self, arrays) -> list[np.ndarray]:
         self.params = np.concatenate([np.ravel(a) for a in arrays], dtype=float)
+        shapes = self.shapes()
+        bounds = [0, *accumulate(map(math.prod, shapes))]
+        self._layout = list(zip(bounds, bounds[1:], shapes))
         return self.unpack(self.params)
 
     def unpack(self, flat: np.ndarray) -> list[np.ndarray]:
         """Views into ``flat``, a vector laid out like ``params``, one per shape."""
-        shapes = self.shapes()
-        bounds = [0, *accumulate(map(math.prod, shapes))]
-        return [flat[a:b].reshape(s) for a, b, s in zip(bounds, bounds[1:], shapes)]
+        return [flat[a:b].reshape(s) for a, b, s in self._layout]
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, f.name) for f in fields(self))

@@ -3,8 +3,9 @@
 Parameters and gradients travel as one flat vector per model, so both
 networks share one loop and Adam runs on whole vectors. Training stops
 when the relative improvement of the epoch loss over ``plateau_patience``
-epochs falls below ``PLATEAU_TOLERANCE``, or at ``max_epochs``; a
-non-finite epoch loss stops it with ``DivergenceError``.
+epochs falls below ``PLATEAU_TOLERANCE``, or at ``max_epochs``; a loss
+that turns non-finite stops it with ``DivergenceError`` at that batch,
+before Adam takes the step.
 """
 
 from __future__ import annotations
@@ -99,16 +100,6 @@ class PlateauDetector:
         return improvement < self.tolerance
 
 
-def finite_loss(loss: float, model: str, epoch: int) -> float:
-    """The mean epoch loss, checked: a diverged run fails instead of
-    training on to ``max_epochs`` and saving a non-finite model."""
-    if not math.isfinite(loss):
-        raise DivergenceError(
-            f"{model} training diverged: mean loss is {loss} at epoch {epoch + 1}"
-        )
-    return loss
-
-
 def epoch_order(seed: int, epoch: int, n: int) -> np.ndarray:
     """Deterministic per-epoch shuffle, reseeded by epoch index."""
     return np.random.default_rng([seed, 1, epoch]).permutation(n)
@@ -131,13 +122,20 @@ def fit(params: np.ndarray, step, n: int, cfg: TrainConfig, model: str) -> int:
     state = init_adam(params)
     rng = dropout_stream(cfg.seed)
     detector = PlateauDetector(cfg.plateau_patience, PLATEAU_TOLERANCE)
-    for epoch in range(cfg.max_epochs):
-        order = epoch_order(cfg.seed, epoch, n)
-        epoch_loss = 0.0
-        for start in range(0, n, cfg.batch_size):
-            loss, grad = step(order[start : start + cfg.batch_size], rng)
-            epoch_loss += loss
-            adam_step(params, grad, state, cfg)
-        if detector.update(finite_loss(epoch_loss / n, model, epoch)):
-            break
+    # A diverging run overflows; the DivergenceError below reports it, not numpy.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.max_epochs):
+            order = epoch_order(cfg.seed, epoch, n)
+            epoch_loss = 0.0
+            for batch, start in enumerate(range(0, n, cfg.batch_size), 1):
+                loss, grad = step(order[start : start + cfg.batch_size], rng)
+                epoch_loss += loss
+                if not math.isfinite(epoch_loss):
+                    raise DivergenceError(
+                        f"{model} training diverged: loss is {epoch_loss} "
+                        f"at batch {batch} of epoch {epoch + 1}"
+                    )
+                adam_step(params, grad, state, cfg)
+            if detector.update(epoch_loss / n):
+                break
     return epoch + 1

@@ -1,5 +1,6 @@
 """Shared fixtures: the synthetic dataset and one fully trained pipeline
-run; and the central-difference gradient oracle."""
+run; the central-difference gradient oracle; and the step-by-step LSTM
+oracle."""
 
 from __future__ import annotations
 
@@ -13,6 +14,8 @@ import pytest
 from hypothesis import settings
 
 from larvaecast import synth
+from larvaecast.lstm import GATES
+from larvaecast.nn import dropout, mse_grad
 from larvaecast.pipeline import (
     PipelineConfig,
     cmd_forecast,
@@ -113,3 +116,59 @@ def gradient_error(analytic, params, loss) -> float:
         numeric[k] = (plus - minus) / (2 * GRADIENT_STEP)
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
     return float(np.max(np.abs(analytic - numeric) / denom))
+
+
+def oracle_lstm_forward(model, window, mode="eval", rng=None):
+    """The LSTM forward pass one cell step at a time, each step allocating
+    its own arrays: the prediction and a cache of the per-step
+    ``(xh, c_prev, gates, tanh_c)``, the final h and the prediction. The
+    same arithmetic, in the same order, as ``lstm.lstm_forward``, which
+    must match it bit for bit; called like it."""
+    xs = np.asarray(window, dtype=float)
+    if mode == "train" and model.input_dropout_rate > 0:
+        xs = dropout(xs, model.input_dropout_rate, rng)[0]
+    n = model.hidden_size
+    h = np.zeros((n, xs.shape[1]))
+    c = np.zeros_like(h)
+    steps = []
+    for x_t in xs:
+        xh = np.concatenate((x_t[None, :], h))
+        gates = model.weights @ xh
+        gates += model.bias[:, None]
+        gates[: 3 * n] *= 0.5  # sigmoid(z) = 0.5 * (1 + tanh(z / 2))
+        np.tanh(gates, out=gates)
+        gates[: 3 * n] += 1.0
+        gates[: 3 * n] *= 0.5
+        i, f, o, g = gates.reshape(len(GATES), n, -1)
+        c_prev, c = c, f * c + i * g
+        tanh_c = np.tanh(c)
+        h = o * tanh_c
+        steps.append((xh, c_prev, gates, tanh_c))
+    prediction = model.head_w @ h + model.head_b[:, None]
+    return prediction, (steps, h, prediction)
+
+
+def oracle_lstm_backward(model, cache, target):
+    """BPTT over ``oracle_lstm_forward``'s steps, accumulating the weight
+    and bias gradients step by step; one vector laid out like ``params``."""
+    steps, h_final, prediction = cache
+    d_pred = mse_grad(prediction, target)
+    n = model.hidden_size
+    u_t = model.weights[:, 1:].T
+    grad = np.zeros_like(model.params)
+    g_weights, g_bias, g_head_w, g_head_b = model.unpack(grad)
+    np.matmul(d_pred, h_final.T, out=g_head_w)
+    d_pred.sum(axis=1, out=g_head_b)
+    dh = model.head_w.T @ d_pred
+    dc = np.zeros_like(dh)
+    for xh, c_prev, gates, tanh_c in reversed(steps):
+        i, f, o, g = gates.reshape(len(GATES), n, -1)
+        dc = dc + dh * o * (1.0 - tanh_c * tanh_c)
+        d_pre = np.concatenate((dc * g, dc * c_prev, dh * tanh_c, dc * i))
+        d_pre[: 3 * n] *= gates[: 3 * n] * (1.0 - gates[: 3 * n])
+        d_pre[3 * n :] *= 1.0 - g * g
+        g_weights += d_pre @ xh.T
+        g_bias += d_pre.sum(axis=1)
+        dh = u_t @ d_pre
+        dc = dc * f
+    return grad

@@ -3,14 +3,18 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from conftest import GRADIENT_REL_TOL, gradient_error
+from conftest import (
+    GRADIENT_REL_TOL,
+    gradient_error,
+    oracle_lstm_backward,
+    oracle_lstm_forward,
+)
 from larvaecast import lstm
 from larvaecast.errors import ConfigError, DataError, DivergenceError, ShapeError
 from larvaecast.forecast import ForecastConfig, forecast
 from larvaecast.ingest import RegionSeries
 from larvaecast.lstm import (
     lstm_backward,
-    lstm_cell,
     lstm_forward,
     lstm_init,
     make_windows,
@@ -64,30 +68,36 @@ class TestArchitecture:
 
 
 class TestLstmCell:
+    """The cell equations, read off the cache of short ``lstm_forward`` windows."""
+
     def test_zero_model_gate_values(self):
         model = _zero_model()
-        h, c, _ = lstm_cell(model, np.zeros((1, 1)), np.zeros((3, 1)), np.zeros((3, 1)))
-        np.testing.assert_array_equal(h, np.zeros((3, 1)))
-        np.testing.assert_array_equal(c, np.zeros((3, 1)))
+        _, cache = lstm_forward(model, np.zeros((1, 1)))
+        np.testing.assert_array_equal(cache.h_final, np.zeros((3, 1)))
+        np.testing.assert_array_equal(cache.c[-1], np.zeros((3, 1)))
 
     def test_zero_weights_halve_cell_state(self):
+        """With only the g gate reading x, a first step stores 0.5 * tanh(x)
+        in each column's cell; a zero second input adds nothing, and the
+        forget gate, sigmoid(0) = 0.5, halves that state."""
         model = _zero_model()
-        c0 = np.array([[0.8], [-1.2], [0.1]])
-        h, c, _ = lstm_cell(model, np.zeros((1, 1)), np.zeros((3, 1)), c0)
-        np.testing.assert_allclose(c, 0.5 * c0)
-        np.testing.assert_allclose(h, 0.5 * np.tanh(0.5 * c0))
+        model.gate("g")[0][:] = 1.0
+        window = np.array([[1.6, -2.4, 0.2], [0.0, 0.0, 0.0]])
+        _, cache = lstm_forward(model, window, mode="train")
+        c0 = cache.c[1]
+        np.testing.assert_allclose(c0, np.tile(0.5 * np.tanh(window[0]), (3, 1)))
+        np.testing.assert_allclose(cache.c[2], 0.5 * c0)
+        np.testing.assert_allclose(cache.h_final, 0.5 * np.tanh(0.5 * c0))
 
     def test_matches_hand_stepped_reference(self):
         rng = np.random.default_rng(17)
         model = lstm_init(seed=5, hidden_size=4, output_len=2,
                           input_dropout_rate=0.0)
-        x = rng.normal(size=(1, 1))
-        h_prev = rng.normal(size=(4, 1))
-        c_prev = rng.normal(size=(4, 1))
-        h, c, _ = lstm_cell(model, x, h_prev, c_prev)
-        h_ref, c_ref = reference_cell(model, x, h_prev, c_prev)
-        np.testing.assert_allclose(h, h_ref, atol=1e-12)
-        np.testing.assert_allclose(c, c_ref, atol=1e-12)
+        x = rng.normal(size=(1, 5))
+        _, cache = lstm_forward(model, x)
+        h_ref, c_ref = reference_cell(model, x, np.zeros((4, 5)), np.zeros((4, 5)))
+        np.testing.assert_allclose(cache.h_final, h_ref, atol=1e-12)
+        np.testing.assert_allclose(cache.c[-1], c_ref, atol=1e-12)
 
 
 class TestLstmForward:
@@ -135,8 +145,11 @@ class TestLstmForward:
         target = np.ones((2, 3))
         _, eval_cache = lstm_forward(model, window)
         _, train_cache = lstm_forward(model, window, mode="train")
-        assert eval_cache.steps is None
-        assert len(train_cache.steps) == 6
+        eval_stacks = (eval_cache.xh, eval_cache.c, eval_cache.gates, eval_cache.tanh_c)
+        train_stacks = (train_cache.xh, train_cache.c, train_cache.gates, train_cache.tanh_c)
+        assert not eval_cache.train and train_cache.train
+        assert [len(a) for a in eval_stacks] == [1, 1, 1, 1]
+        assert [len(a) for a in train_stacks] == [7, 7, 6, 6]
         with pytest.raises(ConfigError, match="train-mode"):
             lstm_backward(model, eval_cache, target)
 
@@ -186,6 +199,46 @@ class TestLstmBackward:
             analytic = lstm_backward(model, cache, target)
             loss = lambda: mse_loss(lstm_forward(model, window)[0], target)
             assert gradient_error(analytic, model.params, loss) < GRADIENT_REL_TOL
+
+
+class TestStepOracle:
+    """``lstm_forward`` and ``lstm_backward`` compute exactly what a plain
+    step-by-step cell and BPTT compute (the oracle in conftest)."""
+
+    @staticmethod
+    def cases():
+        rng = np.random.default_rng(2024)
+        sizes = [(32, 20, 8), (32, 20, 4), (1, 1, 1), (40, 25, 9)]
+        sizes += [tuple(int(v) for v in rng.integers(1, (41, 26, 10))) for _ in range(40)]
+        for k, (hidden, steps, batch) in enumerate(sizes):
+            model = lstm_init(seed=k, hidden_size=hidden, output_len=int(rng.integers(1, 11)),
+                              lookback=steps)
+            model.params += rng.normal(scale=0.3, size=model.params.size)
+            window = rng.normal(size=(steps, batch))
+            target = rng.normal(size=(model.output_len, batch))
+            yield k, model, window, target
+
+    def test_prediction_and_gradient_are_bitwise_equal(self):
+        for k, model, window, target in self.cases():
+            pred, cache = lstm_forward(model, window, mode="train", rng=np.random.default_rng(k))
+            want, want_cache = oracle_lstm_forward(model, window, mode="train",
+                                                   rng=np.random.default_rng(k))
+            assert pred.tobytes() == want.tobytes()
+            grad = lstm_backward(model, cache, target)
+            assert grad.tobytes() == oracle_lstm_backward(model, want_cache, target).tobytes()
+            assert (lstm_forward(model, window)[0].tobytes()
+                    == oracle_lstm_forward(model, window)[0].tobytes())
+
+    def test_training_ends_with_identical_params(self, monkeypatch):
+        values = 20.0 + np.sin(np.arange(57.0)) + 0.1 * np.arange(57.0)
+        windows = make_windows(series(values), 30)  # 28 windows: three batches of 8, then 4
+        cfg = TrainConfig(seed=8, max_epochs=3)
+        model, epochs = train_lstm(windows, cfg)
+        monkeypatch.setattr(lstm, "lstm_forward", oracle_lstm_forward)
+        monkeypatch.setattr(lstm, "lstm_backward", oracle_lstm_backward)
+        want, want_epochs = train_lstm(windows, cfg)
+        assert epochs == want_epochs == 3
+        assert model.params.tobytes() == want.params.tobytes()
 
 
 def series(values, region_id="west"):
@@ -263,6 +316,13 @@ class TestTrainLstm:
         windows = make_windows(series(np.sin(np.arange(30.0))), 12)
         cfg = TrainConfig(seed=0, max_epochs=50, learning_rate=1e300)
         with np.errstate(all="ignore"), pytest.raises(DivergenceError, match="LSTM.*epoch 1$"):
+            train_lstm(windows, cfg, horizon=4, hidden_size=4)
+
+    def test_divergence_stops_at_its_batch_without_numpy_warnings(self):
+        """No errstate here: the suite turns any numpy warning into a failure."""
+        windows = make_windows(series(np.sin(np.arange(30.0))), 12)
+        cfg = TrainConfig(seed=0, max_epochs=50, learning_rate=1e300)
+        with pytest.raises(DivergenceError, match=r"LSTM.* at batch \d+ of epoch 1$"):
             train_lstm(windows, cfg, horizon=4, hidden_size=4)
 
     def test_empty_pairs_rejected(self):

@@ -392,6 +392,43 @@ class TestCli:
         )
         assert probe.stdout.strip() == "False"
 
+    @pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])
+    def test_cli_import_sets_one_blas_thread_unless_set(self, preset, expected):
+        src = Path(larvaecast.__file__).resolve().parent.parent
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        probe = subprocess.run(
+            [sys.executable, "-c",
+             "import os, larvaecast.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"],
+            env={**env, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert probe.stdout.strip() == expected
+
+    def test_diverging_trainer_writes_one_json_line(self, tmp_path, pipeline_run):
+        """A trainer that overflows stops at the first non-finite batch, and
+        the JSON error object is all that reaches stderr."""
+        src = Path(larvaecast.__file__).resolve().parent.parent
+        out = tmp_path / "out"
+        out.mkdir()
+        shutil.copy(pipeline_run.out_dir / FEATURES_CSV, out / FEATURES_CSV)
+        probe = subprocess.run(
+            [sys.executable, "-m", "larvaecast.cli", "train-abundance", "--out-dir", str(out),
+             "--seed", "1", "--learning-rate", "1e300", "--max-epochs", "3"],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+        )
+        assert probe.returncode == 3
+        assert probe.stderr.count("\n") == 1
+        doc = json.loads(probe.stderr)
+        assert doc["error"] == "DivergenceError"
+        assert doc["message"].endswith("of epoch 1")
+        assert not (out / ABUNDANCE_MODEL_JSON).exists()
+
     @pytest.mark.parametrize("module", MODULES)
     def test_module_imports_alone(self, module):
         """Each module imports first in a fresh interpreter, without warnings,
