@@ -8,8 +8,9 @@ the inputs, ``FEATURE_COLUMNS`` for ``features.csv`` and, in
 applies the same rules to every file: UTF-8 text, a header row naming
 each declared column once, no row with more fields than the header,
 and in every row each declared field present, non-empty, convertible,
-finite if a number, and passing its kind's check. ``write_csv`` writes
-a table's header and rows. The row types ``LarvaeObservation``,
+finite if a number, and passing its kind's check. ``csv_text`` yields
+a table's header and rows as lines, one at a time, for
+``serialize.commit`` to write. The row types ``LarvaeObservation``,
 ``StationRecord`` and ``FeatureRow`` are named tuples built from the
 keys of their tables, and ``feature_values`` reads the six features off
 a station record or a feature row.
@@ -28,11 +29,11 @@ from collections import namedtuple
 from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
 from .errors import DataError, DomainError, ParseError
-from .serialize import atomic_open
 
 EARTH_RADIUS_KM = 6371.0
 DEFAULT_MAX_STATION_KM = 48.28  # 30 miles
@@ -209,13 +210,13 @@ def fmt(value) -> str:
     return repr(float(value))
 
 
-def write_csv(path, columns, rows) -> None:
-    """Write the header ``columns`` (names, or a column table) and then
-    ``rows``, replacing ``path`` only once every row is written."""
-    with atomic_open(path) as handle:
-        writer = csv.writer(handle)
-        writer.writerow(columns)
-        writer.writerows(rows)
+def csv_text(columns, rows):
+    """Yield the lines of a CSV file, each as it is needed: the header
+    ``columns`` (names, or a column table), then one line per row."""
+    # The writer's target returns each line it is given, and so does writerow.
+    writerow = csv.writer(SimpleNamespace(write=lambda line: line)).writerow
+    yield writerow(columns)
+    yield from map(writerow, rows)
 
 
 def parse_observations(path) -> list[LarvaeObservation]:

@@ -2,7 +2,9 @@
 
 Every stage is deterministic for a fixed seed: rerunning a stage on the
 same inputs produces byte-identical output files. Intermediate artifacts
-are plain CSV and JSON documents in the configured output directory.
+are plain CSV and JSON documents in the configured output directory. Each
+stage computes all of its artifacts and then writes them with one
+``serialize.commit``, so a stage that fails writes none of them.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 from . import ingest, lstm, serialize
 from .errors import ConfigError, DataError, ParseError
 from .forecast import ForecastConfig, forecast_series, require_window
-from .ingest import FEATURE_NAMES, NUMBER, TEXT, YEAR, FeatureRow, feature_values, fmt, write_csv
+from .ingest import FEATURE_NAMES, NUMBER, TEXT, YEAR, FeatureRow, csv_text, feature_values, fmt
 from .lstm import lstm_forward, make_windows, train_lstm
 from .nn import ABUNDANCE_LAYER_DIMS, forward, train_abundance
 from .optim import TrainConfig
@@ -147,14 +149,6 @@ def cmd_prepare(cfg: PipelineConfig) -> dict:
             f"proximity={proximity_dropped})"
         )
 
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    write_csv(
-        cfg.path(FEATURES_CSV),
-        ingest.FEATURE_COLUMNS,
-        ([row.location_id, row.date.isoformat(), row.month,
-          *map(fmt, feature_values(row)), int(row.larvae_count)]
-         for row in rows),
-    )
     report = {
         "input_rows": len(observations),
         "container": containers_dropped,
@@ -162,7 +156,15 @@ def cmd_prepare(cfg: PipelineConfig) -> dict:
         "proximity": proximity_dropped,
         "retained": len(rows),
     }
-    serialize.save_document(cfg.path(INGEST_REPORT_JSON), report)
+    serialize.commit({
+        cfg.path(FEATURES_CSV): csv_text(
+            ingest.FEATURE_COLUMNS,
+            ([row.location_id, row.date.isoformat(), row.month,
+              *map(fmt, feature_values(row)), int(row.larvae_count)]
+             for row in rows),
+        ),
+        cfg.path(INGEST_REPORT_JSON): serialize.dumps(report),
+    })
     return report
 
 
@@ -243,13 +245,13 @@ def cmd_train_abundance(cfg: PipelineConfig) -> dict:
             "max_negative": residuals.max_negative,
         },
     }
-    with serialize.atomic_open(cfg.path(ABUNDANCE_MODEL_JSON)) as handle:
-        handle.write(serialize.serialize_network(net) + "\n")
-    serialize.save_document(
-        cfg.path(ABUNDANCE_SCALERS_JSON),
-        serialize.scalers_to_document(scaler, FEATURE_NAMES, log_transform.offset),
-    )
-    serialize.save_document(cfg.path(ABUNDANCE_REPORT_JSON), report)
+    serialize.commit({
+        cfg.path(ABUNDANCE_MODEL_JSON): serialize.serialize_network(net),
+        cfg.path(ABUNDANCE_SCALERS_JSON): serialize.dumps(
+            serialize.scalers_to_document(scaler, FEATURE_NAMES, log_transform.offset)
+        ),
+        cfg.path(ABUNDANCE_REPORT_JSON): serialize.dumps(report),
+    })
     return report
 
 
@@ -334,8 +336,10 @@ def cmd_train_climate(cfg: PipelineConfig) -> dict:
     """Train one LSTM per forecast variable plus the derived-series models.
 
     The LSTMs train side by side: the first variable's in this process,
-    every further one in a forked child (POSIX ``fork``). The documents are
-    written once every model has trained.
+    every further one in a forked child (POSIX ``fork``). The offsets and
+    the days line come first, so a series that cannot give them fails
+    before any training; every document is written once every model has
+    trained.
     """
     if cfg.series is None:
         raise ConfigError("train-climate needs --series")
@@ -363,11 +367,6 @@ def cmd_train_climate(cfg: PipelineConfig) -> dict:
         )
         summary["windows"][variable] = len(windows)
 
-    for variable, (model, epochs) in zip(jobs, _run_side_by_side(jobs)):
-        with serialize.atomic_open(cfg.path(lstm_document_name(variable))) as handle:
-            handle.write(serialize.serialize_lstm(model) + "\n")
-        summary["epochs"][variable] = epochs
-
     # Per-region temperature offsets from the historical series.
     tmean = _series_by_region(series_list, "summer_tmean")
     tmin = _series_by_region(series_list, "summer_tmin")
@@ -384,18 +383,24 @@ def cmd_train_climate(cfg: PipelineConfig) -> dict:
         )
     if not offsets:
         raise DataError("no region has all three temperature series")
-    serialize.save_document(cfg.path(OFFSETS_JSON), serialize.offsets_to_document(offsets))
 
     # Global linear model: days of precipitation from precipitation amount.
     days_model = fit_linear(
         [r.precip_mm for r in feature_rows], [r.precip_days for r in feature_rows]
     )
-    serialize.save_document(
-        cfg.path(DAYS_MODEL_JSON), serialize.linear_to_document(days_model)
-    )
     summary["offsets_regions"] = len(offsets)
     summary["days_model"] = {"slope": days_model.slope, "intercept": days_model.intercept}
-    serialize.save_document(cfg.path(CLIMATE_REPORT_JSON), summary)
+
+    artifacts = {}
+    for variable, (model, epochs) in zip(jobs, _run_side_by_side(jobs)):
+        artifacts[cfg.path(lstm_document_name(variable))] = serialize.serialize_lstm(model)
+        summary["epochs"][variable] = epochs
+    serialize.commit({
+        **artifacts,
+        cfg.path(OFFSETS_JSON): serialize.dumps(serialize.offsets_to_document(offsets)),
+        cfg.path(DAYS_MODEL_JSON): serialize.dumps(serialize.linear_to_document(days_model)),
+        cfg.path(CLIMATE_REPORT_JSON): serialize.dumps(summary),
+    })
     return summary
 
 
@@ -484,12 +489,11 @@ def cmd_forecast(cfg: PipelineConfig) -> dict:
         raise DataError("no region could be forecast")
 
     results.sort(key=lambda r: (r.region_id, r.variable))
-    write_csv(
-        cfg.path(FORECAST_CSV),
+    serialize.commit({cfg.path(FORECAST_CSV): csv_text(
         FORECAST_COLUMNS,
         ([result.region_id, result.variable, year, fmt(value)]
          for result in results for year, value in zip(result.years(), result.values)),
-    )
+    )})
     return {
         "regions": len({r.region_id for r in results}),
         "rows": sum(r.values.size for r in results),
@@ -546,13 +550,12 @@ def cmd_project(cfg: PipelineConfig) -> dict:
     log_abundance = predict_log_abundance(net, scaler, features)
     abundance = log_transform.inverse(log_abundance)
 
-    write_csv(
-        cfg.path(PROJECTIONS_CSV),
+    serialize.commit({cfg.path(PROJECTIONS_CSV): csv_text(
         PROJECTION_COLUMNS,
         ([region_id, year, *map(fmt, (log_value, value, *row))]
          for (region_id, year), log_value, value, row
          in zip(keys, log_abundance, abundance, features)),
-    )
+    )})
     return {"rows": len(keys), "years": years}
 
 
@@ -585,8 +588,12 @@ def cmd_report(cfg: PipelineConfig) -> dict:
         raise ConfigError("report needs --start-year and --end-year")
     projections = _read_projections(cfg.artifact(PROJECTIONS_CSV))
     geometry = None if cfg.geometry is None else read_geometry(cfg.geometry)
-    if cfg.geometry_out is not None and not cfg.geometry_out.parent.is_dir():
-        raise ConfigError(f"--geometry-out directory not found: {cfg.geometry_out.parent}")
+    if cfg.geometry_out is not None:
+        if not cfg.geometry_out.parent.is_dir():
+            raise ConfigError(f"--geometry-out directory not found: {cfg.geometry_out.parent}")
+        if cfg.geometry_out.resolve() in {cfg.path(PERCENT_CHANGE_CSV).resolve(),
+                                          cfg.path(CHOROPLETH_CSV).resolve()}:
+            raise ConfigError(f"--geometry-out names a file report writes: {cfg.geometry_out}")
     regions = sorted(projections)
     table = []
     for region in regions:
@@ -601,20 +608,8 @@ def cmd_report(cfg: PipelineConfig) -> dict:
         change = 100.0 * (v1 - v0) / v0 if v0 != 0 else None
         table.append((region, v0, v1, change))
 
-    write_csv(
-        cfg.path(PERCENT_CHANGE_CSV),
-        ["region_id", f"abundance_{start_year}", f"abundance_{end_year}", "percent_change"],
-        ([region, fmt(v0), fmt(v1), "undefined" if change is None else fmt(change)]
-         for region, v0, v1, change in table),
-    )
-    write_csv(
-        cfg.path(CHOROPLETH_CSV),
-        ["region_id", "log10_abundance", "abundance"],
-        ([region, *map(fmt, projections[region][end_year].values())]
-         for region in regions),
-    )
-
     summary = {"regions": len(regions), "start_year": start_year, "end_year": end_year}
+    artifacts = {}
     if geometry is not None:
         merged, unmatched = merge_geometry(
             geometry,
@@ -627,7 +622,22 @@ def cmd_report(cfg: PipelineConfig) -> dict:
         if unmatched:
             _warn(f"regions missing from geometry: {', '.join(unmatched)}")
             summary["unmatched_regions"] = unmatched
-        serialize.save_document(cfg.geometry_out or cfg.path("choropleth.geojson"), merged)
+        # The user-named file first: if its rename fails (--geometry-out names
+        # a directory), it fails before either table below is replaced.
+        artifacts[cfg.geometry_out or cfg.path("choropleth.geojson")] = serialize.dumps(merged)
+    serialize.commit({
+        **artifacts,
+        cfg.path(PERCENT_CHANGE_CSV): csv_text(
+            ["region_id", f"abundance_{start_year}", f"abundance_{end_year}", "percent_change"],
+            ([region, fmt(v0), fmt(v1), "undefined" if change is None else fmt(change)]
+             for region, v0, v1, change in table),
+        ),
+        cfg.path(CHOROPLETH_CSV): csv_text(
+            ["region_id", "log10_abundance", "abundance"],
+            ([region, *map(fmt, projections[region][end_year].values())]
+             for region in regions),
+        ),
+    })
     return summary
 
 

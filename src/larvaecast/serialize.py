@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -97,7 +96,8 @@ def _checked(kind: str, check, *args) -> None:
 
 
 def dumps(doc: dict) -> str:
-    return json.dumps(doc, indent=1)
+    """The text of a JSON artifact: one-space indent and a trailing newline."""
+    return json.dumps(doc, indent=1) + "\n"
 
 
 def read_file(path, parse):
@@ -141,24 +141,25 @@ def loads(text: str, expected_kind: str) -> dict:
     return doc
 
 
-@contextmanager
-def atomic_open(path):
-    """Text handle on a temp file in ``path``'s directory that replaces
-    ``path`` only once the block completes, so no reader sees a partial
-    artifact."""
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+def commit(artifacts: dict) -> None:
+    """Write one stage's ``{path: text}`` artifacts: each to a temp file
+    beside its path, then, once every temp file is complete, each renamed
+    over its path in order, so a failed write replaces nothing. ``text``
+    is a str or an iterable of lines (``ingest.csv_text``), written as it
+    is produced."""
+    temps = {}
     try:
-        with tmp.open("w", newline="", encoding="utf-8") as handle:
-            yield handle
-        os.replace(tmp, path)
+        for path, text in artifacts.items():
+            path = Path(path)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            tmp = temps[path] = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+            with tmp.open("w", newline="", encoding="utf-8") as handle:
+                handle.writelines([text] if isinstance(text, str) else text)
+        for path, tmp in temps.items():
+            os.replace(tmp, path)
     finally:
-        tmp.unlink(missing_ok=True)
-
-
-def save_document(path, doc: dict) -> None:
-    with atomic_open(path) as handle:
-        handle.write(dumps(doc) + "\n")
+        for tmp in temps.values():
+            tmp.unlink(missing_ok=True)
 
 
 def load_document(path, expected_kind: str) -> dict:

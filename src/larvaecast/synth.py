@@ -24,10 +24,11 @@ from .ingest import (
     OBSERVATION_COLUMNS,
     SERIES_COLUMNS,
     STATION_COLUMNS,
+    csv_text,
     fmt,
-    write_csv,
 )
 from .pipeline import REGION_COLUMNS
+from .serialize import commit
 
 DEFAULT_SEED = 20220901
 
@@ -96,8 +97,6 @@ def _station_month_record(rng, region, station_elevation, year, month):
 
 def generate_dataset(out_dir, seed: int = DEFAULT_SEED) -> dict[str, Path]:
     """Write observations, stations, series, and region files into out_dir."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
 
     stations = []  # (station_id, lat, lon, elevation, region)
@@ -115,16 +114,6 @@ def generate_dataset(out_dir, seed: int = DEFAULT_SEED) -> dict[str, Path]:
                     station_months[key] = _station_month_record(
                         rng, region, elevation, year, month
                     )
-
-    stations_path = out_dir / "stations.csv"
-    coords = {station[0]: station[1:3] for station in stations}
-    write_csv(
-        stations_path,
-        STATION_COLUMNS,
-        ([station_id, *map(fmt, coords[station_id]), month,
-          *(fmt(rec[name]) for name in FEATURE_NAMES)]
-         for (station_id, month), rec in station_months.items()),
-    )
 
     # Observations: each location sits close to its home station so the
     # proximity join is unambiguous; counts follow the planted signal.
@@ -188,13 +177,6 @@ def generate_dataset(out_dir, seed: int = DEFAULT_SEED) -> dict[str, Path]:
             ]
         )
 
-    observations_path = out_dir / "observations.csv"
-    write_csv(
-        observations_path,
-        OBSERVATION_COLUMNS,
-        ([location_id, fmt(lat), fmt(lon), date, source, int(count)]
-         for location_id, lat, lon, date, source, count in observations),
-    )
 
     # Annual summer series, 1979..2021, four variables per region.
     series_rows = []
@@ -226,22 +208,27 @@ def generate_dataset(out_dir, seed: int = DEFAULT_SEED) -> dict[str, Path]:
                 [region.region_id, variable, int(year), fmt(value)]
                 for year, value in zip(years, values)
             )
-    series_path = out_dir / "series.csv"
-    write_csv(series_path, SERIES_COLUMNS, series_rows)
-
-    regions_path = out_dir / "regions.csv"
-    write_csv(
-        regions_path,
-        REGION_COLUMNS,
-        ([region.region_id, fmt(region.elevation_m)] for region in REGIONS),
-    )
-
-    return {
-        "observations": observations_path,
-        "stations": stations_path,
-        "series": series_path,
-        "regions": regions_path,
-    }
+    paths = {name: Path(out_dir) / f"{name}.csv"
+             for name in ("observations", "stations", "series", "regions")}
+    coords = {station[0]: station[1:3] for station in stations}
+    commit({
+        paths["stations"]: csv_text(
+            STATION_COLUMNS,
+            ([station_id, *map(fmt, coords[station_id]), month,
+              *(fmt(rec[name]) for name in FEATURE_NAMES)]
+             for (station_id, month), rec in station_months.items()),
+        ),
+        paths["observations"]: csv_text(
+            OBSERVATION_COLUMNS,
+            ([location_id, fmt(lat), fmt(lon), date, source, int(count)]
+             for location_id, lat, lon, date, source, count in observations),
+        ),
+        paths["series"]: csv_text(SERIES_COLUMNS, series_rows),
+        paths["regions"]: csv_text(
+            REGION_COLUMNS, ([region.region_id, fmt(region.elevation_m)] for region in REGIONS)
+        ),
+    })
+    return paths
 
 
 def write_prepare_fixture(out_dir) -> dict[str, Path]:
@@ -250,8 +237,6 @@ def write_prepare_fixture(out_dir) -> dict[str, Path]:
     2 container rows, one same-date duplicate pair, and 1 remote
     location: 12 input rows reduce to exactly 8 feature rows.
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     rows = [
         ["site-a", 40.00, -100.00, "2020-06-01", "still", 10],
         ["site-a", 40.00, -100.00, "2020-06-02", "container", 50],
@@ -266,16 +251,16 @@ def write_prepare_fixture(out_dir) -> dict[str, Path]:
         ["site-h", 40.06, -100.01, "2020-08-01", "still", 9],
         ["remote-a", 42.50, -104.00, "2020-06-15", "still", 5],
     ]
-    observations_path = out_dir / "observations.csv"
-    write_csv(observations_path, OBSERVATION_COLUMNS, rows)
-    stations_path = out_dir / "stations.csv"
-    write_csv(
-        stations_path,
-        STATION_COLUMNS,
-        (["airfield-1", 40.0, -100.0, month, 21.5, 27.0, 15.5, 9.0, 62.0, 650.0]
-         for month in ("2020-06", "2020-07", "2020-08")),
-    )
-    return {"observations": observations_path, "stations": stations_path}
+    paths = {name: Path(out_dir) / f"{name}.csv" for name in ("observations", "stations")}
+    commit({
+        paths["observations"]: csv_text(OBSERVATION_COLUMNS, rows),
+        paths["stations"]: csv_text(
+            STATION_COLUMNS,
+            (["airfield-1", 40.0, -100.0, month, 21.5, 27.0, 15.5, 9.0, 62.0, 650.0]
+             for month in ("2020-06", "2020-07", "2020-08")),
+        ),
+    })
+    return paths
 
 
 def main(argv=None) -> int:

@@ -9,6 +9,7 @@ from larvaecast.ingest import (
     JOIN_BLOCK,
     LarvaeObservation,
     StationRecord,
+    csv_text,
     filter_container_sources,
     haversine_km,
     join_nearest_station,
@@ -148,6 +149,23 @@ class TestParsing:
         path.write_text("region_id,variable,year,value\n")
         with pytest.raises(DataError, match="no series found"):
             parse_series(path)
+
+
+class TestCsvText:
+    def test_lines_are_made_one_row_at_a_time(self):
+        read = []
+
+        def rows():
+            for i in range(3):
+                read.append(i)
+                yield [f"r{i}", repr(i / 4), 'a "b",c']
+
+        lines = csv_text(["id", "value", "note"], rows())
+        assert next(lines) == "id,value,note\r\n"
+        assert read == []
+        assert next(lines) == 'r0,0.0,"a ""b"",c"\r\n'
+        assert read == [0]
+        assert len(list(lines)) == 2
 
 
 class TestContainerFilter:

@@ -456,6 +456,13 @@ def assert_data_error(code, capsys, error, text):
     return doc
 
 
+def file_bytes(directory) -> dict[str, bytes]:
+    """The bytes of every file under ``directory``, temp files included, by
+    relative path."""
+    return {str(p.relative_to(directory)): p.read_bytes()
+            for p in sorted(Path(directory).rglob("*")) if p.is_file()}
+
+
 def assert_parse_error(code, capsys, column):
     assert_data_error(code, capsys, "ParseError", column)
 
@@ -712,7 +719,7 @@ class TestTrainClimateSideBySide:
                 horizon=cfg.horizon, hidden_size=cfg.lstm_hidden_size,
             )
             document = (out / lstm_document_name(variable)).read_text(encoding="utf-8")
-            same = document == serialize_lstm(model) + "\n"  # no diff of 4,682 numbers
+            same = document == serialize_lstm(model)  # no diff of 4,682 numbers
             assert same, f"{variable} differs from its serial training"
             assert summary["epochs"][variable] == epochs == 3
 
@@ -758,6 +765,36 @@ class TestTrainClimateSideBySide:
         assert_data_error(code, capsys, "ChildProcessError", "'summer_precip'")
         assert not list(out.glob("lstm_*.json"))
 
+    def test_missing_offsets_series_fails_before_training(
+        self, tmp_path, pipeline_run, capsys, monkeypatch
+    ):
+        """A series.csv without summer_tmin cannot give the offsets: the stage
+        fails before it trains, and the earlier run's artifacts stay as they were."""
+        out = tmp_path / "out"
+        shutil.copytree(pipeline_run.out_dir, out)
+        before = file_bytes(tmp_path)
+        series = tmp_path / "series.csv"
+        series.write_text("".join(
+            line for line in pipeline_run.data["series"].read_text().splitlines(keepends=True)
+            if ",summer_tmin," not in line
+        ))
+        calls = []
+        real = pipeline.train_lstm
+
+        def counted(*args, **kwargs):
+            calls.append(args[1].seed)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "train_lstm", counted)
+        code = cli.main(["train-climate", "--out-dir", str(out), "--seed", str(CLIMATE_SEED),
+                         "--series", str(series), "--max-epochs", "3"])
+        assert code == 3
+        error = capsys.readouterr().err.splitlines()[-1]
+        assert json.loads(error) == {"error": "DataError",
+                                     "message": "no region has all three temperature series"}
+        assert calls == []
+        assert file_bytes(tmp_path) == {**before, "series.csv": series.read_bytes()}
+
 
 # A region's feature with one coordinate left to fill in.
 GEOMETRY_POINT = ('{"features": [{"properties": {"region_id": "a"}, '
@@ -789,7 +826,7 @@ class TestReportGeometry:
     )
     def test_bad_geometry_is_data_error(self, tmp_path, capsys, content, error, text):
         assert_data_error(self.report(tmp_path, content), capsys, error, text)
-        assert not (tmp_path / "out" / "choropleth.geojson").exists()
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [PROJECTIONS_CSV]
 
     def test_geometry_out_directory_missing(self, tmp_path, capsys):
         missing = tmp_path / "missing" / "x.geojson"
@@ -803,6 +840,18 @@ class TestReportGeometry:
         content = '{"features": [{"properties": {"region_id": "a"}}]}'
         code = self.report(tmp_path, content, "--geometry-out", str(occupied))
         assert_data_error(code, capsys, "IsADirectoryError", str(occupied))
+        # Only the inputs: neither table, and no temp file beside --geometry-out.
+        assert list(file_bytes(tmp_path)) == [f"out/{PROJECTIONS_CSV}", "regions.geojson"]
+
+    @pytest.mark.parametrize("spelled", [PERCENT_CHANGE_CSV, f"../out/{CHOROPLETH_CSV}"])
+    def test_geometry_out_names_a_table_report_writes(self, tmp_path, capsys, spelled):
+        out = tmp_path / "out"
+        code = self.report(tmp_path, '{"features": []}', "--geometry-out", str(out / spelled))
+        assert code == 2
+        doc = json.loads(capsys.readouterr().err)
+        assert doc == {"error": "ConfigError",
+                       "message": f"--geometry-out names a file report writes: {out / spelled}"}
+        assert sorted(p.name for p in out.iterdir()) == [PROJECTIONS_CSV]
 
     def test_non_utf8_geometry(self, tmp_path, capsys):
         (tmp_path / "regions.geojson").write_bytes(b'{"features": []}\xff\xfe')

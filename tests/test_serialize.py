@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from larvaecast.errors import ParseError
+from larvaecast.ingest import csv_text
 from larvaecast.lstm import lstm_forward, lstm_init
 from test_lstm import reference_cell
 from larvaecast.nn import ABUNDANCE_LAYER_DIMS, xavier_init
@@ -15,7 +16,8 @@ from larvaecast.serialize import (
     deserialize_network,
     linear_from_document,
     linear_to_document,
-    atomic_open,
+    commit,
+    dumps,
     loads,
     offsets_from_document,
     offsets_to_document,
@@ -245,20 +247,42 @@ class TestWrongTypes:
 
 
 class TestAtomicWrite:
+    """``commit`` renames no artifact into place until every one is written."""
+
     def test_failed_write_keeps_old_file(self, tmp_path):
         path = tmp_path / "artifact.json"
         path.write_text("old\n")
+
+        def interrupted():
+            yield "partial"
+            raise RuntimeError("interrupted")
+
         with pytest.raises(RuntimeError):
-            with atomic_open(path) as handle:
-                handle.write("partial")
-                raise RuntimeError("interrupted")
+            commit({path: interrupted()})
         assert path.read_text() == "old\n"
         assert [p.name for p in tmp_path.iterdir()] == ["artifact.json"]
 
     def test_completed_write_replaces_file(self, tmp_path):
         path = tmp_path / "artifact.csv"
         path.write_text("old\n")
-        with atomic_open(path) as handle:
-            handle.write("a,b\r\n")
-        assert path.read_bytes() == b"a,b\r\n"
+        commit({path: csv_text(["a", "b"], [["x", "1.5"]])})
+        assert path.read_bytes() == b"a,b\r\nx,1.5\r\n"
         assert [p.name for p in tmp_path.iterdir()] == ["artifact.csv"]
+
+    def test_failed_second_artifact_replaces_neither(self, tmp_path):
+        first, second = tmp_path / "first.json", tmp_path / "second.csv"
+        first.write_text("old\n")
+
+        def rows():
+            yield ["x", "1.5"]
+            raise RuntimeError("interrupted")
+
+        with pytest.raises(RuntimeError, match="interrupted"):
+            commit({first: dumps({"new": True}), second: csv_text(["name", "value"], rows())})
+        assert first.read_bytes() == b"old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["first.json"]
+
+    def test_document_text_ends_in_one_newline(self, tmp_path):
+        path = tmp_path / "sub" / "report.json"
+        commit({path: dumps({"a": [1, 2.5]})})
+        assert path.read_bytes() == b'{\n "a": [\n  1,\n  2.5\n ]\n}\n'
