@@ -87,7 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = stage("forecast", "recursive climate forecast per region")
     _option(p, "--series", type=Path, required=True)
-    _option(p, "--rounds", type=int)
     _option(p, "--target-year", type=int)
 
     p = stage("project", "project larvae abundance for target years")

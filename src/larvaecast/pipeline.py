@@ -45,6 +45,19 @@ PERCENT_CHANGE_CSV = "percent_change.csv"
 FORECAST_VARIABLES = ("summer_tmean", "summer_precip")
 DERIVED_DAYS_VARIABLE = "summer_precip_days"
 
+
+def lstm_document_name(variable: str) -> str:
+    return f"lstm_{variable}.json"
+
+
+# Every file the stages write in --out-dir; --geometry-out may name none of them.
+ARTIFACT_NAMES = (
+    FEATURES_CSV, INGEST_REPORT_JSON, ABUNDANCE_MODEL_JSON, ABUNDANCE_SCALERS_JSON,
+    ABUNDANCE_REPORT_JSON, CLIMATE_REPORT_JSON, OFFSETS_JSON, DAYS_MODEL_JSON, FORECAST_CSV,
+    PROJECTIONS_CSV, CHOROPLETH_CSV, PERCENT_CHANGE_CSV,
+    *map(lstm_document_name, FORECAST_VARIABLES),
+)
+
 # Column tables (see ``ingest``) of the keyed files stages read.
 FORECAST_COLUMNS = {"region_id": TEXT, "variable": TEXT, "year": YEAR, "value": NUMBER}
 REGION_COLUMNS = {"region_id": TEXT, "elevation_m": NUMBER}
@@ -55,10 +68,6 @@ PROJECTION_COLUMNS = {
     "abundance": NUMBER,
     **dict.fromkeys(FEATURE_NAMES, NUMBER),
 }
-
-
-def lstm_document_name(variable: str) -> str:
-    return f"lstm_{variable}.json"
 
 
 def _warn(message: str) -> None:
@@ -83,7 +92,6 @@ class PipelineConfig:
     years: list[int] | None = None
     start_year: int | None = None
     end_year: int | None = None
-    rounds: int = 3
     max_km: float = ingest.DEFAULT_MAX_STATION_KM
     lookback: int = lstm.FORECAST_LOOKBACK
     horizon: int = lstm.FORECAST_HORIZON
@@ -262,9 +270,12 @@ def _series_by_region(series_list, variable: str) -> dict[str, ingest.RegionSeri
     return {s.region_id: s for s in series_list if s.variable == variable}
 
 
-def _fork(job) -> tuple[int, int]:
-    """Run ``job()`` in a forked child. Returns the child's pid and the read
-    end of a pipe that carries its pickled result, or the exception it raised."""
+def _side_by_side(first, second, name: str) -> tuple:
+    """``(first(), second())``: ``first`` runs in this process and ``second``
+    in one forked child, which sends back its pickled result, or the
+    exception it raised (re-raised here unchanged), through a pipe. If
+    ``first`` fails, the child is killed and reaped; a child that ends
+    without a result is a ChildProcessError naming ``name``."""
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
@@ -272,73 +283,51 @@ def _fork(job) -> tuple[int, int]:
         os.close(read_fd)
         os.close(write_fd)
         raise
-    if pid:
-        os.close(write_fd)
-        return pid, read_fd
-    status = 1
-    try:  # the child: report through the pipe, never return into the caller
-        os.close(read_fd)
+    if pid == 0:  # the child: report through the pipe, never return into the caller
+        status = 1
         try:
-            result = job()
-        except Exception as exc:  # re-raised by the parent in _join
-            result = exc
-        with os.fdopen(write_fd, "wb") as pipe:
-            pickle.dump(result, pipe)
-        status = 0
-    finally:
-        os._exit(status)
+            os.close(read_fd)
+            try:
+                result = second()
+            except Exception as exc:
+                result = exc
+            with os.fdopen(write_fd, "wb") as pipe:
+                pickle.dump(result, pipe)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    with os.fdopen(read_fd, "rb") as pipe:
+        try:
+            result = first()
+        except BaseException:
+            import signal  # here, so a run that succeeds imports nothing more
 
-
-def _join(pid: int, read_fd: int, name: str):
-    """Reap a ``_fork`` child and return its result. An exception it raised
-    is re-raised here unchanged; a child that ended without a result is a
-    ChildProcessError naming ``name``."""
-    try:
-        with os.fdopen(read_fd, "rb") as pipe:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            raise
+        try:
             data = pipe.read()
-    finally:
-        status = os.waitpid(pid, 0)[1]
+        finally:
+            status = os.waitpid(pid, 0)[1]
     if status != 0:
         raise ChildProcessError(
             f"the child process for {name!r} ended without a result "
             f"(exit code {os.waitstatus_to_exitcode(status)})"
         )
-    result = pickle.loads(data)  # written by this program's own child
-    if isinstance(result, Exception):
-        raise result
-    return result
-
-
-def _run_side_by_side(jobs: dict) -> list:
-    """The results of every ``{name: job}``, in order. The first job runs in
-    this process and each further one in its own forked child; if any
-    fails, the children still running are killed and reaped."""
-    (_, first), *others = jobs.items()
-    children = []
-    try:
-        for name, job in others:
-            children.append((*_fork(job), name))
-        results = [first()]
-        while children:
-            results.append(_join(*children.pop(0)))
-    except BaseException:
-        import signal  # here, so a run that succeeds imports nothing more
-
-        for pid, read_fd, _ in children:
-            os.kill(pid, signal.SIGKILL)
-            os.close(read_fd)
-            os.waitpid(pid, 0)
-        raise
-    return results
+    other = pickle.loads(data)  # written by this program's own child
+    if isinstance(other, Exception):
+        raise other
+    return result, other
 
 
 def cmd_train_climate(cfg: PipelineConfig) -> dict:
     """Train one LSTM per forecast variable plus the derived-series models.
 
-    The LSTMs train side by side: the first variable's in this process,
-    every further one in a forked child (POSIX ``fork``). The offsets and
-    the days line come first, so a series that cannot give them fails
-    before any training; every document is written once every model has
+    The two LSTMs train side by side: ``summer_tmean``'s in this process,
+    ``summer_precip``'s in one forked child (POSIX ``fork``). The offsets
+    and the days line come first, so a series that cannot give them fails
+    before any training; every document is written once both models have
     trained.
     """
     if cfg.series is None:
@@ -348,7 +337,7 @@ def cmd_train_climate(cfg: PipelineConfig) -> dict:
     series_list = ingest.parse_series(cfg.series)
 
     summary: dict = {"windows": {}, "skipped": [], "epochs": {}}
-    jobs = {}
+    jobs = []
     for offset, variable in enumerate(FORECAST_VARIABLES):
         by_region = _series_by_region(series_list, variable)
         windows = []
@@ -362,9 +351,9 @@ def cmd_train_climate(cfg: PipelineConfig) -> dict:
             raise DataError(f"no trainable windows for variable {variable!r}")
         windows = np.concatenate(windows)
         train_cfg = cfg.train_config(seed_offset=offset, max_epochs=cfg.climate_max_epochs)
-        jobs[variable] = lambda windows=windows, train_cfg=train_cfg: train_lstm(
+        jobs.append(lambda windows=windows, train_cfg=train_cfg: train_lstm(
             windows, train_cfg, horizon=cfg.horizon, hidden_size=cfg.lstm_hidden_size
-        )
+        ))
         summary["windows"][variable] = len(windows)
 
     # Per-region temperature offsets from the historical series.
@@ -392,7 +381,8 @@ def cmd_train_climate(cfg: PipelineConfig) -> dict:
     summary["days_model"] = {"slope": days_model.slope, "intercept": days_model.intercept}
 
     artifacts = {}
-    for variable, (model, epochs) in zip(jobs, _run_side_by_side(jobs)):
+    trained = _side_by_side(*jobs, name=FORECAST_VARIABLES[1])
+    for variable, (model, epochs) in zip(FORECAST_VARIABLES, trained):
         artifacts[cfg.path(lstm_document_name(variable))] = serialize.serialize_lstm(model)
         summary["epochs"][variable] = epochs
     serialize.commit({
@@ -411,7 +401,9 @@ def cmd_forecast(cfg: PipelineConfig) -> dict:
     """Roll the trained LSTMs forward and derive min/max/days series.
 
     Every region of a variable rolls in one batch; the window length and
-    block size come from each LSTM document.
+    block size come from each LSTM document. A batch rolls as many blocks
+    as its earliest-ending series needs to reach ``target_year``, so every
+    region covers every year up to it.
     """
     if cfg.series is None:
         raise ConfigError("forecast needs --series")
@@ -437,19 +429,10 @@ def cmd_forecast(cfg: PipelineConfig) -> dict:
             f"target_year {cfg.target_year} is not beyond the observed series "
             f"(last year {last_year})"
         )
-    coverage = last_year + min(m.output_len for m in models.values()) * cfg.rounds
-    if cfg.target_year > coverage:
-        raise ConfigError(
-            f"rounds={cfg.rounds} only reaches {coverage}; increase --rounds "
-            f"to cover {cfg.target_year}"
-        )
 
     results = []
     errors = []
     for variable, model in models.items():
-        forecast_cfg = ForecastConfig(
-            lookback=model.lookback, horizon=model.output_len, rounds=cfg.rounds
-        )
         by_region = _series_by_region(series_list, variable)
         batch = []
         for region_id in sorted(by_region):
@@ -463,10 +446,12 @@ def cmd_forecast(cfg: PipelineConfig) -> dict:
             if variable == "summer_tmean" and region_id not in offsets:
                 _warn(f"region {region_id!r} has no fitted offsets")
                 errors.append(f"{region_id}/offsets")
+        earliest = min((s.years[-1] for s in batch), default=last_year)
+        rounds = math.ceil((cfg.target_year - earliest) / model.output_len)
         forecasts = forecast_series(
             lambda x: lstm_forward(model, x.T, mode="eval")[0].T,
             batch,
-            forecast_cfg,
+            ForecastConfig(model.lookback, model.output_len, rounds),
         )
         results.extend(forecasts)
         if variable == "summer_tmean":
@@ -591,9 +576,10 @@ def cmd_report(cfg: PipelineConfig) -> dict:
     if cfg.geometry_out is not None:
         if not cfg.geometry_out.parent.is_dir():
             raise ConfigError(f"--geometry-out directory not found: {cfg.geometry_out.parent}")
-        if cfg.geometry_out.resolve() in {cfg.path(PERCENT_CHANGE_CSV).resolve(),
-                                          cfg.path(CHOROPLETH_CSV).resolve()}:
-            raise ConfigError(f"--geometry-out names a file report writes: {cfg.geometry_out}")
+        if cfg.geometry_out.resolve() in {cfg.path(name).resolve() for name in ARTIFACT_NAMES}:
+            raise ConfigError(
+                f"--geometry-out names a file the pipeline writes: {cfg.geometry_out}"
+            )
     regions = sorted(projections)
     table = []
     for region in regions:

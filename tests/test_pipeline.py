@@ -4,6 +4,7 @@ import importlib
 import inspect
 import json
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -335,12 +336,23 @@ class TestCli:
         assert excinfo.value.code == 2
 
     def test_forecast_takes_no_window_flags(self, tmp_path):
-        for flag in ("--lookback", "--horizon"):
+        for flag in ("--lookback", "--horizon", "--rounds"):
             with pytest.raises(SystemExit) as excinfo:
                 cli.main(
                     ["forecast", "--out-dir", str(tmp_path), "--series", "s.csv", flag, "12"]
                 )
             assert excinfo.value.code == 2
+
+    def test_readme_walkthrough_parses(self):
+        """Every command of the README walkthrough parses into a config; no stage runs."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## Pipeline walkthrough", 1)[1].split("```bash\n", 1)[1]
+        lines = block.split("```", 1)[0].replace("\\\n", " ").splitlines()
+        commands = [shlex.split(line) for line in lines]
+        assert [argv[:2] for argv in commands] == [["larvaecast", c] for c in cli.STAGES]
+        parser = cli.build_parser()
+        for argv in commands:
+            assert isinstance(cli.config_from_args(parser.parse_args(argv[1:])), PipelineConfig)
 
     def test_train_climate_horizon_beyond_lookback(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -722,6 +734,9 @@ class TestTrainClimateSideBySide:
             same = document == serialize_lstm(model)  # no diff of 4,682 numbers
             assert same, f"{variable} differs from its serial training"
             assert summary["epochs"][variable] == epochs == 3
+        with pytest.raises(ChildProcessError):  # the child is reaped
+            os.waitpid(-1, os.WNOHANG)
+        assert not list(out.glob("*.tmp"))
 
     def test_child_divergence_exits_3_and_writes_no_model(
         self, tmp_path, pipeline_run, capsys, monkeypatch
@@ -796,6 +811,67 @@ class TestTrainClimateSideBySide:
         assert file_bytes(tmp_path) == {**before, "series.csv": series.read_bytes()}
 
 
+class TestForecastYears:
+    """forecast rolls each LSTM as many 10-year blocks as the earliest-ending
+    series of its batch needs to reach --target-year. The series of the
+    pipeline run end in 2021."""
+
+    @staticmethod
+    def forecast(tmp_path, pipeline_run, target_year, series=None):
+        out = tmp_path / "out"
+        if not out.exists():
+            shutil.copytree(pipeline_run.out_dir, out)
+        code = cli.main(["forecast", "--out-dir", str(out), "--target-year", str(target_year),
+                         "--series", str(series or pipeline_run.data["series"])])
+        return code, out
+
+    @staticmethod
+    def years(out) -> dict[tuple[str, str], list[int]]:
+        years: dict = {}
+        for row in read_csv(out / FORECAST_CSV):
+            years.setdefault((row["region_id"], row["variable"]), []).append(int(row["year"]))
+        return years
+
+    def test_target_year_must_pass_the_series(self, tmp_path, pipeline_run, capsys):
+        code, out = self.forecast(tmp_path, pipeline_run, 2021)
+        assert code == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ConfigError",
+            "message": "target_year 2021 is not beyond the observed series (last year 2021)",
+        }
+        assert file_bytes(out) == file_bytes(pipeline_run.out_dir)
+        code, out = self.forecast(tmp_path, pipeline_run, 2022)
+        assert code == 0
+        assert set(map(tuple, self.years(out).values())) == {tuple(range(2022, 2032))}
+
+    @pytest.mark.parametrize("target_year, count", [(2031, 10), (2035, 20), (2060, 40)])
+    def test_rounds_follow_target_year(self, tmp_path, pipeline_run, capsys, target_year, count):
+        code, out = self.forecast(tmp_path, pipeline_run, target_year)
+        assert code == 0, capsys.readouterr().err
+        years = self.years(out)
+        assert len(years) == 5 * pipeline_run.forecast_report["regions"]
+        assert set(map(tuple, years.values())) == {tuple(range(2022, 2022 + count))}
+
+    def test_early_ending_series_reaches_target_year(self, tmp_path, pipeline_run, capsys):
+        """A summer_tmean series that stops in 2015 rolls its whole batch one
+        block further, so project finds every region's value for 2050."""
+        series = tmp_path / "series.csv"
+        series.write_text("".join(
+            line for line in pipeline_run.data["series"].read_text().splitlines(keepends=True)
+            if not (line.startswith("dry-basin,summer_tmean,") and int(line.split(",")[2]) > 2015)
+        ))
+        code, out = self.forecast(tmp_path, pipeline_run, 2050, series)
+        assert code == 0, capsys.readouterr().err
+        years = self.years(out)
+        assert years[("dry-basin", "summer_tmean")] == list(range(2016, 2056))
+        assert years[("dry-basin", "summer_tmax")] == list(range(2016, 2056))
+        assert years[("cascade-ridge", "summer_tmean")] == list(range(2022, 2062))
+        assert years[("dry-basin", "summer_precip")] == list(range(2022, 2052))
+        code = cli.main(["project", "--out-dir", str(out), "--year", "2050",
+                         "--regions", str(pipeline_run.data["regions"])])
+        assert code == 0, capsys.readouterr().err
+
+
 # A region's feature with one coordinate left to fill in.
 GEOMETRY_POINT = ('{"features": [{"properties": {"region_id": "a"}, '
                   '"geometry": {"type": "Point", "coordinates": [%s, 2.0]}}]}')
@@ -848,10 +924,26 @@ class TestReportGeometry:
         out = tmp_path / "out"
         code = self.report(tmp_path, '{"features": []}', "--geometry-out", str(out / spelled))
         assert code == 2
-        doc = json.loads(capsys.readouterr().err)
-        assert doc == {"error": "ConfigError",
-                       "message": f"--geometry-out names a file report writes: {out / spelled}"}
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ConfigError",
+            "message": f"--geometry-out names a file the pipeline writes: {out / spelled}",
+        }
         assert sorted(p.name for p in out.iterdir()) == [PROJECTIONS_CSV]
+
+    @pytest.mark.parametrize("name", [PROJECTIONS_CSV, lstm_document_name("summer_tmean")])
+    def test_geometry_out_names_another_artifact(self, tmp_path, capsys, pipeline_run, name):
+        out = tmp_path / "out"
+        shutil.copytree(pipeline_run.out_dir, out)
+        geometry = tmp_path / "regions.geojson"
+        geometry.write_text('{"features": []}')
+        before = file_bytes(tmp_path)
+        code = report(out, "--geometry", str(geometry), "--geometry-out", str(out / name))
+        assert code == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ConfigError",
+            "message": f"--geometry-out names a file the pipeline writes: {out / name}",
+        }
+        assert file_bytes(tmp_path) == before
 
     def test_non_utf8_geometry(self, tmp_path, capsys):
         (tmp_path / "regions.geojson").write_bytes(b'{"features": []}\xff\xfe')
