@@ -872,6 +872,41 @@ class TestForecastYears:
         assert code == 0, capsys.readouterr().err
 
 
+def test_short_series_is_skipped_by_both_climate_stages(tmp_path, pipeline_run, capsys):
+    """A series shorter than a window is left out of training and of the
+    forecast, with one warning each, and named in each stage's summary."""
+    series = tmp_path / "series.csv"
+    series.write_text("".join(
+        line for line in pipeline_run.data["series"].read_text().splitlines(keepends=True)
+        if not (line.startswith("gulf-plain,summer_precip,") and int(line.split(",")[2]) < 2007)
+    ))
+    out = tmp_path / "out"
+    out.mkdir()
+    shutil.copy(pipeline_run.out_dir / FEATURES_CSV, out)
+    code = cli.main(["train-climate", "--out-dir", str(out), "--seed", str(CLIMATE_SEED),
+                     "--series", str(series), "--max-epochs", "3"])
+    assert code == 0
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        "warning: series 'gulf-plain'/'summer_precip' has 15 values; needs at least 30"
+    ]
+    assert json.loads((out / CLIMATE_REPORT_JSON).read_text())["skipped"] == [
+        "gulf-plain/summer_precip"
+    ]
+
+    code = cli.main(["forecast", "--out-dir", str(out), "--series", str(series),
+                     "--target-year", "2050"])
+    assert code == 0
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "warning: series 'gulf-plain'/'summer_precip' has 15 values; needs at least 20"
+    ]
+    assert json.loads(captured.out)["errors"] == ["gulf-plain/summer_precip"]
+    variables = {row["variable"] for row in read_csv(out / FORECAST_CSV)
+                 if row["region_id"] == "gulf-plain"}
+    assert variables == {"summer_tmean", "summer_tmin", "summer_tmax"}
+
+
 # A region's feature with one coordinate left to fill in.
 GEOMETRY_POINT = ('{"features": [{"properties": {"region_id": "a"}, '
                   '"geometry": {"type": "Point", "coordinates": [%s, 2.0]}}]}')
