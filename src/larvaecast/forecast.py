@@ -10,6 +10,8 @@ inspected.
 
 Every round standardizes through ``preprocess.standardize_rows``, as
 LSTM training does, so a window of near-zero sigma is a pure mean shift.
+``forecast_series`` returns each forecast as an ``ingest.RegionSeries``
+whose years continue those of the series it rolled.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError, ShapeError
+from .ingest import RegionSeries
 from .preprocess import standardize_rows
 
 
@@ -33,17 +36,6 @@ class ForecastConfig:
             raise ConfigError("lookback, horizon, and rounds must be positive")
         if self.horizon > self.lookback:
             raise ConfigError("horizon must not exceed lookback")
-
-
-@dataclass
-class ForecastResult:
-    region_id: str
-    variable: str
-    start_year: int
-    values: np.ndarray  # length horizon * rounds
-
-    def years(self) -> list[int]:
-        return list(range(self.start_year, self.start_year + self.values.size))
 
 
 def forecast(predict, windows, cfg: ForecastConfig) -> np.ndarray:
@@ -86,12 +78,12 @@ def require_window(series, width: int) -> None:
         )
 
 
-def forecast_series(predict, series, cfg: ForecastConfig) -> list[ForecastResult]:
+def forecast_series(predict, series, cfg: ForecastConfig) -> list[RegionSeries]:
     """Forecast every series of one variable from its trailing lookback window.
 
-    ``series`` holds objects with ``region_id``, ``variable``, ``years``
-    and ``values`` (such as ``ingest.RegionSeries``); all of them roll
-    together through ``predict``. Returns one result per series, in order.
+    ``series`` holds ``RegionSeries`` of one variable; all of them roll
+    together through ``predict``. Returns one ``RegionSeries`` per series,
+    in order, whose years continue the input's.
     """
     for s in series:
         require_window(s, cfg.lookback)
@@ -100,11 +92,7 @@ def forecast_series(predict, series, cfg: ForecastConfig) -> list[ForecastResult
     windows = np.array([np.asarray(s.values, dtype=float)[-cfg.lookback :] for s in series])
     projected = forecast(predict, windows, cfg)
     return [
-        ForecastResult(
-            region_id=s.region_id,
-            variable=s.variable,
-            start_year=int(s.years[-1]) + 1,
-            values=values,
-        )
+        RegionSeries(s.region_id, s.variable,
+                     list(range(s.years[-1] + 1, s.years[-1] + 1 + values.size)), values)
         for s, values in zip(series, projected)
     ]

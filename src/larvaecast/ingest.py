@@ -13,7 +13,10 @@ a table's header and rows as lines, one at a time, for
 ``serialize.commit`` to write. The row types ``LarvaeObservation``,
 ``StationRecord`` and ``FeatureRow`` are named tuples built from the
 keys of their tables, and ``feature_values`` reads the six features off
-a station record or a feature row.
+a station record or a feature row. ``RegionSeries`` is the one
+annual-series type, observed or forecast; ``parse_series`` returns
+``series.csv`` as ``{variable: {region_id: RegionSeries}}``, each
+variable's regions sorted, the table the climate stages read.
 
 Cleaning is lossless-or-loud: every dropped observation is attributable
 to exactly one rule (container filter, duplicate merge, station
@@ -121,6 +124,9 @@ feature_values = attrgetter(*FEATURE_NAMES)
 
 @dataclass
 class RegionSeries:
+    """One region's annual values of one variable, observed or forecast;
+    ``years`` are consecutive, one per value."""
+
     region_id: str
     variable: str
     years: list[int]
@@ -236,13 +242,16 @@ def parse_stations(path) -> list[StationRecord]:
     return out
 
 
-def parse_series(path) -> list[RegionSeries]:
+def parse_series(path) -> dict[str, dict[str, RegionSeries]]:
+    """The annual series of ``path`` as ``{variable: {region_id: series}}``,
+    each variable's regions in sorted order; a series' years must be
+    consecutive."""
     grouped: dict[tuple[str, str], list[tuple[int, float]]] = {}
     for _, (region_id, variable, year, value) in read_rows(path, SERIES_COLUMNS):
         grouped.setdefault((region_id, variable), []).append((year, value))
     if not grouped:
         raise DataError(f"{path}: no series found")
-    out = []
+    table: dict[str, dict[str, RegionSeries]] = {}
     for (region_id, variable), points in grouped.items():
         points.sort()
         years = [y for y, _ in points]
@@ -252,15 +261,13 @@ def parse_series(path) -> list[RegionSeries]:
                     f"{path}: series {region_id}/{variable} has non-consecutive "
                     f"years {a} -> {b}"
                 )
-        out.append(
-            RegionSeries(
-                region_id=region_id,
-                variable=variable,
-                years=years,
-                values=np.array([v for _, v in points]),
-            )
+        table.setdefault(variable, {})[region_id] = RegionSeries(
+            region_id=region_id,
+            variable=variable,
+            years=years,
+            values=np.array([v for _, v in points]),
         )
-    return out
+    return {variable: dict(sorted(regions.items())) for variable, regions in table.items()}
 
 
 def filter_container_sources(

@@ -266,8 +266,20 @@ def cmd_train_abundance(cfg: PipelineConfig) -> dict:
 # -- climate training ----------------------------------------------------
 
 
-def _series_by_region(series_list, variable: str) -> dict[str, ingest.RegionSeries]:
-    return {s.region_id: s for s in series_list if s.variable == variable}
+def _windowed(series: dict[str, ingest.RegionSeries], width: int,
+              skipped: list[str]) -> list[ingest.RegionSeries]:
+    """The series of one variable that hold ``width`` values, in region
+    order; each other one is warned about and named in ``skipped``."""
+    kept = []
+    for s in series.values():
+        try:
+            require_window(s, width)
+        except DataError as exc:
+            _warn(str(exc))
+            skipped.append(f"{s.region_id}/{s.variable}")
+        else:
+            kept.append(s)
+    return kept
 
 
 def _side_by_side(first, second, name: str) -> tuple:
@@ -325,50 +337,50 @@ def cmd_train_climate(cfg: PipelineConfig) -> dict:
     """Train one LSTM per forecast variable plus the derived-series models.
 
     The two LSTMs train side by side: ``summer_tmean``'s in this process,
-    ``summer_precip``'s in one forked child (POSIX ``fork``). The offsets
-    and the days line come first, so a series that cannot give them fails
-    before any training; every document is written once both models have
-    trained.
+    ``summer_precip``'s in one forked child (POSIX ``fork``). A region's
+    temperature offsets are fitted on the years its mean, min and max
+    series share. The offsets and the days line come first, so a series
+    that cannot give them fails before any training; every document is
+    written once both models have trained.
     """
     if cfg.series is None:
         raise ConfigError("train-climate needs --series")
     ForecastConfig(cfg.lookback, cfg.horizon, rounds=1)  # the window rule, before any read
     feature_rows = read_features(cfg.artifact(FEATURES_CSV))
-    series_list = ingest.parse_series(cfg.series)
+    series = ingest.parse_series(cfg.series)
 
     summary: dict = {"windows": {}, "skipped": [], "epochs": {}}
     jobs = []
+    width = cfg.lookback + cfg.horizon
     for offset, variable in enumerate(FORECAST_VARIABLES):
-        by_region = _series_by_region(series_list, variable)
-        windows = []
-        for region_id in sorted(by_region):
-            try:
-                windows.append(make_windows(by_region[region_id], cfg.lookback + cfg.horizon))
-            except DataError as exc:
-                _warn(str(exc))
-                summary["skipped"].append(f"{region_id}/{variable}")
-        if not windows:
+        usable = _windowed(series.get(variable, {}), width, summary["skipped"])
+        if not usable:
             raise DataError(f"no trainable windows for variable {variable!r}")
-        windows = np.concatenate(windows)
+        windows = np.concatenate([make_windows(s, width) for s in usable])
         train_cfg = cfg.train_config(seed_offset=offset, max_epochs=cfg.climate_max_epochs)
         jobs.append(lambda windows=windows, train_cfg=train_cfg: train_lstm(
             windows, train_cfg, horizon=cfg.horizon, hidden_size=cfg.lstm_hidden_size
         ))
         summary["windows"][variable] = len(windows)
 
-    # Per-region temperature offsets from the historical series.
-    tmean = _series_by_region(series_list, "summer_tmean")
-    tmin = _series_by_region(series_list, "summer_tmin")
-    tmax = _series_by_region(series_list, "summer_tmax")
+    # Per-region temperature offsets from the historical series, year by year.
+    tmin, tmax = series.get("summer_tmin", {}), series.get("summer_tmax", {})
     offsets: dict[str, OffsetK] = {}
-    for region_id in sorted(tmean):
+    for region_id, tmean in series.get("summer_tmean", {}).items():
         if region_id not in tmin or region_id not in tmax:
             _warn(f"region {region_id!r} lacks min/max series; offsets skipped")
             continue
-        mean_values = tmean[region_id].values
+        trio = (tmean, tmin[region_id], tmax[region_id])
+        first = max(s.years[0] for s in trio)
+        last = min(s.years[-1] for s in trio)
+        if first > last:
+            _warn(f"region {region_id!r}: its mean, min and max series share no year; "
+                  "offsets skipped")
+            continue
+        # Years are consecutive, so a year's index is its distance from the first.
+        mean, low, high = (s.values[first - s.years[0] : last + 1 - s.years[0]] for s in trio)
         offsets[region_id] = OffsetK(
-            k_min=estimate_k(mean_values, tmin[region_id].values, "min"),
-            k_max=estimate_k(mean_values, tmax[region_id].values, "max"),
+            k_min=estimate_k(mean, low, "min"), k_max=estimate_k(mean, high, "max")
         )
     if not offsets:
         raise DataError("no region has all three temperature series")
@@ -407,7 +419,7 @@ def cmd_forecast(cfg: PipelineConfig) -> dict:
     """
     if cfg.series is None:
         raise ConfigError("forecast needs --series")
-    series_list = ingest.parse_series(cfg.series)
+    series = ingest.parse_series(cfg.series)
     models = {
         variable: serialize.read_file(
             cfg.artifact(lstm_document_name(variable)), serialize.deserialize_lstm
@@ -423,7 +435,7 @@ def cmd_forecast(cfg: PipelineConfig) -> dict:
         lambda text: serialize.linear_from_document(serialize.loads(text, "linear")),
     )
 
-    last_year = max(max(s.years) for s in series_list)
+    last_year = max(s.years[-1] for regions in series.values() for s in regions.values())
     if cfg.target_year <= last_year:
         raise ConfigError(
             f"target_year {cfg.target_year} is not beyond the observed series "
@@ -433,19 +445,7 @@ def cmd_forecast(cfg: PipelineConfig) -> dict:
     results = []
     errors = []
     for variable, model in models.items():
-        by_region = _series_by_region(series_list, variable)
-        batch = []
-        for region_id in sorted(by_region):
-            try:
-                require_window(by_region[region_id], model.lookback)
-            except DataError as exc:
-                _warn(str(exc))
-                errors.append(f"{region_id}/{variable}")
-                continue
-            batch.append(by_region[region_id])
-            if variable == "summer_tmean" and region_id not in offsets:
-                _warn(f"region {region_id!r} has no fitted offsets")
-                errors.append(f"{region_id}/offsets")
+        batch = _windowed(series.get(variable, {}), model.lookback, errors)
         earliest = min((s.years[-1] for s in batch), default=last_year)
         rounds = math.ceil((cfg.target_year - earliest) / model.output_len)
         forecasts = forecast_series(
@@ -456,10 +456,13 @@ def cmd_forecast(cfg: PipelineConfig) -> dict:
         results.extend(forecasts)
         if variable == "summer_tmean":
             for result in forecasts:
-                if result.region_id in offsets:
-                    tmin, tmax = derive_min_max(result.values, offsets[result.region_id])
-                    results.append(replace(result, variable="summer_tmin", values=tmin))
-                    results.append(replace(result, variable="summer_tmax", values=tmax))
+                if result.region_id not in offsets:
+                    _warn(f"region {result.region_id!r} has no fitted offsets")
+                    errors.append(f"{result.region_id}/offsets")
+                    continue
+                tmin, tmax = derive_min_max(result.values, offsets[result.region_id])
+                results.append(replace(result, variable="summer_tmin", values=tmin))
+                results.append(replace(result, variable="summer_tmax", values=tmax))
         elif variable == "summer_precip":
             # An extrapolated amount can dip below zero; days are derived
             # from the physically meaningful part.
@@ -477,7 +480,7 @@ def cmd_forecast(cfg: PipelineConfig) -> dict:
     serialize.commit({cfg.path(FORECAST_CSV): csv_text(
         FORECAST_COLUMNS,
         ([result.region_id, result.variable, year, fmt(value)]
-         for result in results for year, value in zip(result.years(), result.values)),
+         for result in results for year, value in zip(result.years, result.values)),
     )})
     return {
         "regions": len({r.region_id for r in results}),

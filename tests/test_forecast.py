@@ -167,10 +167,10 @@ class TestForecastSeries:
         assert [(r.region_id, r.variable) for r in results] == [
             ("west", "summer_tmean"), ("east", "summer_tmean"),
         ]
-        assert results[0].start_year == 2010
-        assert results[0].years() == list(range(2010, 2016))
+        assert results[0].years[0] == 2010
+        assert results[0].years == list(range(2010, 2016))
         assert results[0].values.size == 6
-        assert results[1].years() == list(range(1998, 2004))
+        assert results[1].years == list(range(1998, 2004))
 
     def test_short_series_rejected(self):
         cfg = ForecastConfig(lookback=20, horizon=10, rounds=1)

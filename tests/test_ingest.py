@@ -116,13 +116,17 @@ class TestParsing:
             "west,summer_tmean,2000,15.0\n"
             "west,summer_precip,2000,80.0\n"
             "west,summer_precip,2001,82.0\n"
+            "east,summer_tmean,2000,14.0\n"
         )
         series = parse_series(path)
-        assert {(s.region_id, s.variable) for s in series} == {
+        assert {(s.region_id, s.variable) for regions in series.values()
+                for s in regions.values()} == {
             ("west", "summer_tmean"),
             ("west", "summer_precip"),
+            ("east", "summer_tmean"),
         }
-        tmean = next(s for s in series if s.variable == "summer_tmean")
+        assert list(series["summer_tmean"]) == ["east", "west"]
+        tmean = series["summer_tmean"]["west"]
         assert tmean.years == [2000, 2001]
         np.testing.assert_allclose(tmean.values, [15.0, 15.5])
 

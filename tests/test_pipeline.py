@@ -50,6 +50,7 @@ from larvaecast.serialize import (
     scalers_from_document,
     serialize_lstm,
 )
+from larvaecast.trend import estimate_k
 
 
 MODULES = sorted(
@@ -719,12 +720,11 @@ class TestTrainClimateSideBySide:
         summary = json.loads(capsys.readouterr().out)
         assert json.loads((out / CLIMATE_REPORT_JSON).read_text()) == summary
         cfg = PipelineConfig(out_dir=out, seed=CLIMATE_SEED, climate_max_epochs=3)
-        series_list = ingest.parse_series(pipeline_run.data["series"])
+        series = ingest.parse_series(pipeline_run.data["series"])
         for offset, variable in enumerate(FORECAST_VARIABLES):
             windows = np.concatenate([
                 make_windows(s, cfg.lookback + cfg.horizon)
-                for s in sorted(series_list, key=lambda s: s.region_id)
-                if s.variable == variable
+                for s in series[variable].values()
             ])
             model, epochs = train_lstm(
                 windows, cfg.train_config(seed_offset=offset, max_epochs=3),
@@ -905,6 +905,69 @@ def test_short_series_is_skipped_by_both_climate_stages(tmp_path, pipeline_run, 
     variables = {row["variable"] for row in read_csv(out / FORECAST_CSV)
                  if row["region_id"] == "gulf-plain"}
     assert variables == {"summer_tmean", "summer_tmin", "summer_tmax"}
+
+
+class TestOffsetYears:
+    """train-climate fits each region's offsets on the years its mean, min
+    and max series share, not on their values by position."""
+
+    @staticmethod
+    def train_climate(tmp_path, pipeline_run, keep):
+        """train-climate on the run's series.csv less the dry-basin
+        temperature rows for which ``keep(variable, year)`` is false."""
+        series = tmp_path / "series.csv"
+        lines = pipeline_run.data["series"].read_text().splitlines(keepends=True)
+        series.write_text("".join(
+            line for line in lines
+            if not line.startswith("dry-basin,summer_t")
+            or keep(line.split(",")[1], int(line.split(",")[2]))
+        ))
+        out = tmp_path / "out"
+        shutil.copytree(pipeline_run.out_dir, out)
+        code = cli.main(["train-climate", "--out-dir", str(out), "--seed", str(CLIMATE_SEED),
+                         "--series", str(series), "--max-epochs", "3"])
+        return code, out, series
+
+    def test_shifted_series_are_aligned_by_year(self, tmp_path, pipeline_run, capsys):
+        code, out, series = self.train_climate(
+            tmp_path, pipeline_run,
+            lambda variable, year: year <= 2018 if variable == "summer_tmean" else year >= 1982,
+        )
+        assert code == 0, capsys.readouterr().err
+        values: dict = {}
+        for row in read_csv(series):
+            if row["region_id"] == "dry-basin" and 1982 <= int(row["year"]) <= 2018:
+                values.setdefault(row["variable"], []).append(float(row["value"]))
+        k = load_document(out / OFFSETS_JSON, "offsets")["regions"]["dry-basin"]
+        assert k["k_min"] == estimate_k(values["summer_tmean"], values["summer_tmin"], "min")
+        assert k["k_max"] == estimate_k(values["summer_tmean"], values["summer_tmax"], "max")
+
+    def test_series_sharing_no_year_are_skipped(self, tmp_path, pipeline_run, capsys):
+        code, out, _ = self.train_climate(
+            tmp_path, pipeline_run,
+            lambda variable, year: year <= 2010 if variable == "summer_tmean" else year > 2010,
+        )
+        assert code == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: region 'dry-basin': its mean, min and max series share no year; "
+            "offsets skipped"
+        ]
+        assert "dry-basin" not in load_document(out / OFFSETS_JSON, "offsets")["regions"]
+        report = json.loads((out / CLIMATE_REPORT_JSON).read_text())
+        assert report["offsets_regions"] == len(synth.REGIONS) - 1
+
+    def test_early_ending_mean_series_runs_to_projection(self, tmp_path, pipeline_run, capsys):
+        code, out, series = self.train_climate(
+            tmp_path, pipeline_run,
+            lambda variable, year: variable != "summer_tmean" or year <= 2015,
+        )
+        assert code == 0, capsys.readouterr().err
+        code = cli.main(["forecast", "--out-dir", str(out), "--series", str(series),
+                         "--target-year", "2050"])
+        assert code == 0, capsys.readouterr().err
+        code = cli.main(["project", "--out-dir", str(out), "--year", "2050",
+                         "--regions", str(pipeline_run.data["regions"])])
+        assert code == 0, capsys.readouterr().err
 
 
 # A region's feature with one coordinate left to fill in.
