@@ -943,7 +943,7 @@ class TestOffsetYears:
         assert k["k_max"] == estimate_k(values["summer_tmean"], values["summer_tmax"], "max")
 
     def test_series_sharing_no_year_are_skipped(self, tmp_path, pipeline_run, capsys):
-        code, out, _ = self.train_climate(
+        code, out, series = self.train_climate(
             tmp_path, pipeline_run,
             lambda variable, year: year <= 2010 if variable == "summer_tmean" else year > 2010,
         )
@@ -955,6 +955,12 @@ class TestOffsetYears:
         assert "dry-basin" not in load_document(out / OFFSETS_JSON, "offsets")["regions"]
         report = json.loads((out / CLIMATE_REPORT_JSON).read_text())
         assert report["offsets_regions"] == len(synth.REGIONS) - 1
+        code = cli.main(["forecast", "--out-dir", str(out), "--series", str(series),
+                         "--target-year", "2050"])
+        assert code == 0
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == ["warning: region 'dry-basin' has no fitted offsets"]
+        assert json.loads(captured.out)["errors"] == ["dry-basin/offsets"]
 
     def test_early_ending_mean_series_runs_to_projection(self, tmp_path, pipeline_run, capsys):
         code, out, series = self.train_climate(
