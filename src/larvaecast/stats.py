@@ -52,7 +52,8 @@ def pearson_r(x, y) -> float:
     denom = math.sqrt(float(xc @ xc) * float(yc @ yc))
     if denom == 0.0:
         raise DataError("correlation undefined for a constant sequence")
-    return float(xc @ yc) / denom
+    # Rounding can push an exact linear relation just past +-1.
+    return float(np.clip(float(xc @ yc) / denom, -1.0, 1.0))
 
 
 def _betacf(a: float, b: float, x: float) -> float:
@@ -108,6 +109,8 @@ def betainc_reg(a: float, b: float, x: float) -> float:
 
 
 def t_statistic(r: float, n: int) -> float:
+    if abs(r) >= 1.0:
+        raise DataError("t statistic is infinite for a perfect correlation")
     return r * math.sqrt((n - 2) / (1.0 - r * r))
 
 
@@ -120,7 +123,7 @@ def correlation_p_value(r: float, n: int, tail: str = "one") -> float:
     if abs(r) > 1:
         raise DomainError("correlation must lie in [-1, 1]")
     if abs(r) == 1.0:
-        return 0.0
+        return 1.0 if tail == "one" and r < 0 else 0.0
     t = t_statistic(r, n)
     nu = n - 2
     p_two = betainc_reg(nu / 2.0, 0.5, nu / (nu + t * t))

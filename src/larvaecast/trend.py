@@ -3,7 +3,9 @@
 Three small models live here:
 
 * a periodic trend function T(t) = lambda*t - exp(-alpha*t)*sin(theta*t)
-  * gamma * t^beta + phi, used as a diagnostic fit on annual series;
+  * gamma * t^beta + phi, fitted to annual series as a diagnostic by
+  variable projection (Golub & Pereyra 1973): linear least squares for
+  (lambda, gamma, phi) at each trial (alpha, theta, beta);
 * constant offsets relating min/max temperature to mean temperature,
   fitted by minimizing mean absolute error (the median of the per-year
   differences is the exact minimizer);
@@ -14,12 +16,14 @@ Three small models live here:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
 from .errors import DataError, DomainError
 
-# Starting point for the simplex fit; phi is seeded from the data.
+# Conventional approximate (lam, alpha, theta, gamma, beta); the fit
+# starts its search at this alpha and beta.
 FIT_START = (0.01, -0.01, 0.6, 0.5, 0.03)
 
 MAX_DAYS_PER_MONTH = 31.0
@@ -52,55 +56,71 @@ class LinearModel:
     intercept: float
 
 
-def eval_trend(params: TrendParams, t):
-    """Evaluate the periodic trend at t >= 0 (scalar or array), in years.
+def _trend_basis(t: np.ndarray, alpha: float, theta: float, beta: float) -> np.ndarray:
+    """Columns [t, -osc(t), 1] on which the trend is linear in (lam, gamma, phi).
 
-    The oscillation term vanishes at t = 0 (sin(0) = 0), so T(0) = phi
-    for every parameter choice; t = 0 is masked to keep 0^beta from
-    polluting that limit when beta <= 0.
+    osc(t) = exp(-alpha*t) * sin(theta*t) * t^beta vanishes at t = 0
+    (sin(0) = 0); t = 0 is masked to keep 0^beta from polluting that
+    limit when beta <= 0.
     """
+    t_safe = np.where(t == 0.0, 1.0, t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        osc = np.exp(-alpha * t) * np.sin(theta * t) * np.power(t_safe, beta)
+    return np.stack([t, -np.where(t == 0.0, 0.0, osc), np.ones_like(t)], axis=-1)
+
+
+def eval_trend(params: TrendParams, t):
+    """Evaluate the periodic trend at t >= 0 (scalar or array), in years."""
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise DomainError("trend function is defined for t >= 0 only")
-    t_safe = np.where(t == 0.0, 1.0, t)
+    basis = _trend_basis(t, params.alpha, params.theta, params.beta)
     with np.errstate(over="ignore", invalid="ignore"):
-        osc = np.exp(-params.alpha * t) * np.sin(params.theta * t)
-        osc = osc * params.gamma * np.power(t_safe, params.beta)
-        value = params.lam * t - np.where(t == 0.0, 0.0, osc) + params.phi
+        value = basis @ np.array([params.lam, params.gamma, params.phi])
     return float(value) if value.ndim == 0 else value
-
-
-def _sse(vector: np.ndarray, t: np.ndarray, values: np.ndarray) -> float:
-    params = TrendParams(*vector)
-    with np.errstate(over="ignore", invalid="ignore"):
-        residuals = eval_trend(params, t) - values
-        sse = float(np.dot(residuals, residuals))
-    return sse if np.isfinite(sse) else np.inf
 
 
 def fit_trend(values) -> tuple[TrendParams, float]:
     """Least-squares fit of the trend function to an annual series.
 
-    Nelder-Mead simplex, started at the conventional approximate
-    parameters with phi seeded from the first value; deterministic.
-    scipy is imported here so that the pipeline stages never load it.
+    Variable projection: for each trial (alpha, theta, beta), one lstsq
+    on the trend basis gives (lam, gamma, phi). The search starts at the
+    best theta of a coarse scan over [0.01, pi] and runs a compass search,
+    halving its steps whenever no single-coordinate move lowers the SSE;
+    deterministic.
     """
-    from scipy.optimize import minimize
-
     values = np.asarray(values, dtype=float)
     if values.ndim != 1 or values.size < 6:
         raise DataError("trend fit needs a 1-D series of at least 6 values")
+    if not np.all(np.isfinite(values)):
+        raise DataError("trend fit needs finite values")
     t = np.arange(values.size, dtype=float)
-    start = np.array([*FIT_START, values[0]])
-    result = minimize(
-        _sse,
-        start,
-        args=(t, values),
-        method="Nelder-Mead",
-        options={"maxiter": 10_000, "maxfev": 20_000, "xatol": 1e-8, "fatol": 1e-12},
-    )
-    best = result.x if result.fun <= _sse(start, t, values) else start
-    return TrendParams(*best), _sse(best, t, values)
+
+    def solve(point):
+        basis = _trend_basis(t, *point)
+        if not np.all(np.isfinite(basis)):
+            return np.inf, None
+        coef = np.linalg.lstsq(basis, values, rcond=None)[0]
+        residuals = basis @ coef - values
+        return float(residuals @ residuals), coef
+
+    thetas = np.linspace(0.01, np.pi, 315)
+    _, alpha, _, _, beta = FIT_START
+    point = min(([alpha, theta, beta] for theta in thetas), key=lambda p: solve(p)[0])
+    best = solve(point)
+    steps = np.array([0.01, thetas[1] - thetas[0], 0.05])
+    while steps.max() >= 1e-10:
+        for axis, sign in product(range(3), (1.0, -1.0)):
+            trial = list(point)
+            trial[axis] += sign * steps[axis]
+            result = solve(trial)
+            if result[0] < best[0]:
+                point, best = trial, result
+                break
+        else:
+            steps /= 2.0
+    (lam, gamma, phi), (alpha, theta, beta) = best[1], point
+    return TrendParams(lam, alpha, theta, gamma, beta, phi), best[0]
 
 
 def estimate_k(mean_series, extreme_series, kind: str) -> float:

@@ -1,3 +1,4 @@
+import ast
 import csv
 import errno
 import importlib
@@ -138,6 +139,13 @@ class TestTrainAbundance:
         fixture_cfg.holdout_oldest = 8
         with pytest.raises(ConfigError):
             cmd_train_abundance(fixture_cfg)
+
+
+def test_perfect_correlation_is_an_error_entry():
+    truth = np.arange(10.0)
+    assert pipeline._correlation_entry(3.7 * truth + 1.3, truth) == {
+        "error": "t statistic is infinite for a perfect correlation"
+    }
 
 
 class TestPipelineOutputs:
@@ -404,6 +412,26 @@ class TestCli:
             check=True,
         )
         assert probe.stdout.strip() == "False"
+
+    def test_package_imports_only_stdlib_and_numpy(self):
+        """An ast walk sees the lazy imports inside functions as well."""
+        allowed = set(sys.stdlib_module_names) | {"numpy", "larvaecast"}
+        package = Path(larvaecast.__file__).resolve().parent
+        foreign = []
+        for path in sorted(package.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module]
+                else:
+                    continue
+                foreign += [
+                    f"{path.name}:{node.lineno} {name}"
+                    for name in names
+                    if name.split(".")[0] not in allowed
+                ]
+        assert foreign == []
 
     @pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])
     def test_cli_import_sets_one_blas_thread_unless_set(self, preset, expected):

@@ -77,6 +77,33 @@ class TestPearsonR:
         assert pearson_r(x, 0.5 * y - 4.0) == pytest.approx(base, abs=1e-10)
 
 
+def exact_linear_pairs(count=2000):
+    """y = 3.7x + 1.3 on random x: a correlation of exactly 1 up to rounding."""
+    rng = np.random.default_rng(0)
+    for _ in range(count):
+        x = rng.normal(size=int(rng.integers(3, 50)))
+        yield x, 3.7 * x + 1.3
+
+
+class TestPerfectCorrelation:
+    def test_pearson_r_stays_within_one(self):
+        assert all(abs(pearson_r(x, y)) <= 1.0 for x, y in exact_linear_pairs())
+
+    def test_report_is_a_data_error(self):
+        pairs = [(x, y) for x, y in exact_linear_pairs(200) if pearson_r(x, y) == 1.0]
+        assert pairs
+        for x, y in pairs:
+            with pytest.raises(DataError):
+                correlation_report(x, y)
+        with pytest.raises(DataError):
+            t_statistic(-1.0, 10)
+
+    def test_one_tailed_p_value_follows_the_sign(self):
+        assert correlation_p_value(-1.0, 10, "one") == 1.0
+        assert correlation_p_value(-1.0, 10, "two") == 0.0
+        assert correlation_p_value(1.0, 10, "one") == 0.0
+
+
 class TestPValue:
     def test_zero_r_one_tailed(self):
         for n in (5, 20, 100):

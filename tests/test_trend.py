@@ -83,6 +83,25 @@ class TestFitTrend:
         np.testing.assert_array_equal(first[0].as_array(), second[0].as_array())
         assert first[1] == second[1]
 
+    def test_perturbed_truths_fit_at_least_as_well_as_the_truth(self):
+        """Unlike criterion 6, the truth here is not the fit's start."""
+        rng = np.random.default_rng(7)
+        t = np.arange(43.0)
+        for _ in range(40):
+            scaled = np.array(FIT_START) * rng.uniform(0.5, 1.5, 5)
+            truth = TrendParams(*scaled, phi=float(rng.uniform(5, 30)))
+            clean = eval_trend(truth, t)
+            series = clean + rng.normal(0, 0.05, t.size)
+            _, sse = fit_trend(series)
+            assert sse <= float((series - clean) @ (series - clean))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_series_rejected(self, bad):
+        series = np.arange(43.0)
+        series[20] = bad
+        with pytest.raises(DataError, match="finite"):
+            fit_trend(series)
+
     def test_short_series_rejected(self):
         with pytest.raises(DataError):
             fit_trend([1.0, 2.0, 3.0])
