@@ -244,29 +244,28 @@ def parse_stations(path) -> list[StationRecord]:
 
 def parse_series(path) -> dict[str, dict[str, RegionSeries]]:
     """The annual series of ``path`` as ``{variable: {region_id: series}}``,
-    each variable's regions in sorted order; a series' years must be
-    consecutive."""
-    grouped: dict[tuple[str, str], list[tuple[int, float]]] = {}
-    for _, (region_id, variable, year, value) in read_rows(path, SERIES_COLUMNS):
-        grouped.setdefault((region_id, variable), []).append((year, value))
-    if not grouped:
+    each variable's regions in sorted order. A region, variable and year
+    that repeat are a duplicate key (see ``read_table``); a series' years
+    must be consecutive."""
+    points = read_table(path, SERIES_COLUMNS, lambda v: v[:3], lambda v: v[3])
+    if not points:
         raise DataError(f"{path}: no series found")
     table: dict[str, dict[str, RegionSeries]] = {}
-    for (region_id, variable), points in grouped.items():
-        points.sort()
-        years = [y for y, _ in points]
-        for a, b in zip(years, years[1:]):
-            if b != a + 1:
-                raise DataError(
-                    f"{path}: series {region_id}/{variable} has non-consecutive "
-                    f"years {a} -> {b}"
-                )
-        table.setdefault(variable, {})[region_id] = RegionSeries(
-            region_id=region_id,
-            variable=variable,
-            years=years,
-            values=np.array([v for _, v in points]),
-        )
+    for region_id, variables in points.items():
+        for variable, by_year in variables.items():
+            years = sorted(by_year)
+            for a, b in zip(years, years[1:]):
+                if b != a + 1:
+                    raise DataError(
+                        f"{path}: series {region_id}/{variable} has non-consecutive "
+                        f"years {a} -> {b}"
+                    )
+            table.setdefault(variable, {})[region_id] = RegionSeries(
+                region_id=region_id,
+                variable=variable,
+                years=years,
+                values=np.array([by_year[year] for year in years]),
+            )
     return {variable: dict(sorted(regions.items())) for variable, regions in table.items()}
 
 

@@ -2,10 +2,10 @@
 
 Parameters and gradients travel as one flat vector per model, so both
 networks share one loop and Adam runs on whole vectors. Training stops
-when the relative improvement of the epoch loss over ``plateau_patience``
-epochs falls below ``PLATEAU_TOLERANCE``, or at ``max_epochs``; a loss
-that turns non-finite stops it with ``DivergenceError`` at that batch,
-before Adam takes the step.
+when the relative improvement of the epoch loss over ``PLATEAU_PATIENCE``
+epochs falls below ``PLATEAU_TOLERANCE`` (``plateaued``), or at
+``max_epochs``; a loss that turns non-finite stops it with
+``DivergenceError`` at that batch, before Adam takes the step.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from .errors import ConfigError, DivergenceError, ShapeError
 BETA1 = 0.9
 BETA2 = 0.999
 EPSILON = 1e-8
+PLATEAU_PATIENCE = 50
 PLATEAU_TOLERANCE = 1e-4
 
 
@@ -29,7 +30,6 @@ class TrainConfig:
     batch_size: int = 8
     learning_rate: float = 1e-3
     max_epochs: int = 5000
-    plateau_patience: int = 50
 
     def __post_init__(self):
         if self.seed < 0:
@@ -38,8 +38,8 @@ class TrainConfig:
             raise ConfigError("batch_size must be >= 1")
         if self.learning_rate <= 0:
             raise ConfigError("learning_rate must be positive")
-        if self.max_epochs < 1 or self.plateau_patience < 1:
-            raise ConfigError("max_epochs and plateau_patience must be >= 1")
+        if self.max_epochs < 1:
+            raise ConfigError("max_epochs must be >= 1")
 
 
 @dataclass
@@ -82,22 +82,14 @@ def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState, cfg: Train
     params -= update
 
 
-class PlateauDetector:
-    """Halts when the loss improved by less than ``tolerance`` (relative)
-    over the last ``patience`` epochs."""
-
-    def __init__(self, patience: int, tolerance: float):
-        self.patience = patience
-        self.tolerance = tolerance
-        self._history: list[float] = []
-
-    def update(self, loss: float) -> bool:
-        self._history.append(loss)
-        if len(self._history) <= self.patience:
-            return False
-        reference = self._history[-self.patience - 1]
-        improvement = (reference - loss) / max(abs(reference), 1e-300)
-        return improvement < self.tolerance
+def plateaued(losses: list[float]) -> bool:
+    """Whether the last epoch loss improved on the one ``PLATEAU_PATIENCE``
+    epochs before it by less than ``PLATEAU_TOLERANCE`` (relative)."""
+    if len(losses) <= PLATEAU_PATIENCE:
+        return False
+    reference = losses[-PLATEAU_PATIENCE - 1]
+    improvement = (reference - losses[-1]) / max(abs(reference), 1e-300)
+    return improvement < PLATEAU_TOLERANCE
 
 
 def epoch_order(seed: int, epoch: int, n: int) -> np.ndarray:
@@ -121,7 +113,7 @@ def fit(params: np.ndarray, step, n: int, cfg: TrainConfig, model: str) -> int:
     """
     state = init_adam(params)
     rng = dropout_stream(cfg.seed)
-    detector = PlateauDetector(cfg.plateau_patience, PLATEAU_TOLERANCE)
+    losses: list[float] = []  # the mean loss of each epoch
     # A diverging run overflows; the DivergenceError below reports it, not numpy.
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(cfg.max_epochs):
@@ -136,6 +128,7 @@ def fit(params: np.ndarray, step, n: int, cfg: TrainConfig, model: str) -> int:
                         f"at batch {batch} of epoch {epoch + 1}"
                     )
                 adam_step(params, grad, state, cfg)
-            if detector.update(epoch_loss / n):
+            losses.append(epoch_loss / n)
+            if plateaued(losses):
                 break
     return epoch + 1

@@ -25,7 +25,7 @@ from .ingest import FEATURE_NAMES, NUMBER, TEXT, YEAR, FeatureRow, csv_text, fea
 from .lstm import lstm_forward, make_windows, train_lstm
 from .nn import ABUNDANCE_LAYER_DIMS, forward, train_abundance
 from .optim import TrainConfig
-from .preprocess import LogCountTransform, StandardScaler
+from .preprocess import LogCountTransform, StandardScaler, fit_scaler
 from .stats import correlation_report, residual_summary
 from .trend import OffsetK, derive_min_max, estimate_k, fit_linear, predict_days
 
@@ -226,8 +226,7 @@ def cmd_train_abundance(cfg: PipelineConfig) -> dict:
     val_x = np.array([feature_values(r) for r in val_rows])
     val_y = log_transform.transform([r.larvae_count for r in val_rows])
 
-    scaler = StandardScaler().fit(train_x)
-    assert scaler.n_fit_rows_ == len(train_rows)
+    scaler = fit_scaler(train_x)
 
     net = train_abundance(
         scaler.transform(train_x),
@@ -346,6 +345,8 @@ def cmd_train_climate(cfg: PipelineConfig) -> dict:
     if cfg.series is None:
         raise ConfigError("train-climate needs --series")
     ForecastConfig(cfg.lookback, cfg.horizon, rounds=1)  # the window rule, before any read
+    if cfg.lstm_hidden_size < 1:
+        raise ConfigError(f"--hidden-size must be positive: {cfg.lstm_hidden_size}")
     feature_rows = read_features(cfg.artifact(FEATURES_CSV))
     series = ingest.parse_series(cfg.series)
 
@@ -420,12 +421,14 @@ def cmd_forecast(cfg: PipelineConfig) -> dict:
     if cfg.series is None:
         raise ConfigError("forecast needs --series")
     series = ingest.parse_series(cfg.series)
-    models = {
-        variable: serialize.read_file(
-            cfg.artifact(lstm_document_name(variable)), serialize.deserialize_lstm
-        )
-        for variable in FORECAST_VARIABLES
-    }
+    models = {}
+    for variable in FORECAST_VARIABLES:
+        path = cfg.artifact(lstm_document_name(variable))
+        model = models[variable] = serialize.read_file(path, serialize.deserialize_lstm)
+        try:
+            ForecastConfig(model.lookback, model.output_len, rounds=1)  # the roll's rule
+        except ConfigError as exc:
+            raise DataError(f"{path}: the forecast cannot roll this model: {exc}") from None
     offsets = serialize.read_file(
         cfg.artifact(OFFSETS_JSON),
         lambda text: serialize.offsets_from_document(serialize.loads(text, "offsets")),
@@ -507,13 +510,22 @@ def cmd_project(cfg: PipelineConfig) -> dict:
     years = sorted(set(cfg.years or [cfg.target_year]))
     table = _read_forecast(cfg.artifact(FORECAST_CSV))
     elevations = read_region_elevations(cfg.regions)
-    net = serialize.read_file(cfg.artifact(ABUNDANCE_MODEL_JSON), serialize.deserialize_network)
+    model_path = cfg.artifact(ABUNDANCE_MODEL_JSON)
+    net = serialize.read_file(model_path, serialize.deserialize_network)
+    if (net.layer_dims[0], net.layer_dims[-1]) != (len(FEATURE_NAMES), 1):
+        raise DataError(
+            f"{model_path}: the regressor maps {net.layer_dims[0]} inputs to "
+            f"{net.layer_dims[-1]} outputs, not the {len(FEATURE_NAMES)} features to 1"
+        )
+    scalers_path = cfg.artifact(ABUNDANCE_SCALERS_JSON)
     scaler, names, log_offset = serialize.read_file(
-        cfg.artifact(ABUNDANCE_SCALERS_JSON),
+        scalers_path,
         lambda text: serialize.scalers_from_document(serialize.loads(text, "scalers")),
     )
     if tuple(names) != FEATURE_NAMES:
-        raise DataError(f"scaler features {names} do not match {list(FEATURE_NAMES)}")
+        raise DataError(
+            f"{scalers_path}: scaler features {names} do not match {list(FEATURE_NAMES)}"
+        )
     log_transform = LogCountTransform(log_offset)
 
     needed = ("summer_tmean", "summer_tmax", "summer_tmin",

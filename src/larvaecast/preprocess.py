@@ -8,6 +8,8 @@ become a pure mean shift instead of a division by zero.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .errors import DataError, DomainError
@@ -50,41 +52,27 @@ class LogCountTransform:
         return np.power(10.0, values) - self.offset
 
 
+@dataclass(frozen=True, eq=False)
 class StandardScaler:
-    """Per-column z-score scaler, fitted on an (n, columns) matrix.
+    """Per-column z-score statistics: ``fit_scaler`` builds them from an
+    (n, columns) matrix and ``n_fit_rows`` is that n; a scalers document
+    stores the same three fields."""
 
-    Remembers how many rows it was fitted on so the pipeline can assert
-    that only the training split fed the statistics.
-    """
-
-    def __init__(self):
-        self.mean_ = None
-        self.std_ = None
-        self.n_fit_rows_ = 0
-
-    def fit(self, values) -> "StandardScaler":
-        values = np.asarray(values, dtype=float)
-        if values.ndim != 2:
-            raise DataError(f"scaler input must be (n, columns), got shape {values.shape}")
-        if values.size == 0:
-            raise DataError("cannot fit a scaler on an empty array")
-        self.mean_ = values.mean(axis=0)
-        self.std_ = guard_sigma(values.std(axis=0))
-        self.n_fit_rows_ = values.shape[0]
-        return self
-
-    def _check_fitted(self):
-        if self.mean_ is None:
-            raise DataError("scaler used before fit")
+    mean: np.ndarray
+    std: np.ndarray
+    n_fit_rows: int
 
     def transform(self, values):
-        self._check_fitted()
-        return (np.asarray(values, dtype=float) - self.mean_) / self.std_
+        return (np.asarray(values, dtype=float) - self.mean) / self.std
 
     def inverse_transform(self, values):
-        self._check_fitted()
-        return np.asarray(values, dtype=float) * self.std_ + self.mean_
+        return np.asarray(values, dtype=float) * self.std + self.mean
 
 
 def fit_scaler(values) -> StandardScaler:
-    return StandardScaler().fit(values)
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 2:
+        raise DataError(f"scaler input must be (n, columns), got shape {values.shape}")
+    if values.size == 0:
+        raise DataError("cannot fit a scaler on an empty array")
+    return StandardScaler(values.mean(axis=0), guard_sigma(values.std(axis=0)), values.shape[0])

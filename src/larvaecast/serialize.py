@@ -262,21 +262,20 @@ def scalers_to_document(
         "schema_version": SCHEMA_VERSION,
         "kind": "scalers",
         "feature_names": list(feature_names),
-        "mean": np.asarray(scaler.mean_).tolist(),
-        "std": np.asarray(scaler.std_).tolist(),
-        "n_fit_rows": scaler.n_fit_rows_,
+        "mean": np.asarray(scaler.mean).tolist(),
+        "std": np.asarray(scaler.std).tolist(),
+        "n_fit_rows": scaler.n_fit_rows,
         "log_offset": log_offset,
     }
 
 
 def scalers_from_document(doc: dict) -> tuple[StandardScaler, list[str], float]:
     names = _list("feature_names", _require(doc, "feature_names", "scalers"), str)
-    scaler = StandardScaler()
-    scaler.mean_ = _vector("mean", _require(doc, "mean", "scalers"), len(names))
-    scaler.std_ = _vector("std", _require(doc, "std", "scalers"), len(names))
-    if np.any(scaler.std_ <= 0):
+    mean = _vector("mean", _require(doc, "mean", "scalers"), len(names))
+    std = _vector("std", _require(doc, "std", "scalers"), len(names))
+    if np.any(std <= 0):
         raise ParseError("scalers document: every 'std' value must be positive")
-    scaler.n_fit_rows_ = _number(doc, "n_fit_rows", "scalers", int)
+    scaler = StandardScaler(mean, std, _number(doc, "n_fit_rows", "scalers", int))
     return scaler, names, _number(doc, "log_offset", "scalers")
 
 

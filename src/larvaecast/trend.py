@@ -87,7 +87,8 @@ def fit_trend(values) -> tuple[TrendParams, float]:
     on the trend basis gives (lam, gamma, phi). The search starts at the
     best theta of a coarse scan over [0.01, pi] and runs a compass search,
     halving its steps whenever no single-coordinate move lowers the SSE;
-    deterministic.
+    deterministic. A series so large that even the best fit's SSE
+    overflows is a DataError.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 1 or values.size < 6:
@@ -101,8 +102,10 @@ def fit_trend(values) -> tuple[TrendParams, float]:
         if not np.all(np.isfinite(basis)):
             return np.inf, None
         coef = np.linalg.lstsq(basis, values, rcond=None)[0]
-        residuals = basis @ coef - values
-        return float(residuals @ residuals), coef
+        # Huge values can overflow the SSE; a fit that ends non-finite is refused below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            residuals = basis @ coef - values
+            return float(residuals @ residuals), coef
 
     thetas = np.linspace(0.01, np.pi, 315)
     _, alpha, _, _, beta = FIT_START
@@ -119,6 +122,8 @@ def fit_trend(values) -> tuple[TrendParams, float]:
                 break
         else:
             steps /= 2.0
+    if not np.isfinite(best[0]):
+        raise DataError("trend fit has no finite sum of squares: the values are too large")
     (lam, gamma, phi), (alpha, theta, beta) = best[1], point
     return TrendParams(lam, alpha, theta, gamma, beta, phi), best[0]
 

@@ -283,7 +283,7 @@ class TestTrainLstm:
         windows = make_windows(series(3.0 + 0.5 * np.arange(60.0)), 11)
         model, _ = train_lstm(
             windows[:-4],
-            TrainConfig(seed=21, max_epochs=400, plateau_patience=60),
+            TrainConfig(seed=21, max_epochs=400),
             horizon=3,
             hidden_size=8,
             input_dropout_rate=0.0,
@@ -296,7 +296,7 @@ class TestTrainLstm:
         windows = make_windows(series(np.sin(np.arange(12.0))), 12)[:1]
         model, _ = train_lstm(
             windows,
-            TrainConfig(seed=2, max_epochs=1500, plateau_patience=200),
+            TrainConfig(seed=2, max_epochs=1500),
             horizon=4,
             hidden_size=6,
             input_dropout_rate=0.0,

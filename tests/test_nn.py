@@ -240,7 +240,7 @@ class TestTrainAbundance:
     def test_memorizes_single_example(self):
         x = np.tile([[0.2, -0.1, 0.5, 0.0, 1.0, -0.4]], (8, 1))
         y = np.full(8, 1.3)
-        cfg = TrainConfig(seed=2, max_epochs=2000, plateau_patience=100)
+        cfg = TrainConfig(seed=2, max_epochs=2000)
         net = train_abundance(x, y, cfg, layer_dims=(6, 8, 1), dropout_rate=0.0)
         pred, _ = forward(net, x[:1].T)
         assert mse_loss(pred, [[1.3]]) < 1e-4

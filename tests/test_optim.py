@@ -6,12 +6,13 @@ from larvaecast.optim import (
     BETA1,
     BETA2,
     EPSILON,
+    PLATEAU_PATIENCE,
     AdamState,
-    PlateauDetector,
     TrainConfig,
     adam_step,
     fit,
     init_adam,
+    plateaued,
 )
 from larvaecast.nn import ABUNDANCE_LAYER_DIMS, backward, forward, xavier_init
 
@@ -27,10 +28,8 @@ class TestTrainConfig:
         [
             {"batch_size": 0},
             {"max_epochs": 0},
-            {"plateau_patience": 0},
             {"learning_rate": 0.0},
             {"learning_rate": -1.0},
-            {"plateau_patience": -5},
         ],
     )
     def test_invalid_rejected(self, kwargs):
@@ -130,27 +129,32 @@ class TestAdamStep:
 
 
 class TestPlateauDetector:
+    """The plateau rule, ``plateaued``, at ``PLATEAU_PATIENCE``."""
+
     def test_constant_stream_halts_within_patience(self):
-        detector = PlateauDetector(patience=10, tolerance=1e-4)
+        losses = []
         halted_at = None
-        for epoch in range(50):
-            if detector.update(1.0):
+        for epoch in range(3 * PLATEAU_PATIENCE):
+            losses.append(1.0)
+            if plateaued(losses):
                 halted_at = epoch
                 break
         assert halted_at is not None
-        assert halted_at <= 10
+        assert halted_at <= PLATEAU_PATIENCE
 
     def test_steady_improvement_continues(self):
-        detector = PlateauDetector(patience=5, tolerance=1e-4)
+        losses = []
         loss = 1.0
-        for _ in range(100):
-            assert not detector.update(loss)
+        for _ in range(3 * PLATEAU_PATIENCE):
+            losses.append(loss)
+            assert not plateaued(losses)
             loss *= 0.99
 
     def test_needs_full_window(self):
-        detector = PlateauDetector(patience=20, tolerance=1e-4)
-        for _ in range(20):
-            assert not detector.update(1.0)
+        losses = []
+        for _ in range(PLATEAU_PATIENCE):
+            losses.append(1.0)
+            assert not plateaued(losses)
 
 
 class TestFit:

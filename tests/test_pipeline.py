@@ -19,6 +19,7 @@ import larvaecast
 from larvaecast import cli, ingest, pipeline, synth
 from larvaecast.errors import ConfigError, DataError, DivergenceError, ParseError
 from larvaecast.lstm import make_windows, train_lstm
+from larvaecast.nn import xavier_init
 from larvaecast.pipeline import (
     ABUNDANCE_MODEL_JSON,
     ABUNDANCE_SCALERS_JSON,
@@ -50,6 +51,7 @@ from larvaecast.serialize import (
     load_document,
     scalers_from_document,
     serialize_lstm,
+    serialize_network,
 )
 from larvaecast.trend import estimate_k
 
@@ -374,6 +376,19 @@ class TestCli:
         assert err.count("\n") == 1
         assert json.loads(err) == {"error": "ConfigError",
                                    "message": "horizon must not exceed lookback"}
+        assert not out.exists()
+
+    def test_train_climate_hidden_size_checked_before_any_read(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = cli.main(
+            ["train-climate", "--out-dir", str(out), "--seed", "1",
+             "--series", str(tmp_path / "series.csv"), "--hidden-size", "0"]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err) == {"error": "ConfigError",
+                                   "message": "--hidden-size must be positive: 0"}
         assert not out.exists()
 
     @pytest.mark.parametrize("command, flag, value", [
@@ -1088,7 +1103,7 @@ class TestReportGeometry:
         assert unmatched == ["a"]
 
 
-KEYED_FILES = ["regions.csv", FORECAST_CSV, PROJECTIONS_CSV]
+KEYED_FILES = ["regions.csv", "series.csv", FORECAST_CSV, PROJECTIONS_CSV]
 # Every column table, by the file of a pipeline run (or its data) that it reads.
 COLUMN_TABLES = {
     "observations.csv": ingest.OBSERVATION_COLUMNS,
@@ -1102,14 +1117,20 @@ COLUMN_TABLES = {
 
 
 def keyed_file(tmp_path, pipeline_run, name):
-    """A copy of the pipeline run plus regions.csv, the path of ``name`` in
-    it, and a function running the stage that reads that file."""
+    """A copy of the pipeline run plus regions.csv (and series.csv when
+    ``name`` is that), the path of ``name`` in it, and a function running the
+    stage that reads that file."""
     out = tmp_path / "out"
     shutil.copytree(pipeline_run.out_dir, out)
     regions = tmp_path / "regions.csv"
     shutil.copy(pipeline_run.data["regions"], regions)
     if name == PROJECTIONS_CSV:
         return out / name, lambda: report(out)
+    if name == "series.csv":
+        series = tmp_path / name
+        shutil.copy(pipeline_run.data["series"], series)
+        return series, lambda: cli.main(["forecast", "--out-dir", str(out),
+                                         "--series", str(series)])
     path = regions if name == "regions.csv" else out / name
     return path, lambda: cli.main(["project", "--out-dir", str(out), "--regions", str(regions),
                                    "--year", "2030", "--year", "2050"])
@@ -1280,6 +1301,33 @@ def test_bad_json_error_names_the_file(tmp_path, capsys, pipeline_run, case):
     path.write_text(edit(path.read_text(encoding="utf-8") if path.exists() else ""))
     doc = assert_data_error(run(), capsys, "ParseError", message)
     assert doc["message"].startswith(f"{path}: {message}")
+
+
+class TestDocumentsTheStageCannotRun:
+    """A model document that parses but does not fit the stage reading it is
+    a DataError naming the file."""
+
+    def test_lstm_horizon_beyond_lookback(self, tmp_path, capsys, pipeline_run):
+        path, run = document_reader(tmp_path, pipeline_run, lstm_document_name("summer_tmean"))
+        path.write_text(replaced("lookback", lambda _: 5)(path.read_text()))
+        doc = assert_data_error(run(), capsys, "DataError", "horizon must not exceed lookback")
+        assert doc["message"].startswith(f"{path}: ")
+
+    @pytest.mark.parametrize("dims", [(5, 4, 1), (6, 4, 2)])
+    def test_regressor_of_another_shape(self, tmp_path, capsys, pipeline_run, dims):
+        path, run = document_reader(tmp_path, pipeline_run, ABUNDANCE_MODEL_JSON)
+        (path.parent / PROJECTIONS_CSV).unlink()
+        path.write_text(serialize_network(xavier_init(dims, seed=0)))
+        doc = assert_data_error(run(), capsys, "DataError",
+                                f"maps {dims[0]} inputs to {dims[-1]} outputs")
+        assert doc["message"].startswith(f"{path}: ")
+        assert not (path.parent / PROJECTIONS_CSV).exists()
+
+    def test_scalers_of_other_features(self, tmp_path, capsys, pipeline_run):
+        path, run = document_reader(tmp_path, pipeline_run, ABUNDANCE_SCALERS_JSON)
+        path.write_text(replaced("feature_names", lambda names: names[::-1])(path.read_text()))
+        doc = assert_data_error(run(), capsys, "DataError", "do not match")
+        assert doc["message"].startswith(f"{path}: ")
 
 
 def test_non_utf8_observations(tmp_path, capsys):

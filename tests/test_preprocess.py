@@ -32,8 +32,8 @@ class TestLogCountTransform:
 class TestStandardScaler:
     def test_two_point_example(self):
         scaler = fit_scaler([[2.0], [4.0]])
-        np.testing.assert_array_equal(scaler.mean_, [3.0])
-        np.testing.assert_array_equal(scaler.std_, [1.0])
+        np.testing.assert_array_equal(scaler.mean, [3.0])
+        np.testing.assert_array_equal(scaler.std, [1.0])
         np.testing.assert_allclose(scaler.transform([[2.0], [4.0]]), [[-1.0], [1.0]])
 
     def test_constant_input_guard(self):
@@ -48,8 +48,7 @@ class TestStandardScaler:
         assert abs(out.std() - 1.0) < 1e-10
 
     def test_identity_scaler(self):
-        scaler = StandardScaler()
-        scaler.mean_, scaler.std_ = 0.0, 1.0
+        scaler = StandardScaler(mean=0.0, std=1.0, n_fit_rows=0)
         values = np.array([1.5, -2.0, 0.25])
         np.testing.assert_array_equal(scaler.transform(values), values)
 
@@ -69,8 +68,8 @@ class TestStandardScaler:
     def test_per_column_statistics(self):
         values = np.array([[1.0, 100.0], [3.0, 300.0]])
         scaler = fit_scaler(values)
-        np.testing.assert_allclose(scaler.mean_, [2.0, 200.0])
-        assert scaler.n_fit_rows_ == 2
+        np.testing.assert_allclose(scaler.mean, [2.0, 200.0])
+        assert scaler.n_fit_rows == 2
 
     def test_empty_rejected(self):
         with pytest.raises(DataError):

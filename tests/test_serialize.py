@@ -10,7 +10,7 @@ from larvaecast.ingest import csv_text
 from larvaecast.lstm import lstm_forward, lstm_init
 from test_lstm import reference_cell
 from larvaecast.nn import ABUNDANCE_LAYER_DIMS, xavier_init
-from larvaecast.preprocess import StandardScaler
+from larvaecast.preprocess import fit_scaler
 from larvaecast.serialize import (
     deserialize_lstm,
     deserialize_network,
@@ -158,14 +158,14 @@ class TestLstmRoundTrip:
 
 class TestSmallDocuments:
     def test_scalers_round_trip(self):
-        scaler = StandardScaler().fit(np.arange(24.0).reshape(8, 3))
+        scaler = fit_scaler(np.arange(24.0).reshape(8, 3))
         doc = scalers_to_document(scaler, ("a", "b", "c"), log_offset=1.0)
         restored, names, offset = scalers_from_document(doc)
         assert names == ["a", "b", "c"]
         assert offset == 1.0
-        assert restored.n_fit_rows_ == 8
-        np.testing.assert_array_equal(restored.mean_, scaler.mean_)
-        np.testing.assert_array_equal(restored.std_, scaler.std_)
+        assert restored.n_fit_rows == 8
+        np.testing.assert_array_equal(restored.mean, scaler.mean)
+        np.testing.assert_array_equal(restored.std, scaler.std)
 
     def test_linear_round_trip(self):
         model = LinearModel(slope=0.1537, intercept=1.91)
@@ -178,7 +178,7 @@ class TestSmallDocuments:
 
 
 def _scalers_doc():
-    scaler = StandardScaler().fit(np.arange(24.0).reshape(8, 3))
+    scaler = fit_scaler(np.arange(24.0).reshape(8, 3))
     return scalers_to_document(scaler, ("a", "b", "c"), log_offset=1.0)
 
 

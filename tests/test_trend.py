@@ -106,6 +106,15 @@ class TestFitTrend:
         with pytest.raises(DataError):
             fit_trend([1.0, 2.0, 3.0])
 
+    def test_huge_finite_series_warns_nothing(self):
+        """Under the suite's warnings-as-errors, a constant series near float's
+        limit fits with an SSE of 0, and one whose SSE overflows is a DataError."""
+        params, sse = fit_trend(np.full(43, 1e200))
+        assert np.all(np.isfinite(params.as_array()))
+        assert sse == 0.0
+        with pytest.raises(DataError, match="finite sum of squares"):
+            fit_trend(np.random.default_rng(0).normal(size=43) * 1e200)
+
 
 class TestEstimateK:
     def test_odd_count_median(self):
