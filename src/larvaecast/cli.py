@@ -3,7 +3,9 @@
 Commands mirror the pipeline stages: prepare, train-abundance,
 train-climate, forecast, project, report. Training commands require an
 explicit --seed; all stages write into --out-dir. Exit codes: 0 success,
-2 configuration error, 3 data error or ``OSError``, 4 internal invariant violation.
+2 configuration error (a bad or missing argument included), 3 data error
+or ``OSError``, 4 internal invariant violation; every error is one JSON
+object on stderr.
 
 Every flag sets the ``PipelineConfig`` field named by its ``dest``, and
 an omitted flag takes that field's default.
@@ -25,7 +27,7 @@ from pathlib import Path
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import pipeline  # noqa: E402
-from .errors import DataError, PipelineError
+from .errors import ConfigError, DataError, PipelineError
 from .pipeline import PipelineConfig
 
 # Command -> pipeline stage; the stage is looked up on the module at call
@@ -52,8 +54,15 @@ def _option(parser: argparse.ArgumentParser, flag: str, help: str = "", **kwargs
     parser.add_argument(flag, help=help, **kwargs)
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose argument errors are ConfigErrors, reported like any other."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="larvaecast",
         description="Project regional mosquito larvae abundance from "
                     "recursive climate forecasts.",
@@ -113,9 +122,8 @@ def run(args: argparse.Namespace) -> dict:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        summary = run(args)
+        summary = run(build_parser().parse_args(argv))
     except (PipelineError, OSError) as exc:
         json.dump(
             {"error": type(exc).__name__, "message": str(exc)},

@@ -32,8 +32,9 @@ class ForecastConfig:
     rounds: int
 
     def __post_init__(self):
-        if min(self.lookback, self.horizon, self.rounds) < 1:
-            raise ConfigError("lookback, horizon, and rounds must be positive")
+        for name in ("lookback", "horizon", "rounds"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be positive: {getattr(self, name)}")
         if self.horizon > self.lookback:
             raise ConfigError("horizon must not exceed lookback")
 

@@ -4,8 +4,9 @@ The CSV format lives here. Each file has one column table, an ordered
 mapping from column name to its kind ``(convert, check, describe)``:
 ``OBSERVATION_COLUMNS``, ``STATION_COLUMNS`` and ``SERIES_COLUMNS`` for
 the inputs, ``FEATURE_COLUMNS`` for ``features.csv`` and, in
-``pipeline``, the forecast, region and projection tables. ``read_rows``
-applies the same rules to every file: UTF-8 text, a header row naming
+``pipeline``, the forecast, region and projection tables. ``open_text``
+opens every file the program reads, CSV or JSON, and ``read_rows``
+applies the same rules to every CSV: UTF-8 text, a header row naming
 each declared column once, no row with more fields than the header,
 and in every row each declared field present, non-empty, convertible,
 finite if a number, and passing its kind's check. ``csv_text`` yields
@@ -28,10 +29,11 @@ from __future__ import annotations
 import csv
 import datetime
 import math
+import sys
 from collections import namedtuple
+from contextlib import contextmanager
 from dataclasses import dataclass
 from operator import attrgetter
-from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -74,7 +76,9 @@ NUMBER = (float, None, "")
 YEAR = (int, None, "")
 DATE = (datetime.date.fromisoformat, None, "")
 MONTH = (_month_str, None, "")
-COUNT = (int, lambda v: v >= 0, "count must be non-negative")
+# A count must convert to a float: log10(count + 1) is what the regressor learns.
+COUNT = (int, lambda v: 0 <= v <= sys.float_info.max,
+         "count must be non-negative and within float range")
 LATITUDE = (float, lambda v: -90 <= v <= 90, "latitude out of range")
 LONGITUDE = (float, lambda v: -180 <= v <= 180, "longitude out of range")
 
@@ -133,63 +137,67 @@ class RegionSeries:
     values: np.ndarray
 
 
+@contextmanager
+def open_text(path):
+    """A text handle on the file at ``path``, the one place a file is opened
+    for reading: UTF-8, a leading byte-order mark skipped, line endings kept
+    for ``csv``. A missing path or a directory is a DataError; text that is
+    not UTF-8, and any ParseError or ``csv.Error`` raised while the file is
+    open, is a ParseError prefixed with the path."""
+    try:
+        handle = open(path, newline="", encoding="utf-8-sig")
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
+        raise DataError(f"input file not found: {path}") from None
+    with handle:
+        try:
+            yield handle
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        except (ParseError, csv.Error) as exc:  # csv.Error: a field over csv.field_size_limit()
+            raise ParseError(f"{path}: {exc}") from None
+
+
 def read_rows(path, columns: dict):
     """Yield ``(row_number, values)`` for each data row of ``path``, with
     the values converted and checked in the order of ``columns``. The row
     number is the row's (last) line in the file, blank lines included."""
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"input file not found: {path}")
-    with path.open(newline="", encoding="utf-8") as handle:
-        try:
-            reader = csv.reader(handle)
-            header = next(reader, None)
-            if header is None:
-                raise ParseError(f"{path}: empty file, header row required")
-            missing = [col for col in columns if col not in header]
-            if missing:
-                raise ParseError(f"{path}: missing columns {missing}")
-            for col in columns:
-                if header.count(col) > 1:
-                    raise ParseError(f"{path}: column '{col}' repeats in the header")
-            spec = [(header.index(col), col, convert, convert is float, check, describe)
-                    for col, (convert, check, describe) in columns.items()]
-            width = len(header)
-            for row in reader:
-                if not row:
-                    continue
-                line = reader.line_num
-                if len(row) > width:
-                    raise ParseError(
-                        f"{path}: row {line}: {len(row)} fields, header has {width}"
-                    )
-                if len(row) < width:
-                    row += [""] * (width - len(row))
-                values = []
-                for i, col, convert, finite, check, describe in spec:
-                    raw = row[i]
-                    if not raw:
-                        raise ParseError(f"{path}: row {line}: column '{col}' is empty")
-                    try:
-                        value = convert(raw)
-                    except ValueError:
-                        raise ParseError(
-                            f"{path}: row {line}: column '{col}': cannot parse {raw!r}"
-                        ) from None
-                    if finite and not math.isfinite(value):
-                        raise ParseError(
-                            f"{path}: row {line}: column '{col}': value must be finite: {raw!r}"
-                        )
-                    if check is not None and not check(value):
-                        raise ParseError(
-                            f"{path}: row {line}: column '{col}': {describe}: {raw!r}"
-                        )
-                    values.append(value)
-                yield line, values
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
-        except csv.Error as exc:  # such as a field over csv.field_size_limit()
-            raise ParseError(f"{path}: {exc}") from None
+    with open_text(path) as handle:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header is None:
+            raise ParseError("empty file, header row required")
+        missing = [col for col in columns if col not in header]
+        if missing:
+            raise ParseError(f"missing columns {missing}")
+        for col in columns:
+            if header.count(col) > 1:
+                raise ParseError(f"column '{col}' repeats in the header")
+        spec = [(header.index(col), col, convert, convert is float, check, describe)
+                for col, (convert, check, describe) in columns.items()]
+        width = len(header)
+        for row in reader:
+            if not row:
+                continue
+            line = reader.line_num
+            if len(row) > width:
+                raise ParseError(f"row {line}: {len(row)} fields, header has {width}")
+            if len(row) < width:
+                row += [""] * (width - len(row))
+            values = []
+            for i, col, convert, finite, check, describe in spec:
+                raw = row[i]
+                if not raw:
+                    raise ParseError(f"row {line}: column '{col}' is empty")
+                try:
+                    value = convert(raw)
+                except ValueError:
+                    raise ParseError(f"row {line}: column '{col}': cannot parse {raw!r}") from None
+                if finite and not math.isfinite(value):
+                    raise ParseError(f"row {line}: column '{col}': value must be finite: {raw!r}")
+                if check is not None and not check(value):
+                    raise ParseError(f"row {line}: column '{col}': {describe}: {raw!r}")
+                values.append(value)
+            yield line, values
 
 
 def read_table(path, columns: dict, key, value) -> dict:
@@ -280,7 +288,8 @@ def merge_duplicates(observations: list[LarvaeObservation]) -> list[LarvaeObserv
     """Collapse same-location same-date records into one, summing counts.
 
     Output is sorted by (location_id, date) for deterministic downstream
-    processing.
+    processing. A sum beyond float range is a DataError naming the location
+    and the date.
     """
     grouped: dict[tuple[str, datetime.date], LarvaeObservation] = {}
     for obs in observations:
@@ -289,7 +298,11 @@ def merge_duplicates(observations: list[LarvaeObservation]) -> list[LarvaeObserv
         if seen is None:
             grouped[key] = obs
         else:
-            grouped[key] = seen._replace(larvae_count=seen.larvae_count + obs.larvae_count)
+            count = seen.larvae_count + obs.larvae_count
+            if count > sys.float_info.max:
+                raise DataError(f"merged larvae count of location {obs.location_id!r} "
+                                f"on {obs.date} is beyond float range")
+            grouped[key] = seen._replace(larvae_count=count)
     return [grouped[key] for key in sorted(grouped)]
 
 

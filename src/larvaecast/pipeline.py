@@ -13,7 +13,7 @@ import math
 import os
 import pickle
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -205,9 +205,12 @@ def _correlation_entry(pred, truth) -> dict:
 
 def cmd_train_abundance(cfg: PipelineConfig) -> dict:
     """Train the regressor with a chronological oldest-rows holdout."""
+    train_cfg = cfg.train_config()  # the training flags, before any read
+    if cfg.holdout_oldest < 1:
+        raise ConfigError(f"--holdout-oldest must be positive: {cfg.holdout_oldest}")
     rows = read_features(cfg.artifact(FEATURES_CSV))
     n = len(rows)
-    if cfg.holdout_oldest < 1 or cfg.holdout_oldest >= n:
+    if cfg.holdout_oldest >= n:
         raise ConfigError(
             f"holdout_oldest={cfg.holdout_oldest} must lie in [1, {n - 1}] for {n} rows"
         )
@@ -231,31 +234,24 @@ def cmd_train_abundance(cfg: PipelineConfig) -> dict:
     net = train_abundance(
         scaler.transform(train_x),
         train_y,
-        cfg.train_config(),
+        train_cfg,
         layer_dims=ABUNDANCE_LAYER_DIMS,
     )
 
     train_pred = predict_log_abundance(net, scaler, train_x)
     val_pred = predict_log_abundance(net, scaler, val_x)
-    residuals = residual_summary(val_pred, val_y)
     report = {
         "n": n,
         "n_train": len(train_rows),
         "n_val": len(val_rows),
         "train": _correlation_entry(train_pred, train_y),
         "validation": _correlation_entry(val_pred, val_y),
-        "validation_residuals": {
-            "n_positive": residuals.n_positive,
-            "n_negative": residuals.n_negative,
-            "n_zero": residuals.n_zero,
-            "max_positive": residuals.max_positive,
-            "max_negative": residuals.max_negative,
-        },
+        "validation_residuals": asdict(residual_summary(val_pred, val_y)),
     }
     serialize.commit({
         cfg.path(ABUNDANCE_MODEL_JSON): serialize.serialize_network(net),
-        cfg.path(ABUNDANCE_SCALERS_JSON): serialize.dumps(
-            serialize.scalers_to_document(scaler, FEATURE_NAMES, log_transform.offset)
+        cfg.path(ABUNDANCE_SCALERS_JSON): serialize.scalers_to_document(
+            scaler, FEATURE_NAMES, log_transform.offset
         ),
         cfg.path(ABUNDANCE_REPORT_JSON): serialize.dumps(report),
     })
@@ -347,18 +343,19 @@ def cmd_train_climate(cfg: PipelineConfig) -> dict:
     ForecastConfig(cfg.lookback, cfg.horizon, rounds=1)  # the window rule, before any read
     if cfg.lstm_hidden_size < 1:
         raise ConfigError(f"--hidden-size must be positive: {cfg.lstm_hidden_size}")
+    train_cfgs = [cfg.train_config(seed_offset=offset, max_epochs=cfg.climate_max_epochs)
+                  for offset in range(len(FORECAST_VARIABLES))]
     feature_rows = read_features(cfg.artifact(FEATURES_CSV))
     series = ingest.parse_series(cfg.series)
 
     summary: dict = {"windows": {}, "skipped": [], "epochs": {}}
     jobs = []
     width = cfg.lookback + cfg.horizon
-    for offset, variable in enumerate(FORECAST_VARIABLES):
+    for variable, train_cfg in zip(FORECAST_VARIABLES, train_cfgs):
         usable = _windowed(series.get(variable, {}), width, summary["skipped"])
         if not usable:
             raise DataError(f"no trainable windows for variable {variable!r}")
         windows = np.concatenate([make_windows(s, width) for s in usable])
-        train_cfg = cfg.train_config(seed_offset=offset, max_epochs=cfg.climate_max_epochs)
         jobs.append(lambda windows=windows, train_cfg=train_cfg: train_lstm(
             windows, train_cfg, horizon=cfg.horizon, hidden_size=cfg.lstm_hidden_size
         ))
@@ -391,7 +388,7 @@ def cmd_train_climate(cfg: PipelineConfig) -> dict:
         [r.precip_mm for r in feature_rows], [r.precip_days for r in feature_rows]
     )
     summary["offsets_regions"] = len(offsets)
-    summary["days_model"] = {"slope": days_model.slope, "intercept": days_model.intercept}
+    summary["days_model"] = asdict(days_model)
 
     artifacts = {}
     trained = _side_by_side(*jobs, name=FORECAST_VARIABLES[1])
@@ -400,8 +397,8 @@ def cmd_train_climate(cfg: PipelineConfig) -> dict:
         summary["epochs"][variable] = epochs
     serialize.commit({
         **artifacts,
-        cfg.path(OFFSETS_JSON): serialize.dumps(serialize.offsets_to_document(offsets)),
-        cfg.path(DAYS_MODEL_JSON): serialize.dumps(serialize.linear_to_document(days_model)),
+        cfg.path(OFFSETS_JSON): serialize.offsets_to_document(offsets),
+        cfg.path(DAYS_MODEL_JSON): serialize.linear_to_document(days_model),
         cfg.path(CLIMATE_REPORT_JSON): serialize.dumps(summary),
     })
     return summary
@@ -429,14 +426,8 @@ def cmd_forecast(cfg: PipelineConfig) -> dict:
             ForecastConfig(model.lookback, model.output_len, rounds=1)  # the roll's rule
         except ConfigError as exc:
             raise DataError(f"{path}: the forecast cannot roll this model: {exc}") from None
-    offsets = serialize.read_file(
-        cfg.artifact(OFFSETS_JSON),
-        lambda text: serialize.offsets_from_document(serialize.loads(text, "offsets")),
-    )
-    days_model = serialize.read_file(
-        cfg.artifact(DAYS_MODEL_JSON),
-        lambda text: serialize.linear_from_document(serialize.loads(text, "linear")),
-    )
+    offsets = serialize.read_file(cfg.artifact(OFFSETS_JSON), serialize.offsets_from_document)
+    days_model = serialize.read_file(cfg.artifact(DAYS_MODEL_JSON), serialize.linear_from_document)
 
     last_year = max(s.years[-1] for regions in series.values() for s in regions.values())
     if cfg.target_year <= last_year:
@@ -518,10 +509,7 @@ def cmd_project(cfg: PipelineConfig) -> dict:
             f"{net.layer_dims[-1]} outputs, not the {len(FEATURE_NAMES)} features to 1"
         )
     scalers_path = cfg.artifact(ABUNDANCE_SCALERS_JSON)
-    scaler, names, log_offset = serialize.read_file(
-        scalers_path,
-        lambda text: serialize.scalers_from_document(serialize.loads(text, "scalers")),
-    )
+    scaler, names, log_offset = serialize.read_file(scalers_path, serialize.scalers_from_document)
     if tuple(names) != FEATURE_NAMES:
         raise DataError(
             f"{scalers_path}: scaler features {names} do not match {list(FEATURE_NAMES)}"
@@ -572,9 +560,6 @@ def _read_projections(path) -> dict[str, dict[int, dict]]:
 def read_geometry(path) -> dict:
     """Load a GeoJSON document under the JSON rules of ``serialize.parse_json``
     (no schema check); anything but a JSON object is a ParseError naming the file."""
-    path = Path(path)
-    if not path.is_file():
-        raise DataError(f"input file not found: {path}")
     doc = serialize.read_file(path, serialize.parse_json)
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: GeoJSON root must be an object")

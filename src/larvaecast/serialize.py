@@ -1,9 +1,10 @@
 """Portable text documents for trained models and fitted transforms.
 
 All documents are UTF-8 JSON with a ``schema_version`` and a ``kind``
-tag ("dense", "lstm", "scalers", "linear", "offsets").
-Parameter arrays are stored row-major at full decimal precision, so a
-serialize/deserialize round trip is bit-exact.
+tag ("dense", "lstm", "scalers", "linear", "offsets"). Every writer returns
+the document's text, built by ``document``; every reader takes that text
+and checks it with ``loads``. Parameter arrays are stored row-major at
+full decimal precision, so a serialize/deserialize round trip is bit-exact.
 """
 
 from __future__ import annotations
@@ -11,11 +12,13 @@ from __future__ import annotations
 import json
 import math
 import os
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, ParseError
+from .ingest import open_text
 from .lstm import GATES, LstmModel, check_lstm
 from .nn import DenseNetwork, check_dense
 from .preprocess import StandardScaler
@@ -100,15 +103,17 @@ def dumps(doc: dict) -> str:
     return json.dumps(doc, indent=1) + "\n"
 
 
+def document(kind: str, body: dict) -> str:
+    """The text of a ``kind`` document: ``schema_version``, ``kind``, then ``body``."""
+    return dumps({"schema_version": SCHEMA_VERSION, "kind": kind, **body})
+
+
 def read_file(path, parse):
-    """``parse`` of the UTF-8 text of the file at ``path``. A ParseError from the
-    read or from ``parse`` (the JSON, the document kind, a field) names the file."""
-    try:
-        return parse(Path(path).read_text(encoding="utf-8"))
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    except ParseError as exc:
-        raise ParseError(f"{path}: {exc}") from None
+    """``parse`` of the text of the file at ``path``, read through
+    ``ingest.open_text``, so a ParseError from the read or from ``parse``
+    (the JSON, the document kind, a field) names the file."""
+    with open_text(path) as handle:
+        return parse(handle.read())
 
 
 def parse_json(text: str):
@@ -170,16 +175,13 @@ def load_document(path, expected_kind: str) -> dict:
 
 
 def serialize_network(net: DenseNetwork) -> str:
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "dense",
+    return document("dense", {
         "layer_dims": list(net.layer_dims),
         "activations": list(net.activations),
         "dropout_rate": net.dropout_rate,
         "weights": [w.ravel().tolist() for w in net.weights],
         "biases": [b.tolist() for b in net.biases],
-    }
-    return dumps(doc)
+    })
 
 
 def deserialize_network(text: str) -> DenseNetwork:
@@ -208,8 +210,6 @@ def deserialize_network(text: str) -> DenseNetwork:
 
 def serialize_lstm(model: LstmModel) -> str:
     doc = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "lstm",
         "hidden_size": model.hidden_size,
         "input_size": 1,
         "output_len": model.output_len,
@@ -223,7 +223,7 @@ def serialize_lstm(model: LstmModel) -> str:
         doc[f"b_{gate}"] = b.tolist()
     doc["head_w"] = model.head_w.ravel().tolist()
     doc["head_b"] = model.head_b.tolist()
-    return dumps(doc)
+    return document("lstm", doc)
 
 
 def deserialize_lstm(text: str) -> LstmModel:
@@ -257,19 +257,18 @@ def deserialize_lstm(text: str) -> LstmModel:
 
 def scalers_to_document(
     scaler: StandardScaler, feature_names, log_offset: float
-) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "scalers",
+) -> str:
+    return document("scalers", {
         "feature_names": list(feature_names),
         "mean": np.asarray(scaler.mean).tolist(),
         "std": np.asarray(scaler.std).tolist(),
         "n_fit_rows": scaler.n_fit_rows,
         "log_offset": log_offset,
-    }
+    })
 
 
-def scalers_from_document(doc: dict) -> tuple[StandardScaler, list[str], float]:
+def scalers_from_document(text: str) -> tuple[StandardScaler, list[str], float]:
+    doc = loads(text, "scalers")
     names = _list("feature_names", _require(doc, "feature_names", "scalers"), str)
     mean = _vector("mean", _require(doc, "mean", "scalers"), len(names))
     std = _vector("std", _require(doc, "std", "scalers"), len(names))
@@ -279,41 +278,27 @@ def scalers_from_document(doc: dict) -> tuple[StandardScaler, list[str], float]:
     return scaler, names, _number(doc, "log_offset", "scalers")
 
 
-def linear_to_document(model: LinearModel) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "linear",
-        "slope": model.slope,
-        "intercept": model.intercept,
-    }
+def _numbers(cls, doc: dict, kind: str):
+    """A ``cls`` dataclass of float fields, each read from ``doc`` by its name."""
+    return cls(*(_number(doc, field.name, kind) for field in fields(cls)))
 
 
-def linear_from_document(doc: dict) -> LinearModel:
-    return LinearModel(
-        slope=_number(doc, "slope", "linear"),
-        intercept=_number(doc, "intercept", "linear"),
-    )
+def linear_to_document(model: LinearModel) -> str:
+    return document("linear", asdict(model))
 
 
-def offsets_to_document(offsets: dict[str, OffsetK]) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "offsets",
-        "regions": {
-            region: {"k_min": k.k_min, "k_max": k.k_max}
-            for region, k in sorted(offsets.items())
-        },
-    }
+def linear_from_document(text: str) -> LinearModel:
+    return _numbers(LinearModel, loads(text, "linear"), "linear")
 
 
-def offsets_from_document(doc: dict) -> dict[str, OffsetK]:
-    regions = _require(doc, "regions", "offsets")
+def offsets_to_document(offsets: dict[str, OffsetK]) -> str:
+    return document("offsets", {
+        "regions": {region: asdict(k) for region, k in sorted(offsets.items())},
+    })
+
+
+def offsets_from_document(text: str) -> dict[str, OffsetK]:
+    regions = _require(loads(text, "offsets"), "regions", "offsets")
     if not isinstance(regions, dict):
         raise ParseError("offsets document: field 'regions' must be a JSON object")
-    return {
-        region: OffsetK(
-            k_min=_number(entry, "k_min", "offsets"),
-            k_max=_number(entry, "k_max", "offsets"),
-        )
-        for region, entry in regions.items()
-    }
+    return {region: _numbers(OffsetK, entry, "offsets") for region, entry in regions.items()}

@@ -208,7 +208,7 @@ class TestPipelineOutputs:
             (pipeline_run.out_dir / ABUNDANCE_MODEL_JSON).read_text()
         )
         scaler, _, log_offset = scalers_from_document(
-            load_document(pipeline_run.out_dir / ABUNDANCE_SCALERS_JSON, "scalers")
+            (pipeline_run.out_dir / ABUNDANCE_SCALERS_JSON).read_text()
         )
         rows = read_features(pipeline_run.out_dir / FEATURES_CSV)
         features = np.array([ingest.feature_values(r) for r in rows[:5]])
@@ -341,18 +341,16 @@ class TestCli:
         assert code == 2
         capsys.readouterr()
 
-    def test_seed_required_for_training(self):
-        with pytest.raises(SystemExit) as excinfo:
-            cli.main(["train-abundance", "--out-dir", "/tmp/x"])
-        assert excinfo.value.code == 2
+    def test_seed_required_for_training(self, tmp_path, capsys):
+        assert cli.main(["train-abundance", "--out-dir", str(tmp_path / "x")]) == 2
+        assert_json_error(capsys, "ConfigError", "required: --seed")
 
-    def test_forecast_takes_no_window_flags(self, tmp_path):
+    def test_forecast_takes_no_window_flags(self, tmp_path, capsys):
         for flag in ("--lookback", "--horizon", "--rounds"):
-            with pytest.raises(SystemExit) as excinfo:
-                cli.main(
-                    ["forecast", "--out-dir", str(tmp_path), "--series", "s.csv", flag, "12"]
-                )
-            assert excinfo.value.code == 2
+            assert cli.main(
+                ["forecast", "--out-dir", str(tmp_path), "--series", "s.csv", flag, "12"]
+            ) == 2
+            assert_json_error(capsys, "ConfigError", f"unrecognized arguments: {flag} 12")
 
     def test_readme_walkthrough_parses(self):
         """Every command of the README walkthrough parses into a config; no stage runs."""
@@ -367,16 +365,21 @@ class TestCli:
 
     def test_train_climate_horizon_beyond_lookback(self, tmp_path, capsys):
         out = tmp_path / "out"
-        code = cli.main(
-            ["train-climate", "--out-dir", str(out), "--seed", "1",
-             "--series", str(tmp_path / "series.csv"), "--lookback", "5", "--horizon", "6"]
-        )
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1
-        assert json.loads(err) == {"error": "ConfigError",
-                                   "message": "horizon must not exceed lookback"}
-        assert not out.exists()
+        for flags, message in [
+            (["--lookback", "5", "--horizon", "6"], "horizon must not exceed lookback"),
+            (["--lookback", "0"], "lookback must be positive: 0"),
+            (["--horizon", "0"], "horizon must be positive: 0"),
+        ]:
+            code = cli.main(
+                ["train-climate", "--out-dir", str(out), "--seed", "1",
+                 "--series", str(tmp_path / "series.csv"), *flags]
+            )
+            assert code == 2
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1
+            assert json.loads(err) == {"error": "ConfigError", "message": message}
+            assert "rounds" not in err
+            assert not out.exists()
 
     def test_train_climate_hidden_size_checked_before_any_read(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -389,6 +392,25 @@ class TestCli:
         assert err.count("\n") == 1
         assert json.loads(err) == {"error": "ConfigError",
                                    "message": "--hidden-size must be positive: 0"}
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flag, value, message", [
+        ("train-climate", "--max-epochs", "0", "max_epochs must be >= 1"),
+        ("train-abundance", "--batch-size", "0", "batch_size must be >= 1"),
+        ("train-abundance", "--seed", "-1", "seed must be a non-negative integer"),
+        ("train-abundance", "--learning-rate", "-1", "learning_rate must be positive"),
+        ("train-abundance", "--holdout-oldest", "0", "--holdout-oldest must be positive: 0"),
+    ], ids=["climate-max-epochs", "batch-size", "seed", "learning-rate", "holdout-oldest"])
+    def test_training_flags_checked_before_any_read(
+        self, tmp_path, capsys, command, flag, value, message
+    ):
+        """No features.csv or series.csv exists, so any read would fail first."""
+        out = tmp_path / "out"
+        argv = [command, "--out-dir", str(out), "--seed", "1", flag, value]
+        if command == "train-climate":
+            argv += ["--series", str(tmp_path / "series.csv")]
+        assert cli.main(argv) == 2
+        assert json.loads(capsys.readouterr().err) == {"error": "ConfigError", "message": message}
         assert not out.exists()
 
     @pytest.mark.parametrize("command, flag, value", [
@@ -448,6 +470,35 @@ class TestCli:
                 ]
         assert foreign == []
 
+    def test_one_opener_for_reading_and_one_for_writing(self):
+        """An ast walk: every call that opens a file, by the innermost function
+        around it, is ``ingest.open_text`` reading or ``serialize.commit`` writing."""
+        package = Path(larvaecast.__file__).resolve().parent
+        found = set()
+
+        def visit(node, where):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                where = f"{where.split('.')[0]}.{node.name}"
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "attr", getattr(func, "id", None))
+                if name in ("read_text", "read_bytes"):
+                    found.add((where, "read"))
+                elif name in ("write_text", "write_bytes"):
+                    found.add((where, "write"))
+                elif name == "open":
+                    position = 1 if isinstance(func, ast.Name) else 0
+                    mode = next((k.value for k in node.keywords if k.arg == "mode"),
+                                node.args[position] if len(node.args) > position else None)
+                    mode = "r" if mode is None else getattr(mode, "value", "unknown")
+                    found.add((where, "read" if set(mode) <= set("rbt") else "write"))
+            for child in ast.iter_child_nodes(node):
+                visit(child, where)
+
+        for path in sorted(package.rglob("*.py")):
+            visit(ast.parse(path.read_text(encoding="utf-8")), f"{path.stem}.<module>")
+        assert found == {("ingest.open_text", "read"), ("serialize.commit", "write")}
+
     @pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])
     def test_cli_import_sets_one_blas_thread_unless_set(self, preset, expected):
         src = Path(larvaecast.__file__).resolve().parent.parent
@@ -502,14 +553,19 @@ class TestCli:
         assert larvaecast.forecast is importlib.import_module("larvaecast.forecast")
 
 
-def assert_data_error(code, capsys, error, text):
-    assert code == 3
+def assert_json_error(capsys, error, text):
+    """The one line on stderr: a JSON ``error`` whose message holds ``text``."""
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     doc = json.loads(err)
     assert doc["error"] == error
     assert text in doc["message"]
     return doc
+
+
+def assert_data_error(code, capsys, error, text):
+    assert code == 3
+    return assert_json_error(capsys, error, text)
 
 
 def file_bytes(directory) -> dict[str, bytes]:
@@ -610,6 +666,45 @@ class TestCliRejectsBadNumbers:
             writer.writerows(rows)
         code = cli.main(["train-abundance", "--out-dir", str(out), "--seed", "1"])
         assert_parse_error(code, capsys, "elevation_m")
+
+    def prepare_counts(self, tmp_path, counts):
+        """prepare on the fixture with the larvae count on each line numbered
+        in ``counts`` (the header is line 1) set to its value."""
+        paths = synth.write_prepare_fixture(tmp_path / "data")
+        lines = paths["observations"].read_text().splitlines()
+        for line, count in counts.items():
+            lines[line - 1] = f"{lines[line - 1].rsplit(',', 1)[0]},{count}"
+        paths["observations"].write_text("\n".join(lines) + "\n")
+        return cli.main(
+            ["prepare", "--out-dir", str(tmp_path / "out"),
+             "--observations", str(paths["observations"]), "--stations", str(paths["stations"])]
+        )
+
+    def test_observed_count_beyond_float_range(self, tmp_path, capsys):
+        code = self.prepare_counts(tmp_path, {2: 10**400})
+        assert_data_error(code, capsys, "ParseError",
+                          "row 2: column 'larvae_count': count must be non-negative and "
+                          "within float range")
+        assert not (tmp_path / "out").exists()
+
+    def test_merged_count_beyond_float_range(self, tmp_path, capsys):
+        code = self.prepare_counts(tmp_path, {6: 10**308, 7: 10**308})  # both site-c 2020-06-05
+        doc = assert_data_error(code, capsys, "DataError", "'site-c' on 2020-06-05")
+        assert "beyond float range" in doc["message"]
+        assert not (tmp_path / "out").exists()
+
+    def test_feature_count_beyond_float_range(self, tmp_path, capsys):
+        paths = synth.write_prepare_fixture(tmp_path / "data")
+        out = tmp_path / "out"
+        cmd_prepare(PipelineConfig(out_dir=out, observations=paths["observations"],
+                                   stations=paths["stations"]))
+        header, first, *rest = (out / FEATURES_CSV).read_text().splitlines()
+        first = f"{first.rsplit(',', 1)[0]},{10**400}"
+        (out / FEATURES_CSV).write_text("\n".join([header, first, *rest]) + "\n")
+        code = cli.main(["train-abundance", "--out-dir", str(out), "--seed", "1"])
+        assert_data_error(code, capsys, "ParseError",
+                          f"{out / FEATURES_CSV}: row 2: column 'larvae_count': count must be")
+        assert not (out / ABUNDANCE_MODEL_JSON).exists()
 
     def test_non_numeric_projection_year(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -1096,6 +1191,11 @@ class TestReportGeometry:
         (tmp_path / "regions.geojson").write_bytes(b'{"features": []}\xff\xfe')
         assert_data_error(self.report(tmp_path, None), capsys, "ParseError", "not UTF-8")
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "regions.geojson"
+        path.write_text('\ufeff{"features": []}', encoding="utf-8")
+        assert pipeline.read_geometry(path) == {"features": []}
+
     def test_null_properties_and_list_ids_unmatched(self):
         features = [{"properties": None}, {"properties": {"region_id": ["a"]}}]
         merged, unmatched = merge_geometry({"features": features}, {"a": {"abundance": 1.0}})
@@ -1193,6 +1293,11 @@ class TestColumns:
         path.write_text("region_id,elevation_m\n\nr1,100.0\n\nr1,200.0\n")
         with pytest.raises(ParseError, match="row 5: duplicate key r1, first at row 3$"):
             pipeline.read_region_elevations(path)
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "regions.csv"
+        path.write_text("\ufeffregion_id,elevation_m\nr1,100.0\n", encoding="utf-8")
+        assert pipeline.read_region_elevations(path) == {"r1": 100.0}
 
     def test_repeated_header_column(self, tmp_path):
         path = tmp_path / "regions.csv"

@@ -179,7 +179,7 @@ class TestSmallDocuments:
 
 def _scalers_doc():
     scaler = fit_scaler(np.arange(24.0).reshape(8, 3))
-    return scalers_to_document(scaler, ("a", "b", "c"), log_offset=1.0)
+    return json.loads(scalers_to_document(scaler, ("a", "b", "c"), log_offset=1.0))
 
 
 def _set(doc, path, value):
@@ -195,10 +195,11 @@ READERS = {
               lambda: json.loads(serialize_network(xavier_init([4, 3, 1], seed=0)))),
     "lstm": (lambda doc: deserialize_lstm(json.dumps(doc)),
              lambda: json.loads(serialize_lstm(lstm_init(seed=0, hidden_size=3, output_len=2)))),
-    "scalers": (scalers_from_document, _scalers_doc),
-    "linear": (linear_from_document, lambda: linear_to_document(LinearModel(0.15, 1.9))),
-    "offsets": (offsets_from_document,
-                lambda: offsets_to_document({"west": OffsetK(5.5, 6.25)})),
+    "scalers": (lambda doc: scalers_from_document(json.dumps(doc)), _scalers_doc),
+    "linear": (lambda doc: linear_from_document(json.dumps(doc)),
+               lambda: json.loads(linear_to_document(LinearModel(0.15, 1.9)))),
+    "offsets": (lambda doc: offsets_from_document(json.dumps(doc)),
+                lambda: json.loads(offsets_to_document({"west": OffsetK(5.5, 6.25)}))),
 }
 
 
@@ -238,7 +239,7 @@ class TestWrongTypes:
         doc = _scalers_doc()
         doc["std"][1] = std
         with pytest.raises(ParseError, match="'std'"):
-            scalers_from_document(doc)
+            scalers_from_document(json.dumps(doc))
 
     def test_integer_beyond_float_range_rejected(self):
         text = serialize_lstm(lstm_init(seed=0, hidden_size=3, output_len=2))
