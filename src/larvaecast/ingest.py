@@ -11,7 +11,11 @@ each declared column once, no row with more fields than the header,
 and in every row each declared field present, non-empty, convertible,
 finite if a number, and passing its kind's check. ``csv_text`` yields
 a table's header and rows as lines, one at a time, for
-``serialize.commit`` to write. The row types ``LarvaeObservation``,
+``serialize.commit`` to write; ``fmt`` refuses a non-finite number, so
+no stage writes a number no stage may read. The annual tables,
+``series.csv`` and ``forecast.csv`` (``ANNUAL_COLUMNS``), have their own
+codec, ``read_annual`` and ``annual_text``: the same rules and bytes at
+about half the cost per row. The row types ``LarvaeObservation``,
 ``StationRecord`` and ``FeatureRow`` are named tuples built from the
 keys of their tables, and ``feature_values`` reads the six features off
 a station record or a feature row. ``RegionSeries`` is the one
@@ -33,7 +37,7 @@ import sys
 from collections import namedtuple
 from contextlib import contextmanager
 from dataclasses import dataclass
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from types import SimpleNamespace
 
 import numpy as np
@@ -102,6 +106,8 @@ STATION_COLUMNS = {
     "precip_mm": (float, lambda v: v >= 0, "precipitation must be non-negative"),
     "elevation_m": NUMBER,
 }
+# The columns of the annual tables, series.csv and forecast.csv.
+ANNUAL_COLUMNS = ("region_id", "variable", "year", "value")
 SERIES_COLUMNS = {
     "region_id": TEXT,
     "variable": (str, lambda v: v in SERIES_VARIABLES, "unknown series variable"),
@@ -219,18 +225,93 @@ def read_table(path, columns: dict, key, value) -> dict:
     return table
 
 
+def read_annual(path, columns: dict) -> dict:
+    """``read_table(path, columns, ...)`` of an annual table, ``{region_id:
+    {variable: {year: value}}}``, for a column table of ``ANNUAL_COLUMNS``
+    whose ``variable`` kind may have a check. Each row is unpacked in one
+    step and checked inline; at the first row that is not clean the file
+    is closed and read again by ``read_table``, which returns the same
+    table or raises the error ``read_rows`` defines for that row."""
+    with open_text(path) as handle:
+        table = _clean_annual(csv.reader(handle), columns)
+    if table is None:  # outside open_text, which would prefix the path again
+        return read_table(path, columns, lambda v: v[:3], lambda v: v[3])
+    return table
+
+
+def _clean_annual(reader, columns: dict) -> dict | None:
+    """The annual table of a clean ``reader``, or None at its first row
+    that ``read_rows`` might refuse or treat otherwise."""
+    header = next(reader, None)
+    if header is None or any(header.count(col) != 1 for col in ANNUAL_COLUMNS):
+        return None
+    width = len(header)
+    pick = itemgetter(*map(header.index, ANNUAL_COLUMNS))
+    known = columns["variable"][1] or bool  # the variable's check, once per series
+    isfinite = math.isfinite
+    table: dict = {}
+    region = variable = None
+    try:
+        for row in reader:
+            if len(row) != width:
+                if row:
+                    return None
+                continue  # a blank line
+            key_region, key_variable, year, value = pick(row)
+            if key_region != region or key_variable != variable:
+                region, variable = key_region, key_variable
+                if not region or not known(variable):
+                    return None
+                by_year = table.setdefault(region, {}).setdefault(variable, {})
+            year = int(year)
+            value = float(value)
+            if year in by_year or not isfinite(value):
+                return None
+            by_year[year] = value
+    except ValueError:  # an empty or malformed year or value
+        return None
+    return table
+
+
 def fmt(value) -> str:
-    """A number as written to CSV: the shortest text that reads back exactly."""
-    return repr(float(value))
+    """A number as written to CSV: the shortest text that reads back
+    exactly. A non-finite number is a DataError: no stage may read it."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise DataError(f"cannot write a non-finite number: {value!r}")
+    return repr(value)
+
+
+def _line_writer():
+    """``csv.writer``'s ``writerow``, returning each line instead of writing it."""
+    return csv.writer(SimpleNamespace(write=lambda line: line)).writerow
 
 
 def csv_text(columns, rows):
     """Yield the lines of a CSV file, each as it is needed: the header
     ``columns`` (names, or a column table), then one line per row."""
-    # The writer's target returns each line it is given, and so does writerow.
-    writerow = csv.writer(SimpleNamespace(write=lambda line: line)).writerow
+    writerow = _line_writer()
     yield writerow(columns)
     yield from map(writerow, rows)
+
+
+def annual_text(series):
+    """Yield the text of an annual table of ``series`` (``RegionSeries``,
+    in the order given), the bytes ``csv_text`` writes for their rows with
+    ``fmt``: the header line, then one block of lines per series. Each
+    series' key is quoted once; a series with a non-finite value is a
+    DataError naming it and the year."""
+    writerow = _line_writer()
+    yield writerow(ANNUAL_COLUMNS)
+    for s in series:
+        finite = np.isfinite(s.values)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise DataError(f"series {s.region_id}/{s.variable}, year {s.years[i]}: "
+                            f"cannot write a non-finite number: {float(s.values[i])!r}")
+        key = writerow((s.region_id, s.variable))[:-2]  # less the line terminator
+        yield "".join([f"{key},{year},{value!r}\r\n"
+                       for year, value in zip(s.years, s.values.tolist())])
 
 
 def parse_observations(path) -> list[LarvaeObservation]:
@@ -255,7 +336,7 @@ def parse_series(path) -> dict[str, dict[str, RegionSeries]]:
     each variable's regions in sorted order. A region, variable and year
     that repeat are a duplicate key (see ``read_table``); a series' years
     must be consecutive."""
-    points = read_table(path, SERIES_COLUMNS, lambda v: v[:3], lambda v: v[3])
+    points = read_annual(path, SERIES_COLUMNS)
     if not points:
         raise DataError(f"{path}: no series found")
     table: dict[str, dict[str, RegionSeries]] = {}

@@ -44,6 +44,9 @@ PERCENT_CHANGE_CSV = "percent_change.csv"
 
 FORECAST_VARIABLES = ("summer_tmean", "summer_precip")
 DERIVED_DAYS_VARIABLE = "summer_precip_days"
+# How far past the last observed year --target-year may lie: ample for the
+# paper's 2050 horizon, and it bounds the forecast's time and file size.
+MAX_FORECAST_YEARS = 1000
 
 
 def lstm_document_name(variable: str) -> str:
@@ -113,8 +116,19 @@ class PipelineConfig:
                 setattr(self, name, Path(value))
         if not math.isfinite(self.max_km) or self.max_km <= 0:
             raise ConfigError(f"--max-km must be a positive finite number: {self.max_km}")
-        if not math.isfinite(self.learning_rate):
-            raise ConfigError(f"--learning-rate must be finite: {self.learning_rate}")
+        # The training flags, here so each message names its flag; TrainConfig
+        # keeps the same checks, by field, for library callers.
+        if self.seed < 0:
+            raise ConfigError(f"--seed must be a non-negative integer: {self.seed}")
+        if self.batch_size < 1:
+            raise ConfigError(f"--batch-size must be >= 1: {self.batch_size}")
+        if not math.isfinite(self.learning_rate) or self.learning_rate <= 0:
+            raise ConfigError(
+                f"--learning-rate must be a positive finite number: {self.learning_rate}"
+            )
+        for max_epochs in (self.max_epochs, self.climate_max_epochs):
+            if max_epochs < 1:
+                raise ConfigError(f"--max-epochs must be >= 1: {max_epochs}")
 
     def path(self, name: str) -> Path:
         return self.out_dir / name
@@ -413,7 +427,8 @@ def cmd_forecast(cfg: PipelineConfig) -> dict:
     Every region of a variable rolls in one batch; the window length and
     block size come from each LSTM document. A batch rolls as many blocks
     as its earliest-ending series needs to reach ``target_year``, so every
-    region covers every year up to it.
+    region covers every year up to it. ``target_year`` lies at most
+    ``MAX_FORECAST_YEARS`` past the last observed year.
     """
     if cfg.series is None:
         raise ConfigError("forecast needs --series")
@@ -434,6 +449,11 @@ def cmd_forecast(cfg: PipelineConfig) -> dict:
         raise ConfigError(
             f"target_year {cfg.target_year} is not beyond the observed series "
             f"(last year {last_year})"
+        )
+    if cfg.target_year > last_year + MAX_FORECAST_YEARS:
+        raise ConfigError(
+            f"--target-year {cfg.target_year} is more than {MAX_FORECAST_YEARS} years "
+            f"beyond the observed series (last year {last_year})"
         )
 
     results = []
@@ -471,11 +491,7 @@ def cmd_forecast(cfg: PipelineConfig) -> dict:
         raise DataError("no region could be forecast")
 
     results.sort(key=lambda r: (r.region_id, r.variable))
-    serialize.commit({cfg.path(FORECAST_CSV): csv_text(
-        FORECAST_COLUMNS,
-        ([result.region_id, result.variable, year, fmt(value)]
-         for result in results for year, value in zip(result.years, result.values)),
-    )})
+    serialize.commit({cfg.path(FORECAST_CSV): ingest.annual_text(results)})
     return {
         "regions": len({r.region_id for r in results}),
         "rows": sum(r.values.size for r in results),
@@ -487,7 +503,7 @@ def cmd_forecast(cfg: PipelineConfig) -> dict:
 
 
 def _read_forecast(path) -> dict[str, dict[str, dict[int, float]]]:
-    return ingest.read_table(path, FORECAST_COLUMNS, lambda v: v[:3], lambda v: v[3])
+    return ingest.read_annual(path, FORECAST_COLUMNS)
 
 
 def read_region_elevations(path) -> dict[str, float]:

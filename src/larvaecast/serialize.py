@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ParseError
+from .errors import ConfigError, DataError, ParseError
 from .ingest import open_text
 from .lstm import GATES, LstmModel, check_lstm
 from .nn import DenseNetwork, check_dense
@@ -151,7 +151,8 @@ def commit(artifacts: dict) -> None:
     beside its path, then, once every temp file is complete, each renamed
     over its path in order, so a failed write replaces nothing. ``text``
     is a str or an iterable of lines (``ingest.csv_text``), written as it
-    is produced."""
+    is produced; a DataError raised while it is produced (a number that
+    cannot be written) is prefixed with the path."""
     temps = {}
     try:
         for path, text in artifacts.items():
@@ -159,7 +160,10 @@ def commit(artifacts: dict) -> None:
             path.parent.mkdir(parents=True, exist_ok=True)
             tmp = temps[path] = path.with_name(f".{path.name}.{os.getpid()}.tmp")
             with tmp.open("w", newline="", encoding="utf-8") as handle:
-                handle.writelines([text] if isinstance(text, str) else text)
+                try:
+                    handle.writelines([text] if isinstance(text, str) else text)
+                except DataError as exc:
+                    raise DataError(f"{path}: {exc}") from None
         for path, tmp in temps.items():
             os.replace(tmp, path)
     finally:

@@ -22,8 +22,9 @@ import numpy as np
 from .ingest import (
     FEATURE_NAMES,
     OBSERVATION_COLUMNS,
-    SERIES_COLUMNS,
     STATION_COLUMNS,
+    RegionSeries,
+    annual_text,
     csv_text,
     fmt,
 )
@@ -179,7 +180,7 @@ def generate_dataset(out_dir, seed: int = DEFAULT_SEED) -> dict[str, Path]:
 
 
     # Annual summer series, 1979..2021, four variables per region.
-    series_rows = []
+    series = []
     for region in REGIONS:
         years = np.array(list(SERIES_YEARS))
         t = years - years[0]
@@ -204,10 +205,7 @@ def generate_dataset(out_dir, seed: int = DEFAULT_SEED) -> dict[str, Path]:
             ("summer_tmax", tmax),
             ("summer_precip", precip),
         ):
-            series_rows.extend(
-                [region.region_id, variable, int(year), fmt(value)]
-                for year, value in zip(years, values)
-            )
+            series.append(RegionSeries(region.region_id, variable, years.tolist(), values))
     paths = {name: Path(out_dir) / f"{name}.csv"
              for name in ("observations", "stations", "series", "regions")}
     coords = {station[0]: station[1:3] for station in stations}
@@ -223,7 +221,7 @@ def generate_dataset(out_dir, seed: int = DEFAULT_SEED) -> dict[str, Path]:
             ([location_id, fmt(lat), fmt(lon), date, source, int(count)]
              for location_id, lat, lon, date, source, count in observations),
         ),
-        paths["series"]: csv_text(SERIES_COLUMNS, series_rows),
+        paths["series"]: annual_text(series),
         paths["regions"]: csv_text(
             REGION_COLUMNS, ([region.region_id, fmt(region.elevation_m)] for region in REGIONS)
         ),

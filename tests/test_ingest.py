@@ -3,21 +3,32 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from larvaecast import ingest
 from larvaecast.errors import DataError, DomainError, ParseError
 from larvaecast.ingest import (
+    ANNUAL_COLUMNS,
     JOIN_BLOCK,
+    SERIES_COLUMNS,
     LarvaeObservation,
+    RegionSeries,
     StationRecord,
+    annual_text,
     csv_text,
     filter_container_sources,
+    fmt,
     haversine_km,
     join_nearest_station,
     merge_duplicates,
     parse_observations,
     parse_series,
     parse_stations,
+    read_annual,
+    read_table,
 )
+from larvaecast.pipeline import FORECAST_COLUMNS
 
 
 def _obs(location="a", lat=40.0, lon=-100.0, date="2020-06-01",
@@ -170,6 +181,133 @@ class TestCsvText:
         assert next(lines) == 'r0,0.0,"a ""b"",c"\r\n'
         assert read == [0]
         assert len(list(lines)) == 2
+
+
+def _read_table(path, columns):
+    return read_table(path, columns, lambda v: v[:3], lambda v: v[3])
+
+
+def _outcome(read, path, columns):
+    """What ``read(path, columns)`` returns, or the type and text of what it raises."""
+    try:
+        return read(path, columns)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+# Keys with every character the CSV quoting rules act on, and some it does not.
+_KEY_TEXT = st.text(st.sampled_from(list(',"\r\n \t;ab-é水\u00a0\u2028')) | st.characters(
+    blacklist_categories=("Cs",)), min_size=1, max_size=6)
+_FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, 2.2250738585072014e-308, 1e16, 1e-5, 1.7e308, -1.7e308])
+_SERIES = st.lists(
+    st.tuples(_KEY_TEXT, _KEY_TEXT, st.integers(-3000, 3000),
+              st.lists(_FINITE, min_size=1, max_size=5)),
+    max_size=5, unique_by=lambda t: t[:2],
+).map(lambda drawn: [RegionSeries(region, variable, list(range(start, start + len(values))),
+                                  np.array(values))
+                     for region, variable, start, values in drawn])
+
+
+class TestAnnualCodec:
+    """``read_annual`` and ``annual_text`` against the general CSV code
+    they stand in for on the annual tables."""
+
+    @given(series=_SERIES)
+    def test_writer_bytes_and_round_trip(self, tmp_path_factory, series):
+        text = "".join(annual_text(series))
+        assert text == "".join(csv_text(ANNUAL_COLUMNS, (
+            [s.region_id, s.variable, year, fmt(value)]
+            for s in series for year, value in zip(s.years, s.values))))
+        path = tmp_path_factory.mktemp("annual") / "forecast.csv"
+        path.write_bytes(text.encode())
+        expected: dict = {}
+        for s in series:
+            expected.setdefault(s.region_id, {})[s.variable] = dict(zip(s.years, s.values.tolist()))
+        table = read_annual(path, FORECAST_COLUMNS)
+        assert table == _read_table(path, FORECAST_COLUMNS) == expected
+        assert list(table) == list(expected)
+
+    def test_writer_streams_one_block_per_series(self):
+        series = [RegionSeries("a,b", "summer_tmean", [2000, 2001], np.array([1.5, -0.0])),
+                  RegionSeries("c", 'x"y', [1999], np.array([1e16]))]
+        assert list(annual_text(series)) == [
+            "region_id,variable,year,value\r\n",
+            '"a,b",summer_tmean,2000,1.5\r\n"a,b",summer_tmean,2001,-0.0\r\n',
+            'c,"x""y",1999,1e+16\r\n',
+        ]
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1e300 * 1e300])
+    def test_writer_refuses_a_non_finite_value(self, value):
+        series = [RegionSeries("ok", "summer_tmean", [2000], np.array([1.0])),
+                  RegionSeries("gulf", "summer_precip", [2000, 2001], np.array([2.0, value]))]
+        lines = annual_text(series)
+        assert next(lines) == "region_id,variable,year,value\r\n"
+        assert next(lines) == "ok,summer_tmean,2000,1.0\r\n"
+        with pytest.raises(DataError) as caught:
+            next(lines)
+        assert str(caught.value) == ("series gulf/summer_precip, year 2001: "
+                                     f"cannot write a non-finite number: {value!r}")
+
+    def test_fmt_refuses_a_non_finite_value(self):
+        assert fmt(np.float64(-0.0)) == "-0.0"
+        for value in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(DataError, match="non-finite"):
+                fmt(value)
+
+    def test_clean_table_is_read_in_one_pass(self, tmp_path, monkeypatch):
+        path = tmp_path / "series.csv"
+        path.write_bytes(b"\xef\xbb\xbfnote,value,year,variable,region_id\r\n"
+                         b"x,1.5,2000,summer_tmean,west\r\n\r\n"
+                         b",2.5,2001,summer_tmean,west\r\n"
+                         b"y,3.0,2000,summer_precip,east\r\n")
+        expected = _read_table(path, SERIES_COLUMNS)
+        monkeypatch.setattr(ingest, "read_table", None)  # a fallback would fail
+        assert read_annual(path, SERIES_COLUMNS) == expected == {
+            "west": {"summer_tmean": {2000: 1.5, 2001: 2.5}},
+            "east": {"summer_precip": {2000: 3.0}},
+        }
+
+    HEADER = b"region_id,variable,year,value\r\n"
+    ROW = b"west,summer_tmean,2000,15.0\r\n"
+
+    @pytest.mark.parametrize("content", [
+        b"",
+        b"\r\n\r\n",
+        b"region_id,variable,value\r\nwest,summer_tmean,15.0\r\n",
+        b"region_id,variable,year,value,year\r\nwest,summer_tmean,2000,15.0,2000\r\n",
+        HEADER + ROW + b"west,summer_tmean,2001,15.0,extra\r\n",
+        b"region_id,variable,year,value,note\r\nwest,summer_tmean,2000,15.0\r\n",
+        b"region_id,variable,year,value,note\r\nwest,summer_tmean,2000\r\n",
+        HEADER + ROW + b"west,summer_tmean,,15.5\r\n",
+        HEADER + ROW + b",summer_tmean,2001,15.5\r\n",
+        HEADER + ROW + b"west,,2001,15.5\r\n",
+        HEADER + ROW + b"west,summer_tmean,2001,\r\n",
+        HEADER + ROW + b"west,summer_tmean,20x1,15.5\r\n",
+        HEADER + ROW + b"west,summer_tmean,2001,15.5x\r\n",
+        HEADER + ROW + b"west,summer_tmean,2001,nan\r\n",
+        HEADER + ROW + b"west,summer_tmean,2001,-inf\r\n",
+        HEADER + ROW + b"west,summer_tmean,2001,1e999\r\n",
+        HEADER + ROW + b"west,winter_tmean,2001,15.5\r\n",
+        HEADER + ROW + b"west,summer_tmean,2001,1.0\r\nwest,summer_tmean,2000,1.0\r\n",
+        HEADER + b"\r\n" + ROW + b"\r\n\r\n" + ROW,
+        HEADER + b"\r\n" + ROW + b"\r\n",
+        b"\xef\xbb\xbf" + HEADER + ROW,
+        b"\xef\xbb\xbf" + HEADER + ROW + ROW,
+        HEADER + ROW + b"west,summer_tmean,2001,1\xff5\r\n",
+        b"\xff" + HEADER + ROW,
+        HEADER + ROW + b'"west,summer_tmean,2001,1.0\r\n',
+    ], ids=["empty", "blank-lines-only", "missing-column", "repeated-column", "long-row",
+            "short-row-unneeded-column", "short-row", "empty-year", "empty-region",
+            "empty-variable", "empty-value", "bad-int", "bad-float", "nan", "inf",
+            "overflow", "unknown-variable", "duplicate-key", "blank-lines-duplicate",
+            "blank-lines", "bom", "bom-duplicate", "not-utf8-row", "not-utf8-header",
+            "unclosed-quote"])
+    def test_errors_match_read_table(self, tmp_path, content):
+        path = tmp_path / "series.csv"
+        path.write_bytes(content)
+        assert (_outcome(read_annual, path, SERIES_COLUMNS)
+                == _outcome(_read_table, path, SERIES_COLUMNS))
 
 
 class TestContainerFilter:

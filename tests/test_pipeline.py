@@ -395,10 +395,11 @@ class TestCli:
         assert not out.exists()
 
     @pytest.mark.parametrize("command, flag, value, message", [
-        ("train-climate", "--max-epochs", "0", "max_epochs must be >= 1"),
-        ("train-abundance", "--batch-size", "0", "batch_size must be >= 1"),
-        ("train-abundance", "--seed", "-1", "seed must be a non-negative integer"),
-        ("train-abundance", "--learning-rate", "-1", "learning_rate must be positive"),
+        ("train-climate", "--max-epochs", "0", "--max-epochs must be >= 1: 0"),
+        ("train-abundance", "--batch-size", "0", "--batch-size must be >= 1: 0"),
+        ("train-abundance", "--seed", "-1", "--seed must be a non-negative integer: -1"),
+        ("train-abundance", "--learning-rate", "-1",
+         "--learning-rate must be a positive finite number: -1.0"),
         ("train-abundance", "--holdout-oldest", "0", "--holdout-oldest must be positive: 0"),
     ], ids=["climate-max-epochs", "batch-size", "seed", "learning-rate", "holdout-oldest"])
     def test_training_flags_checked_before_any_read(
@@ -981,6 +982,43 @@ class TestForecastYears:
         code, out = self.forecast(tmp_path, pipeline_run, 2022)
         assert code == 0
         assert set(map(tuple, self.years(out).values())) == {tuple(range(2022, 2032))}
+
+    def test_target_year_is_bounded(self, tmp_path, pipeline_run, capsys):
+        """At most MAX_FORECAST_YEARS past the last observed year, checked
+        before anything is written."""
+        assert pipeline.MAX_FORECAST_YEARS == 1000
+        code, out = self.forecast(tmp_path, pipeline_run, 3022)
+        assert code == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ConfigError",
+            "message": "--target-year 3022 is more than 1000 years beyond the observed "
+                       "series (last year 2021)",
+        }
+        assert file_bytes(out) == file_bytes(pipeline_run.out_dir)
+        code, out = self.forecast(tmp_path, pipeline_run, 3021)
+        assert code == 0, capsys.readouterr().err
+        assert max(map(max, self.years(out).values())) == 3021
+
+    # The ±1e300 values overflow the window's standard deviation in numpy.
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    def test_non_finite_forecast_is_not_written(self, tmp_path, pipeline_run, capsys):
+        """Finite but huge series values roll to inf/nan; forecast refuses to
+        write them (project could not read them) and leaves the out-dir as it was."""
+        series = tmp_path / "series.csv"
+        lines = pipeline_run.data["series"].read_text().splitlines(keepends=True)
+        series.write_text("".join(
+            f"gulf-plain,summer_precip,{line.split(',')[2]},{(-1) ** i * 1e300!r}\n"
+            if line.startswith("gulf-plain,summer_precip,") else line
+            for i, line in enumerate(lines)
+        ))
+        code, out = self.forecast(tmp_path, pipeline_run, 2050, series)
+        assert code == 3
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "DataError"
+        assert error["message"].startswith(f"{out / FORECAST_CSV}: series gulf-plain/summer_precip, ")
+        assert "cannot write a non-finite number" in error["message"]
+        assert file_bytes(out) == file_bytes(pipeline_run.out_dir)
 
     @pytest.mark.parametrize("target_year, count", [(2031, 10), (2035, 20), (2060, 40)])
     def test_rounds_follow_target_year(self, tmp_path, pipeline_run, capsys, target_year, count):

@@ -5,8 +5,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from larvaecast.errors import ParseError
-from larvaecast.ingest import csv_text
+from larvaecast.errors import DataError, ParseError
+from larvaecast.ingest import csv_text, fmt
 from larvaecast.lstm import lstm_forward, lstm_init
 from test_lstm import reference_cell
 from larvaecast.nn import ABUNDANCE_LAYER_DIMS, xavier_init
@@ -282,6 +282,14 @@ class TestAtomicWrite:
             commit({first: dumps({"new": True}), second: csv_text(["name", "value"], rows())})
         assert first.read_bytes() == b"old\n"
         assert [p.name for p in tmp_path.iterdir()] == ["first.json"]
+
+    def test_non_finite_number_names_the_file_and_writes_nothing(self, tmp_path):
+        path = tmp_path / "table.csv"
+        rows = ([fmt(value)] for value in (1.5, float("-inf")))
+        with pytest.raises(DataError) as caught:
+            commit({path: csv_text(["value"], rows)})
+        assert str(caught.value) == f"{path}: cannot write a non-finite number: -inf"
+        assert list(tmp_path.iterdir()) == []
 
     def test_document_text_ends_in_one_newline(self, tmp_path):
         path = tmp_path / "sub" / "report.json"
