@@ -39,14 +39,16 @@ class ForecastConfig:
             raise ConfigError("horizon must not exceed lookback")
 
 
-def forecast(predict, windows, cfg: ForecastConfig) -> np.ndarray:
+def forecast(predict, windows, cfg: ForecastConfig, names=None) -> np.ndarray:
     """Recursive forecast of ``rounds`` blocks for each input window.
 
     ``predict`` maps an (m, lookback) batch of standardized windows to
     an (m, horizon) batch of standardized predictions. ``windows`` is an
     (m, lookback) array (or a list of length-lookback sequences) in
     original units; the result is (m, horizon * rounds), also in
-    original units. Rows are independent of each other.
+    original units. Rows are independent of each other. A window of any
+    round that is too large to standardize is a DataError naming its row
+    (``names[i]``, see ``standardize_rows``).
     """
     windows = np.asarray(windows, dtype=float)
     if windows.ndim != 2 or windows.shape[1] != cfg.lookback:
@@ -54,7 +56,7 @@ def forecast(predict, windows, cfg: ForecastConfig) -> np.ndarray:
             f"windows must be (m, {cfg.lookback}), got shape {windows.shape}"
         )
     p = cfg.horizon
-    x, mu, sigma = standardize_rows(windows)
+    x, mu, sigma = standardize_rows(windows, names=names)
     collected = []
     for _ in range(cfg.rounds):
         y = np.asarray(predict(x), dtype=float)
@@ -62,10 +64,11 @@ def forecast(predict, windows, cfg: ForecastConfig) -> np.ndarray:
             raise ShapeError(
                 f"model must predict {(x.shape[0], p)} values, got shape {y.shape}"
             )
-        y = y * sigma + mu
-        x = x * sigma + mu
+        with np.errstate(over="ignore", invalid="ignore"):  # the next standardize checks
+            y = y * sigma + mu
+            x = x * sigma + mu
         collected.append(y)
-        x, mu, sigma = standardize_rows(np.concatenate([x[:, p:], y], axis=1))
+        x, mu, sigma = standardize_rows(np.concatenate([x[:, p:], y], axis=1), names=names)
     return np.concatenate(collected, axis=1)
 
 
@@ -84,14 +87,16 @@ def forecast_series(predict, series, cfg: ForecastConfig) -> list[RegionSeries]:
 
     ``series`` holds ``RegionSeries`` of one variable; all of them roll
     together through ``predict``. Returns one ``RegionSeries`` per series,
-    in order, whose years continue the input's.
+    in order, whose years continue the input's; a window too large to
+    standardize, in any round, is a DataError naming its series.
     """
     for s in series:
         require_window(s, cfg.lookback)
     if not series:
         return []
     windows = np.array([np.asarray(s.values, dtype=float)[-cfg.lookback :] for s in series])
-    projected = forecast(predict, windows, cfg)
+    projected = forecast(predict, windows, cfg,
+                         [f"series {s.region_id}/{s.variable}" for s in series])
     return [
         RegionSeries(s.region_id, s.variable,
                      list(range(s.years[-1] + 1, s.years[-1] + 1 + values.size)), values)

@@ -23,6 +23,12 @@ annual-series type, observed or forecast; ``parse_series`` returns
 ``series.csv`` as ``{variable: {region_id: RegionSeries}}``, each
 variable's regions sorted, the table the climate stages read.
 
+``join_nearest_station`` pairs each observation with its nearest
+same-month station, measuring each block of observations only against
+the stations within reach of its latitudes, and ``feature_text`` writes
+those pairs as ``features.csv``: ``csv_text``'s bytes, with each
+station's features formatted once.
+
 Cleaning is lossless-or-loud: every dropped observation is attributable
 to exactly one rule (container filter, duplicate merge, station
 proximity) and the counts reconcile with the input row count.
@@ -387,16 +393,22 @@ def merge_duplicates(observations: list[LarvaeObservation]) -> list[LarvaeObserv
     return [grouped[key] for key in sorted(grouped)]
 
 
-def haversine_km(lat1, lon1, lat2, lon2):
-    """Great-circle distance in kilometers (Earth radius 6371 km) between
-    points in degrees; the arguments broadcast like numpy arrays. Any
-    coordinate out of range, NaN included, is a DomainError."""
-    lat1, lon1, lat2, lon2 = (np.asarray(x, dtype=float) for x in (lat1, lon1, lat2, lon2))
+def _require_coordinates(lat1, lon1, lat2, lon2) -> None:
+    """Raise DomainError at the first latitude, then longitude, out of
+    range in the arrays given, NaN included."""
     for values, bound, name in ((lat1, 90, "latitude"), (lat2, 90, "latitude"),
                                 (lon1, 180, "longitude"), (lon2, 180, "longitude")):
         inside = np.abs(values) <= bound  # False for NaN
         if not inside.all():
             raise DomainError(f"{name} out of range: {values[~inside].flat[0]}")
+
+
+def haversine_km(lat1, lon1, lat2, lon2):
+    """Great-circle distance in kilometers (Earth radius 6371 km) between
+    points in degrees; the arguments broadcast like numpy arrays. Any
+    coordinate out of range, NaN included, is a DomainError."""
+    lat1, lon1, lat2, lon2 = (np.asarray(x, dtype=float) for x in (lat1, lon1, lat2, lon2))
+    _require_coordinates(lat1, lon1, lat2, lon2)
     phi1, phi2 = np.radians(lat1), np.radians(lat2)
     dphi = np.radians(lat2 - lat1)
     dlam = np.radians(lon2 - lon1)
@@ -407,21 +419,32 @@ def haversine_km(lat1, lon1, lat2, lon2):
 # Observations per haversine call: a month's whole (observations, stations)
 # matrix would raise prepare's peak memory; 64-row blocks keep it flat.
 JOIN_BLOCK = 64
+# Degrees added to a block's latitude reach (about 1 m), far more than
+# haversine_km's rounding, so a station at exactly max_km stays a candidate.
+REACH_MARGIN_DEG = 1e-5
 
 
 def join_nearest_station(
     observations: list[LarvaeObservation],
     stations: list[StationRecord],
     max_km: float = DEFAULT_MAX_STATION_KM,
-) -> tuple[list[FeatureRow], int]:
-    """Join each observation to the nearest same-month station within max_km.
+) -> tuple[list[tuple[LarvaeObservation, StationRecord]], int]:
+    """Pair each observation with the nearest same-month station within max_km.
 
-    Observations with no qualifying station are dropped; the count of
-    drops is returned alongside the joined rows. Ties break on
-    station_id so the result does not depend on station file order.
+    Returns ``(matches, dropped)``: the ``(observation, station)`` pairs in
+    observation order, and the count of observations with no qualifying
+    station, which are dropped. Ties break on station_id so the result
+    does not depend on station file order.
+
+    Within a month the observations are taken in latitude order,
+    ``JOIN_BLOCK`` at a time, and a block is measured only against the
+    stations whose latitude lies within ``max_km`` of the block's latitude
+    range: a great-circle distance is at least the Earth's radius times the
+    latitude difference, so no other station can qualify.
     """
     if not max_km > 0:
         raise DomainError(f"max_km must be positive: {max_km}")
+    reach = math.degrees(max_km / EARTH_RADIUS_KM) + REACH_MARGIN_DEG
     by_month: dict[str, list[StationRecord]] = {}
     for station in sorted(stations, key=lambda s: s.station_id):
         by_month.setdefault(station.month, []).append(station)
@@ -435,17 +458,60 @@ def join_nearest_station(
             continue
         station_lat = np.array([s.latitude for s in candidates])
         station_lon = np.array([s.longitude for s in candidates])
-        obs_lat = np.array([observations[i].latitude for i in indices])[:, None]
-        obs_lon = np.array([observations[i].longitude for i in indices])[:, None]
-        for start in range(0, len(indices), JOIN_BLOCK):
-            block = slice(start, start + JOIN_BLOCK)
-            d = haversine_km(obs_lat[block], obs_lon[block], station_lat, station_lon)
+        obs_lat = np.array([observations[i].latitude for i in indices])
+        obs_lon = np.array([observations[i].longitude for i in indices])
+        _require_coordinates(obs_lat, obs_lon, station_lat, station_lon)  # NaN would upset the sort
+        order = np.argsort(obs_lat, kind="stable")
+        for start in range(0, len(order), JOIN_BLOCK):
+            block = order[start : start + JOIN_BLOCK]
+            lat = obs_lat[block]
+            # The mask keeps station_id order, so argmin still breaks ties on it.
+            near = (station_lat >= lat[0] - reach) & (station_lat <= lat[-1] + reach)
+            if not near.any():
+                continue
+            d = haversine_km(lat[:, None], obs_lon[block][:, None],
+                             station_lat[near], station_lon[near])
             best = d.argmin(axis=1)  # the first minimum: the smaller station_id
             within = d[np.arange(len(best)), best] <= max_km
-            for i, j, ok in zip(indices[block], best.tolist(), within.tolist()):
+            chosen = np.flatnonzero(near)[best].tolist()
+            for k, j, ok in zip(block.tolist(), chosen, within.tolist()):
                 if ok:
-                    nearest[i] = candidates[j]
-    rows = [FeatureRow(obs.location_id, obs.date, station.month, *feature_values(station),
-                       obs.larvae_count)
-            for obs, station in zip(observations, nearest) if station is not None]
-    return rows, len(observations) - len(rows)
+                    nearest[indices[k]] = candidates[j]
+    matches = [(obs, station) for obs, station in zip(observations, nearest)
+               if station is not None]
+    return matches, len(observations) - len(matches)
+
+
+# Lines per streamed block of features.csv text.
+FEATURE_BLOCK = 1024
+
+
+def feature_text(matches):
+    """Yield the text of ``features.csv`` for ``join_nearest_station``'s
+    ``(observation, station)`` pairs, in order: the bytes ``csv_text``
+    writes for ``FEATURE_COLUMNS`` with the six features by ``fmt``, as the
+    header line and then blocks of up to ``FEATURE_BLOCK`` lines. A
+    location_id is quoted once per run of rows that share it, and a
+    station's month and features are written once, keyed by the station
+    object, not by its values (``0.0 == -0.0``)."""
+    writerow = _line_writer()
+    yield writerow(FEATURE_COLUMNS)
+    # id(station) -> (station, its text); holding the station keeps its id from being reused.
+    written: dict[int, tuple[StationRecord, str]] = {}
+    location = key = None
+    lines = []
+    for obs, station in matches:
+        if obs.location_id != location:
+            location = obs.location_id
+            # Quoted with a field after it: csv quotes an empty field only when it is alone.
+            key = writerow((location, ""))[:-3]
+        seen = written.get(id(station))
+        if seen is None:
+            seen = written[id(station)] = (station, writerow(
+                (station.month, *map(fmt, feature_values(station))))[:-2])
+        lines.append(f"{key},{obs.date.isoformat()},{seen[1]},{int(obs.larvae_count)}\r\n")
+        if len(lines) == FEATURE_BLOCK:
+            yield "".join(lines)
+            lines = []
+    if lines:
+        yield "".join(lines)

@@ -25,7 +25,7 @@ from .ingest import FEATURE_NAMES, NUMBER, TEXT, YEAR, FeatureRow, csv_text, fea
 from .lstm import lstm_forward, make_windows, train_lstm
 from .nn import ABUNDANCE_LAYER_DIMS, forward, train_abundance
 from .optim import TrainConfig
-from .preprocess import LogCountTransform, StandardScaler, fit_scaler
+from .preprocess import LogCountTransform, StandardScaler, fit_scaler, standardize_rows
 from .stats import correlation_report, residual_summary
 from .trend import OffsetK, derive_min_max, estimate_k, fit_linear, predict_days
 
@@ -163,8 +163,8 @@ def cmd_prepare(cfg: PipelineConfig) -> dict:
     containers_dropped = len(observations) - len(kept)
     merged = ingest.merge_duplicates(kept)
     duplicates_merged = len(kept) - len(merged)
-    rows, proximity_dropped = ingest.join_nearest_station(merged, stations, cfg.max_km)
-    if not rows:
+    matches, proximity_dropped = ingest.join_nearest_station(merged, stations, cfg.max_km)
+    if not matches:
         raise DataError(
             "no observations survived cleaning "
             f"(container={containers_dropped}, merged={duplicates_merged}, "
@@ -176,15 +176,10 @@ def cmd_prepare(cfg: PipelineConfig) -> dict:
         "container": containers_dropped,
         "merged": duplicates_merged,
         "proximity": proximity_dropped,
-        "retained": len(rows),
+        "retained": len(matches),
     }
     serialize.commit({
-        cfg.path(FEATURES_CSV): csv_text(
-            ingest.FEATURE_COLUMNS,
-            ([row.location_id, row.date.isoformat(), row.month,
-              *map(fmt, feature_values(row)), int(row.larvae_count)]
-             for row in rows),
-        ),
+        cfg.path(FEATURES_CSV): ingest.feature_text(matches),
         cfg.path(INGEST_REPORT_JSON): serialize.dumps(report),
     })
     return report
@@ -369,7 +364,11 @@ def cmd_train_climate(cfg: PipelineConfig) -> dict:
         usable = _windowed(series.get(variable, {}), width, summary["skipped"])
         if not usable:
             raise DataError(f"no trainable windows for variable {variable!r}")
-        windows = np.concatenate([make_windows(s, width) for s in usable])
+        per_series = [make_windows(s, width) for s in usable]
+        windows = np.concatenate(per_series)
+        # A window too large to standardize fails here, naming its series, before any training.
+        standardize_rows(windows, cfg.lookback, np.repeat(
+            [f"series {s.region_id}/{s.variable}" for s in usable], list(map(len, per_series))))
         jobs.append(lambda windows=windows, train_cfg=train_cfg: train_lstm(
             windows, train_cfg, horizon=cfg.horizon, hidden_size=cfg.lstm_hidden_size
         ))
@@ -447,7 +446,7 @@ def cmd_forecast(cfg: PipelineConfig) -> dict:
     last_year = max(s.years[-1] for regions in series.values() for s in regions.values())
     if cfg.target_year <= last_year:
         raise ConfigError(
-            f"target_year {cfg.target_year} is not beyond the observed series "
+            f"--target-year {cfg.target_year} is not beyond the observed series "
             f"(last year {last_year})"
         )
     if cfg.target_year > last_year + MAX_FORECAST_YEARS:

@@ -22,15 +22,26 @@ def guard_sigma(sigma: np.ndarray) -> np.ndarray:
     return np.where(sigma < SIGMA_FLOOR, 1.0, sigma)
 
 
-def standardize_rows(x, width: int | None = None):
+def standardize_rows(x, width: int | None = None, names=None):
     """``(z, mu, sigma)``: each row of a 2-D ``x`` z-scored by the population
     mean and guarded sigma of its first ``width`` values (all by default),
-    with mu and sigma (rows, 1). LSTM training and every forecast round use it."""
+    with mu and sigma (rows, 1). LSTM training and every forecast round use it.
+    A row whose sigma or z-scores are not finite (values so large that
+    their spread overflows) is a DataError naming it: ``names[i]``, or
+    ``row i`` without names."""
     x = np.asarray(x, dtype=float)
     head = x[:, :width]
-    mu = head.mean(axis=1, keepdims=True)
-    sigma = guard_sigma(head.std(axis=1, keepdims=True))
-    return (x - mu) / sigma, mu, sigma
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = head.mean(axis=1, keepdims=True)
+        sigma = guard_sigma(head.std(axis=1, keepdims=True))
+        z = (x - mu) / sigma
+    finite = np.isfinite(sigma[:, 0]) & np.isfinite(z).all(axis=1)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        name = f"row {i}" if names is None else names[i]
+        raise DataError(f"{name}: a window is too large to standardize (mean "
+                        f"{float(mu[i, 0])!r}, standard deviation {float(sigma[i, 0])!r})")
+    return z, mu, sigma
 
 
 class LogCountTransform:

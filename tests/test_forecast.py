@@ -180,3 +180,25 @@ class TestForecastSeries:
                 [region_series("west", range(2000, 2010), np.arange(10.0))],
                 cfg,
             )
+
+    def test_window_too_large_in_a_later_round_names_its_series(self):
+        """Every round's window is checked: east's second block overflows
+        its window's standard deviation, which the third round refuses."""
+        calls = []
+
+        def predict(x):
+            calls.append(len(calls))
+            y = np.zeros((len(x), 3))
+            if len(calls) == 2:
+                y[1] = 1e300
+            return y
+
+        cfg = ForecastConfig(lookback=6, horizon=3, rounds=3)
+        series = [region_series("west", range(2000, 2010), np.linspace(10, 12, 10)),
+                  region_series("east", range(1990, 1998), np.linspace(5, 6, 8))]
+        with pytest.raises(DataError) as caught:
+            forecast_series(predict, series, cfg)
+        assert str(caught.value).startswith(
+            "series east/summer_tmean: a window is too large to standardize (mean ")
+        assert str(caught.value).endswith("standard deviation inf)")
+        assert calls == [0, 1]

@@ -10,6 +10,9 @@ from larvaecast import ingest
 from larvaecast.errors import DataError, DomainError, ParseError
 from larvaecast.ingest import (
     ANNUAL_COLUMNS,
+    EARTH_RADIUS_KM,
+    FEATURE_COLUMNS,
+    FEATURE_NAMES,
     JOIN_BLOCK,
     SERIES_COLUMNS,
     LarvaeObservation,
@@ -17,6 +20,8 @@ from larvaecast.ingest import (
     StationRecord,
     annual_text,
     csv_text,
+    feature_text,
+    feature_values,
     filter_container_sources,
     fmt,
     haversine_km,
@@ -399,10 +404,10 @@ class TestHaversine:
 
 class TestJoinNearestStation:
     def test_joins_within_radius(self):
-        rows, dropped = join_nearest_station([_obs("a")], [_station(lat=40.05)])
+        obs, station = _obs("a"), _station(lat=40.05)
+        rows, dropped = join_nearest_station([obs], [station])
         assert dropped == 0
-        assert rows[0].tmean_c == 20.0
-        assert rows[0].month == "2020-06"
+        assert rows == [(obs, station)]
 
     def test_distant_station_excluded(self):
         # ~0.6 degrees latitude is ~67 km, beyond the 30-mile default
@@ -414,7 +419,7 @@ class TestJoinNearestStation:
         near = _station("near", lat=40.045)  # ~5 km
         far = _station("far", lat=40.18)  # ~20 km
         rows, _ = join_nearest_station([_obs("a")], [far, near])
-        assert rows[0].elevation_m == near.elevation_m
+        assert rows[0][1] is near
 
     def test_month_must_match(self):
         rows, dropped = join_nearest_station(
@@ -433,13 +438,23 @@ class TestJoinNearestStation:
         stations = [_station("s2")._replace(elevation_m=2.0),
                     _station("s1")._replace(elevation_m=1.0)]
         rows, _ = join_nearest_station([_obs("a", lat=40.01)], stations)
-        assert rows[0].elevation_m == 1.0
+        assert rows[0][1].elevation_m == 1.0
 
     def test_boundary_is_inclusive(self):
         obs, station = _obs("a", lat=40.0), _station(lat=40.1)
         d = haversine_km(obs.latitude, obs.longitude, station.latitude, station.longitude)
         assert join_nearest_station([obs], [station], max_km=d)[1] == 0
         assert join_nearest_station([obs], [station], max_km=np.nextafter(d, 0))[1] == 1
+
+    @pytest.mark.parametrize("lat, north", [(10.007301045730216, 89.81540297295409),
+                                            (-33.03862426719177, -15.151810183665493)])
+    def test_station_exactly_max_km_due_north_is_in_reach(self, lat, north):
+        """Rounding puts these stations a hair more than max_km / R north in
+        latitude; the reach's margin keeps them candidates."""
+        obs, station = _obs("a", lat=lat, lon=100.0), _station(lat=north, lon=100.0)
+        max_km = float(haversine_km([lat], [100.0], [north], [100.0])[0])
+        assert north > lat + math.degrees(max_km / EARTH_RADIUS_KM)
+        assert join_nearest_station([obs], [station], max_km) == ([(obs, station)], 0)
 
     def test_blocks_match_brute_force(self):
         rng = np.random.default_rng(21)
@@ -463,5 +478,167 @@ class TestJoinNearestStation:
             if within:
                 expected.append((obs.location_id, min(within)[2]))
         rows, dropped = join_nearest_station(observations, list(reversed(stations)), max_km)
-        assert [(r.location_id, r.elevation_m) for r in rows] == expected
+        assert [(obs.location_id, station.elevation_m) for obs, station in rows] == expected
         assert 0 < dropped == len(observations) - len(expected)
+
+    @pytest.mark.parametrize("field, bad", [("latitude", math.nan), ("latitude", -90.5),
+                                            ("longitude", math.nan), ("longitude", 180.5)])
+    @pytest.mark.parametrize("side", ["observation", "station"])
+    def test_every_coordinate_is_checked(self, field, bad, side):
+        """Out of reach or not, a bad coordinate is a DomainError."""
+        observations = [_obs(f"o{k}", lat=-40.0) for k in range(JOIN_BLOCK + 1)]
+        stations = [_station("s1", lat=40.0), _station("s2", lat=40.5)]
+        if side == "observation":
+            observations[JOIN_BLOCK] = observations[JOIN_BLOCK]._replace(**{field: bad})
+        else:
+            stations[1] = stations[1]._replace(**{field: bad})
+        with pytest.raises(DomainError, match=f"^{field} out of range: "):
+            join_nearest_station(observations, stations)
+
+    def test_block_out_of_reach_measures_nothing(self, monkeypatch):
+        """A block with no station within reach of its latitudes is dropped
+        without a distance; only the block near a station is measured."""
+        calls = []
+
+        def counted(*args):
+            calls.append(np.broadcast_shapes(*(np.shape(a) for a in args)))
+            return haversine_km(*args)
+
+        monkeypatch.setattr(ingest, "haversine_km", counted)
+        far = [_obs(f"far{k:02d}", lat=-40.0 - k / 100) for k in range(JOIN_BLOCK)]
+        near = [_obs(f"near{k}", lat=39.9 + k / 100) for k in range(3)]
+        stations = [_station("s1", lat=40.0), _station("s2", lat=-20.0)]
+        rows, dropped = join_nearest_station(near[:1] + far + near[1:], stations)
+        assert calls == [(3, 1)]
+        assert dropped == JOIN_BLOCK
+        assert [obs.location_id for obs, _ in rows] == ["near0", "near1", "near2"]
+
+
+def brute_force_join(observations, stations, max_km):
+    """The nearest same-month station within ``max_km`` of each observation,
+    by a distance to every station (ties to the smaller station_id), as
+    ``join_nearest_station``'s ``(matches, dropped)``."""
+    matches = []
+    for obs in observations:
+        month = f"{obs.date.year:04d}-{obs.date.month:02d}"
+        same = sorted((s for s in stations if s.month == month), key=lambda s: s.station_id)
+        if not same:
+            continue
+        # One array call per observation: numpy's array path, as the join's.
+        d = haversine_km([obs.latitude], [obs.longitude],
+                         [s.latitude for s in same], [s.longitude for s in same]).tolist()
+        best = min(range(len(same)), key=lambda k: (d[k], k))
+        if d[best] <= max_km:
+            matches.append((obs, same[best]))
+    return matches, len(observations) - len(matches)
+
+
+_LAT = st.floats(-90, 90) | st.sampled_from([-90.0, 90.0, 0.0])
+_LON = st.floats(-180, 180) | st.sampled_from([-180.0, 180.0])
+_HALF_CIRCUMFERENCE_KM = math.pi * EARTH_RADIUS_KM
+
+
+@st.composite
+def _join_inputs(draw):
+    """Observations and stations over the whole globe in two months, some
+    stations sharing a position, and one station exactly ``max_km`` due
+    north of the first observation."""
+    positions = draw(st.lists(st.tuples(_LAT, _LON), min_size=1, max_size=8))
+    months = ("2020-06", "2020-07")
+    picks = draw(st.lists(st.tuples(st.integers(0, len(positions) - 1), st.sampled_from(months)),
+                          max_size=14))
+    ids = draw(st.permutations(range(len(picks) + 1)))
+    stations = [_station(f"s{ids[k]:02d}", lat, lon, month)._replace(elevation_m=float(ids[k]))
+                for k, (i, month) in enumerate(picks) for lat, lon in [positions[i]]]
+    observations = [
+        _obs(f"o{k:03d}", lat, lon, date)
+        for k, (lat, lon, date) in enumerate(draw(st.lists(
+            st.tuples(_LAT, _LON, st.sampled_from(["2020-06-15", "2020-07-02", "2020-08-09"])),
+            min_size=1, max_size=2 * JOIN_BLOCK + 10)))
+    ]
+    km = draw(st.floats(1.0, 1.2 * _HALF_CIRCUMFERENCE_KM)
+              | st.sampled_from([1.0, _HALF_CIRCUMFERENCE_KM, 1.2 * _HALF_CIRCUMFERENCE_KM]))
+    first = observations[0]
+    north = min(first.latitude + math.degrees(km / EARTH_RADIUS_KM), 90.0)
+    stations.append(_station(f"s{ids[-1]:02d}", north, first.longitude, "2020-06")
+                    ._replace(elevation_m=float(ids[-1])))
+    observations[0] = first._replace(date=datetime.date(2020, 6, 15))
+    max_km = float(haversine_km([first.latitude], [first.longitude], [north], [first.longitude])[0])
+    if max_km == 0.0:  # the observation is at the north pole
+        max_km = km
+    return observations, stations, max_km
+
+
+class TestJoinProperty:
+    @given(inputs=_join_inputs())
+    def test_join_equals_brute_force(self, inputs):
+        observations, stations, max_km = inputs
+        expected = brute_force_join(observations, stations, max_km)
+        assert expected[0][0][0] is observations[0]  # the station due north qualifies
+        assert join_nearest_station(observations, stations[::-1], max_km) == expected
+
+
+_LOCATION = _KEY_TEXT | st.just("")
+
+
+@st.composite
+def _matches(draw):
+    """``(observation, station)`` pairs: locations and months with every
+    character CSV quoting acts on, extreme finite features, and two stations
+    that differ only in the sign of a zero."""
+    stations = [
+        _station(f"s{k}", month=month)._replace(**dict(zip(FEATURE_NAMES, values)))
+        for k, (month, values) in enumerate(draw(st.lists(
+            st.tuples(_KEY_TEXT | st.just("2020-06"), st.tuples(*[_FINITE] * 6)), max_size=4)))
+    ]
+    zero = _station("z")._replace(precip_mm=0.0)
+    stations += [zero, zero._replace(precip_mm=-0.0)]
+    locations = draw(st.lists(_LOCATION, min_size=1, max_size=4))
+    drawn = [(_obs(location, date=date.isoformat(), count=count), station)
+             for location, date, count, station in draw(st.lists(st.tuples(
+                 st.sampled_from(locations), st.dates(), st.integers(0, 10**40),
+                 st.sampled_from(stations)), max_size=30))]
+    return drawn + [(_obs(locations[-1]), station) for station in stations[-2:]]
+
+
+def _feature_csv(matches) -> str:
+    """features.csv by ``csv_text``, as ``prepare`` wrote it row by row."""
+    return "".join(csv_text(FEATURE_COLUMNS, (
+        [obs.location_id, obs.date.isoformat(), station.month,
+         *map(fmt, feature_values(station)), int(obs.larvae_count)]
+        for obs, station in matches)))
+
+
+class TestFeatureText:
+    @given(matches=_matches())
+    def test_text_equals_csv_text(self, matches):
+        assert "".join(feature_text(matches)) == _feature_csv(matches)
+
+    def test_signed_zeros_are_two_stations(self):
+        zero = _station("z")._replace(precip_mm=0.0)
+        matches = [(_obs("a"), zero), (_obs("a"), zero._replace(precip_mm=-0.0))]
+        lines = "".join(feature_text(matches)).splitlines()
+        assert [line.split(",")[7] for line in lines[1:]] == ["0.0", "-0.0"]
+
+    def test_streams_in_blocks(self, monkeypatch):
+        monkeypatch.setattr(ingest, "FEATURE_BLOCK", 2)
+        taken = []
+
+        def matches():
+            for k in range(5):
+                taken.append(k)
+                # A new station each time, which only the writer keeps alive.
+                yield _obs(f"o{k // 2}"), _station()._replace(tmean_c=float(k))
+
+        blocks = feature_text(matches())
+        assert next(blocks) == _feature_csv([]) and taken == []
+        blocks = [next(blocks)] + list(blocks)
+        assert [block.count("\r\n") for block in blocks] == [2, 2, 1]
+        assert _feature_csv([]) + "".join(blocks) == _feature_csv(
+            (_obs(f"o{k // 2}"), _station()._replace(tmean_c=float(k))) for k in range(5))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_feature_is_a_data_error(self, value):
+        matches = [(_obs("a"), _station()), (_obs("b"), _station()._replace(tmax_c=value))]
+        with pytest.raises(DataError, match="cannot write a non-finite number"):
+            "".join(feature_text(matches))

@@ -976,7 +976,7 @@ class TestForecastYears:
         assert code == 2
         assert json.loads(capsys.readouterr().err) == {
             "error": "ConfigError",
-            "message": "target_year 2021 is not beyond the observed series (last year 2021)",
+            "message": "--target-year 2021 is not beyond the observed series (last year 2021)",
         }
         assert file_bytes(out) == file_bytes(pipeline_run.out_dir)
         code, out = self.forecast(tmp_path, pipeline_run, 2022)
@@ -999,25 +999,15 @@ class TestForecastYears:
         assert code == 0, capsys.readouterr().err
         assert max(map(max, self.years(out).values())) == 3021
 
-    # The ±1e300 values overflow the window's standard deviation in numpy.
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                                "ignore:invalid value encountered:RuntimeWarning")
     def test_non_finite_forecast_is_not_written(self, tmp_path, pipeline_run, capsys):
-        """Finite but huge series values roll to inf/nan; forecast refuses to
-        write them (project could not read them) and leaves the out-dir as it was."""
-        series = tmp_path / "series.csv"
-        lines = pipeline_run.data["series"].read_text().splitlines(keepends=True)
-        series.write_text("".join(
-            f"gulf-plain,summer_precip,{line.split(',')[2]},{(-1) ** i * 1e300!r}\n"
-            if line.startswith("gulf-plain,summer_precip,") else line
-            for i, line in enumerate(lines)
-        ))
-        code, out = self.forecast(tmp_path, pipeline_run, 2050, series)
+        """Finite but huge series values would roll to inf/nan: their window
+        is refused, naming the series, before anything is written, and
+        stderr holds nothing but the JSON error."""
+        code, out = self.forecast(tmp_path, pipeline_run, 2050,
+                                  huge_precip_series(tmp_path, pipeline_run))
         assert code == 3
-        error = json.loads(capsys.readouterr().err)
-        assert error["error"] == "DataError"
-        assert error["message"].startswith(f"{out / FORECAST_CSV}: series gulf-plain/summer_precip, ")
-        assert "cannot write a non-finite number" in error["message"]
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "DataError", "message": TOO_LARGE_TO_STANDARDIZE}
         assert file_bytes(out) == file_bytes(pipeline_run.out_dir)
 
     @pytest.mark.parametrize("target_year, count", [(2031, 10), (2035, 20), (2060, 40)])
@@ -1081,6 +1071,39 @@ def test_short_series_is_skipped_by_both_climate_stages(tmp_path, pipeline_run, 
     variables = {row["variable"] for row in read_csv(out / FORECAST_CSV)
                  if row["region_id"] == "gulf-plain"}
     assert variables == {"summer_tmean", "summer_tmin", "summer_tmax"}
+
+
+def huge_precip_series(tmp_path, pipeline_run) -> Path:
+    """The pipeline run's series.csv with gulf-plain's summer_precip at
+    ±1e300, whose windows' standard deviation overflows."""
+    series = tmp_path / "series.csv"
+    lines = pipeline_run.data["series"].read_text().splitlines(keepends=True)
+    series.write_text("".join(
+        f"gulf-plain,summer_precip,{line.split(',')[2]},{(-1) ** i * 1e300!r}\n"
+        if line.startswith("gulf-plain,summer_precip,") else line
+        for i, line in enumerate(lines)
+    ))
+    return series
+
+
+TOO_LARGE_TO_STANDARDIZE = ("series gulf-plain/summer_precip: a window is too large to "
+                            "standardize (mean 0.0, standard deviation inf)")
+
+
+def test_window_too_large_to_standardize_stops_train_climate(tmp_path, pipeline_run, capsys):
+    """train-climate refuses a window whose standard deviation overflows,
+    naming its series, before any training: exit 3, one JSON error on
+    stderr and nothing written."""
+    out = tmp_path / "out"
+    out.mkdir()
+    shutil.copy(pipeline_run.out_dir / FEATURES_CSV, out)
+    code = cli.main(["train-climate", "--out-dir", str(out), "--seed", str(CLIMATE_SEED),
+                     "--series", str(huge_precip_series(tmp_path, pipeline_run))])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert json.loads(captured.err) == {"error": "DataError", "message": TOO_LARGE_TO_STANDARDIZE}
+    assert captured.out == ""
+    assert sorted(p.name for p in out.iterdir()) == [FEATURES_CSV]
 
 
 class TestOffsetYears:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from larvaecast.errors import DataError, DomainError
-from larvaecast.preprocess import LogCountTransform, StandardScaler, fit_scaler
+from larvaecast.preprocess import LogCountTransform, StandardScaler, fit_scaler, standardize_rows
 
 
 class TestLogCountTransform:
@@ -85,3 +85,24 @@ class TestStandardScaler:
         transformed = fit_scaler(values).transform(values)
         assert np.argmax(values) == np.argmax(transformed)
         assert np.argmin(values) == np.argmin(transformed)
+
+
+class TestStandardizeRows:
+    @pytest.mark.parametrize("row", [[1e300, -1e300, 1e300], [1.7e308, 1.7e308, 1.7e308],
+                                     [0.0, 1.0, 1.7e308]])
+    def test_row_too_large_is_named(self, row):
+        """A row whose sigma overflows, whose mean overflows, or whose
+        standardized tail (beyond ``width``) overflows is named, and numpy
+        warns of nothing (the suite turns warnings into errors)."""
+        x = np.array([[1.0, 2.0, 3.0], row])
+        with pytest.raises(DataError, match=r"^row 1: a window is too large to standardize"):
+            standardize_rows(x, 2)
+        with pytest.raises(DataError, match=r"^series b: a window is too large"):
+            standardize_rows(x, 2, ["series a", "series b"])
+
+    def test_finite_rows_unchanged(self):
+        x = np.array([[1.0, 2.0, 3.0], [5.0, 5.0, 5.0]])
+        z, mu, sigma = standardize_rows(x, 2)
+        np.testing.assert_array_equal(mu, [[1.5], [5.0]])
+        np.testing.assert_array_equal(sigma, [[0.5], [1.0]])
+        np.testing.assert_array_equal(z, [[-1.0, 1.0, 3.0], [0.0, 0.0, 0.0]])
