@@ -3,9 +3,9 @@
 Commands mirror the pipeline stages: prepare, train-abundance,
 train-climate, forecast, project, report. Training commands require an
 explicit --seed; all stages write into --out-dir. Exit codes: 0 success,
-2 configuration error (a bad or missing argument included), 3 data error
-or ``OSError``, 4 internal invariant violation; every error is one JSON
-object on stderr.
+2 configuration error (a bad or missing argument included), 3 data error,
+``OSError`` or ``MemoryError``, 4 internal invariant violation; every
+error is one JSON object on stderr.
 
 Every flag sets the ``PipelineConfig`` field named by its ``dest``, and
 an omitted flag takes that field's default.
@@ -124,13 +124,14 @@ def run(args: argparse.Namespace) -> dict:
 def main(argv=None) -> int:
     try:
         summary = run(build_parser().parse_args(argv))
-    except (PipelineError, OSError) as exc:
-        json.dump(
-            {"error": type(exc).__name__, "message": str(exc)},
-            sys.stderr,
-        )
+    except (PipelineError, OSError, MemoryError) as exc:
+        if isinstance(exc, MemoryError):  # numpy raises a private subclass; Python's has no text
+            name, message = "MemoryError", str(exc) or "out of memory"
+        else:
+            name, message = type(exc).__name__, str(exc)
+        json.dump({"error": name, "message": message}, sys.stderr)
         sys.stderr.write("\n")
-        return exc.exit_code if isinstance(exc, PipelineError) else DataError.exit_code
+        return getattr(exc, "exit_code", DataError.exit_code)
     json.dump(summary, sys.stdout, indent=1)
     sys.stdout.write("\n")
     return 0

@@ -1,8 +1,9 @@
 """Exception hierarchy shared by every stage of the pipeline.
 
 The CLI maps these onto process exit codes: 2 for configuration errors,
-3 for data errors, diverged training and any ``OSError`` (a full disk,
-an occupied output path), 4 for internal invariant violations.
+3 for data errors, diverged training, any ``OSError`` (a full disk, an
+occupied output path) and ``MemoryError`` (a stage that cannot allocate
+its arrays), 4 for internal invariant violations.
 """
 
 

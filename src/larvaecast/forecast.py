@@ -25,6 +25,16 @@ from .ingest import RegionSeries
 from .preprocess import standardize_rows
 
 
+def check_window(lookback: int, horizon: int) -> None:
+    """Raise ConfigError unless a block of ``horizon`` predictions fits the
+    rolled window of ``lookback`` values, both positive."""
+    for name, value in (("lookback", lookback), ("horizon", horizon)):
+        if value < 1:
+            raise ConfigError(f"{name} must be positive: {value}")
+    if horizon > lookback:
+        raise ConfigError("horizon must not exceed lookback")
+
+
 @dataclass(frozen=True)
 class ForecastConfig:
     lookback: int
@@ -32,11 +42,9 @@ class ForecastConfig:
     rounds: int
 
     def __post_init__(self):
-        for name in ("lookback", "horizon", "rounds"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be positive: {getattr(self, name)}")
-        if self.horizon > self.lookback:
-            raise ConfigError("horizon must not exceed lookback")
+        check_window(self.lookback, self.horizon)
+        if self.rounds < 1:
+            raise ConfigError(f"rounds must be positive: {self.rounds}")
 
 
 def forecast(predict, windows, cfg: ForecastConfig, names=None) -> np.ndarray:

@@ -325,7 +325,9 @@ def parse_observations(path) -> list[LarvaeObservation]:
 
 
 def parse_stations(path) -> list[StationRecord]:
+    """The records of ``path``; a repeated (station_id, month) is refused as by ``read_table``."""
     out = []
+    first_rows: dict[tuple[str, str], int] = {}
     for line, values in read_rows(path, STATION_COLUMNS):
         record = StationRecord(*values)
         if not (record.tmin_c <= record.tmean_c <= record.tmax_c):
@@ -333,6 +335,10 @@ def parse_stations(path) -> list[StationRecord]:
                 f"{path}: row {line}: temperature ordering violated "
                 f"(tmin <= tmean <= tmax required)"
             )
+        first = first_rows.setdefault((record.station_id, record.month), line)
+        if first != line:
+            raise ParseError(f"{path}: row {line}: duplicate key "
+                             f"{record.station_id}/{record.month}, first at row {first}")
         out.append(record)
     return out
 
@@ -412,7 +418,9 @@ def haversine_km(lat1, lon1, lat2, lon2):
     phi1, phi2 = np.radians(lat1), np.radians(lat2)
     dphi = np.radians(lat2 - lat1)
     dlam = np.radians(lon2 - lon1)
-    a = np.sin(dphi / 2) ** 2 + np.cos(phi1) * np.cos(phi2) * np.sin(dlam / 2) ** 2
+    # s * s, not s ** 2: a numpy scalar's pow can be an ulp off an array's square.
+    half_dphi, half_dlam = np.sin(dphi / 2), np.sin(dlam / 2)
+    a = half_dphi * half_dphi + np.cos(phi1) * np.cos(phi2) * (half_dlam * half_dlam)
     return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(a))
 
 

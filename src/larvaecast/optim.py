@@ -26,6 +26,8 @@ PLATEAU_TOLERANCE = 1e-4
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """One training run's settings and the one statement of their rules."""
+
     seed: int
     batch_size: int = 8
     learning_rate: float = 1e-3
@@ -33,13 +35,15 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.seed < 0:
-            raise ConfigError("seed must be a non-negative integer")
+            raise ConfigError(f"--seed must be a non-negative integer: {self.seed}")
         if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
+            raise ConfigError(f"--batch-size must be >= 1: {self.batch_size}")
+        if not 0 < self.learning_rate < math.inf:  # false for NaN too
+            raise ConfigError(
+                f"--learning-rate must be a positive finite number: {self.learning_rate}"
+            )
         if self.max_epochs < 1:
-            raise ConfigError("max_epochs must be >= 1")
+            raise ConfigError(f"--max-epochs must be >= 1: {self.max_epochs}")
 
 
 @dataclass

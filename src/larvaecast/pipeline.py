@@ -20,7 +20,7 @@ import numpy as np
 
 from . import ingest, lstm, serialize
 from .errors import ConfigError, DataError, ParseError
-from .forecast import ForecastConfig, forecast_series, require_window
+from .forecast import ForecastConfig, check_window, forecast_series, require_window
 from .ingest import FEATURE_NAMES, NUMBER, TEXT, YEAR, FeatureRow, csv_text, feature_values, fmt
 from .lstm import lstm_forward, make_windows, train_lstm
 from .nn import ABUNDANCE_LAYER_DIMS, forward, train_abundance
@@ -116,19 +116,6 @@ class PipelineConfig:
                 setattr(self, name, Path(value))
         if not math.isfinite(self.max_km) or self.max_km <= 0:
             raise ConfigError(f"--max-km must be a positive finite number: {self.max_km}")
-        # The training flags, here so each message names its flag; TrainConfig
-        # keeps the same checks, by field, for library callers.
-        if self.seed < 0:
-            raise ConfigError(f"--seed must be a non-negative integer: {self.seed}")
-        if self.batch_size < 1:
-            raise ConfigError(f"--batch-size must be >= 1: {self.batch_size}")
-        if not math.isfinite(self.learning_rate) or self.learning_rate <= 0:
-            raise ConfigError(
-                f"--learning-rate must be a positive finite number: {self.learning_rate}"
-            )
-        for max_epochs in (self.max_epochs, self.climate_max_epochs):
-            if max_epochs < 1:
-                raise ConfigError(f"--max-epochs must be >= 1: {max_epochs}")
 
     def path(self, name: str) -> Path:
         return self.out_dir / name
@@ -141,6 +128,7 @@ class PipelineConfig:
         return path
 
     def train_config(self, seed_offset: int = 0, max_epochs: int | None = None) -> TrainConfig:
+        """The training flags as a ``TrainConfig``, which checks them."""
         return TrainConfig(
             seed=self.seed + seed_offset,
             batch_size=self.batch_size,
@@ -349,7 +337,7 @@ def cmd_train_climate(cfg: PipelineConfig) -> dict:
     """
     if cfg.series is None:
         raise ConfigError("train-climate needs --series")
-    ForecastConfig(cfg.lookback, cfg.horizon, rounds=1)  # the window rule, before any read
+    check_window(cfg.lookback, cfg.horizon)  # before any read
     if cfg.lstm_hidden_size < 1:
         raise ConfigError(f"--hidden-size must be positive: {cfg.lstm_hidden_size}")
     train_cfgs = [cfg.train_config(seed_offset=offset, max_epochs=cfg.climate_max_epochs)
@@ -437,7 +425,7 @@ def cmd_forecast(cfg: PipelineConfig) -> dict:
         path = cfg.artifact(lstm_document_name(variable))
         model = models[variable] = serialize.read_file(path, serialize.deserialize_lstm)
         try:
-            ForecastConfig(model.lookback, model.output_len, rounds=1)  # the roll's rule
+            check_window(model.lookback, model.output_len)
         except ConfigError as exc:
             raise DataError(f"{path}: the forecast cannot roll this model: {exc}") from None
     offsets = serialize.read_file(cfg.artifact(OFFSETS_JSON), serialize.offsets_from_document)
@@ -501,10 +489,6 @@ def cmd_forecast(cfg: PipelineConfig) -> dict:
 # -- abundance projection ------------------------------------------------
 
 
-def _read_forecast(path) -> dict[str, dict[str, dict[int, float]]]:
-    return ingest.read_annual(path, FORECAST_COLUMNS)
-
-
 def read_region_elevations(path) -> dict[str, float]:
     return ingest.read_table(path, REGION_COLUMNS, lambda v: v[:1], lambda v: v[1])
 
@@ -514,7 +498,7 @@ def cmd_project(cfg: PipelineConfig) -> dict:
     if cfg.regions is None:
         raise ConfigError("project needs --regions (region elevations)")
     years = sorted(set(cfg.years or [cfg.target_year]))
-    table = _read_forecast(cfg.artifact(FORECAST_CSV))
+    table = ingest.read_annual(cfg.artifact(FORECAST_CSV), FORECAST_COLUMNS)
     elevations = read_region_elevations(cfg.regions)
     model_path = cfg.artifact(ABUNDANCE_MODEL_JSON)
     net = serialize.read_file(model_path, serialize.deserialize_network)
@@ -565,13 +549,6 @@ def cmd_project(cfg: PipelineConfig) -> dict:
 # -- reporting -----------------------------------------------------------
 
 
-def _read_projections(path) -> dict[str, dict[int, dict]]:
-    return ingest.read_table(
-        path, PROJECTION_COLUMNS, lambda v: v[:2],
-        lambda v: {"log10_abundance": v[2], "abundance": v[3]},
-    )
-
-
 def read_geometry(path) -> dict:
     """Load a GeoJSON document under the JSON rules of ``serialize.parse_json``
     (no schema check); anything but a JSON object is a ParseError naming the file."""
@@ -586,7 +563,9 @@ def cmd_report(cfg: PipelineConfig) -> dict:
     start_year, end_year = cfg.start_year, cfg.end_year
     if start_year is None or end_year is None:
         raise ConfigError("report needs --start-year and --end-year")
-    projections = _read_projections(cfg.artifact(PROJECTIONS_CSV))
+    projections = ingest.read_table(
+        cfg.artifact(PROJECTIONS_CSV), PROJECTION_COLUMNS, lambda v: v[:2],
+        lambda v: {"log10_abundance": v[2], "abundance": v[3]})
     geometry = None if cfg.geometry is None else read_geometry(cfg.geometry)
     if cfg.geometry_out is not None:
         if not cfg.geometry_out.parent.is_dir():

@@ -68,12 +68,9 @@ def _list(name: str, values, element: type = float, length: int | None = None) -
     return values
 
 
-def _matrix(name: str, flat, rows: int, cols: int) -> np.ndarray:
-    return np.array(_list(name, flat, length=rows * cols), dtype=float).reshape(rows, cols)
-
-
-def _vector(name: str, flat, length: int) -> np.ndarray:
-    return np.array(_list(name, flat, length=length), dtype=float)
+def _array(name: str, flat, *shape: int) -> np.ndarray:
+    """``flat`` (see ``_list``) as a float array of ``shape``, row-major."""
+    return np.array(_list(name, flat, length=math.prod(shape)), dtype=float).reshape(shape)
 
 
 def _finite(text: str) -> float:
@@ -198,8 +195,8 @@ def deserialize_network(text: str) -> DenseNetwork:
     raw_b = _list("biases", _require(doc, "biases", "dense"), list, len(dims) - 1)
     weights, biases = [], []
     for i, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
-        weights.append(_matrix(f"weights[{i}]", raw_w[i], fan_out, fan_in))
-        biases.append(_vector(f"biases[{i}]", raw_b[i], fan_out))
+        weights.append(_array(f"weights[{i}]", raw_w[i], fan_out, fan_in))
+        biases.append(_array(f"biases[{i}]", raw_b[i], fan_out))
     return DenseNetwork(
         layer_dims=dims,
         weights=weights,
@@ -241,9 +238,9 @@ def deserialize_lstm(text: str) -> LstmModel:
     _checked("lstm", check_lstm, hidden, out, lookback, dropout_rate)
     w, u, b = [], [], []
     for gate in GATES:
-        w.append(_matrix(f"w_{gate}", _require(doc, f"w_{gate}", "lstm"), hidden, 1))
-        u.append(_matrix(f"u_{gate}", _require(doc, f"u_{gate}", "lstm"), hidden, hidden))
-        b.append(_vector(f"b_{gate}", _require(doc, f"b_{gate}", "lstm"), hidden))
+        w.append(_array(f"w_{gate}", _require(doc, f"w_{gate}", "lstm"), hidden, 1))
+        u.append(_array(f"u_{gate}", _require(doc, f"u_{gate}", "lstm"), hidden, hidden))
+        b.append(_array(f"b_{gate}", _require(doc, f"b_{gate}", "lstm"), hidden))
     return LstmModel(
         hidden_size=hidden,
         output_len=out,
@@ -251,8 +248,8 @@ def deserialize_lstm(text: str) -> LstmModel:
         input_dropout_rate=dropout_rate,
         weights=np.hstack([np.vstack(w), np.vstack(u)]),
         bias=np.concatenate(b),
-        head_w=_matrix("head_w", _require(doc, "head_w", "lstm"), out, hidden),
-        head_b=_vector("head_b", _require(doc, "head_b", "lstm"), out),
+        head_w=_array("head_w", _require(doc, "head_w", "lstm"), out, hidden),
+        head_b=_array("head_b", _require(doc, "head_b", "lstm"), out),
     )
 
 
@@ -274,8 +271,8 @@ def scalers_to_document(
 def scalers_from_document(text: str) -> tuple[StandardScaler, list[str], float]:
     doc = loads(text, "scalers")
     names = _list("feature_names", _require(doc, "feature_names", "scalers"), str)
-    mean = _vector("mean", _require(doc, "mean", "scalers"), len(names))
-    std = _vector("std", _require(doc, "std", "scalers"), len(names))
+    mean = _array("mean", _require(doc, "mean", "scalers"), len(names))
+    std = _array("std", _require(doc, "std", "scalers"), len(names))
     if np.any(std <= 0):
         raise ParseError("scalers document: every 'std' value must be positive")
     scaler = StandardScaler(mean, std, _number(doc, "n_fit_rows", "scalers", int))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from larvaecast.errors import ConfigError, DataError, ShapeError
-from larvaecast.forecast import ForecastConfig, forecast, forecast_series
+from larvaecast.forecast import ForecastConfig, check_window, forecast, forecast_series
 from larvaecast.ingest import RegionSeries
 
 
@@ -60,6 +60,18 @@ class TestForecastConfig:
     def test_positive_rounds(self):
         with pytest.raises(ConfigError):
             ForecastConfig(lookback=5, horizon=2, rounds=0)
+
+    @pytest.mark.parametrize("lookback, horizon, message", [
+        (5, 6, "horizon must not exceed lookback"),
+        (0, 1, "lookback must be positive: 0"),
+        (3, 0, "horizon must be positive: 0"),
+    ])
+    def test_check_window_is_the_config_rule(self, lookback, horizon, message):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            check_window(lookback, horizon)
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            ForecastConfig(lookback, horizon, rounds=1)
+        check_window(lookback=6, horizon=6)
 
 
 class TestForecast:

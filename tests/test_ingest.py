@@ -392,6 +392,13 @@ class TestHaversine:
             for j in range(4):
                 assert d[i, j] == haversine_km(float(lat1[i, 0]), float(lon1[i, 0]),
                                                float(lat2[j]), float(lon2[j]))
+        # Random pairs; squared with ``** 2``, 2 of these read one ulp apart.
+        rng = np.random.default_rng(1)
+        lat1, lat2 = rng.uniform(-90, 90, 3000), rng.uniform(-90, 90, 3000)
+        lon1, lon2 = rng.uniform(-180, 180, 3000), rng.uniform(-180, 180, 3000)
+        d = haversine_km(lat1, lon1, lat2, lon2)
+        pairs = zip(lat1.tolist(), lon1.tolist(), lat2.tolist(), lon2.tolist())
+        assert [haversine_km(*pair) for pair in pairs] == d.tolist()
 
     @pytest.mark.parametrize("bad", [math.nan, 91.0])
     def test_one_bad_array_element_raises(self, bad):
@@ -441,10 +448,17 @@ class TestJoinNearestStation:
         assert rows[0][1].elevation_m == 1.0
 
     def test_boundary_is_inclusive(self):
-        obs, station = _obs("a", lat=40.0), _station(lat=40.1)
-        d = haversine_km(obs.latitude, obs.longitude, station.latitude, station.longitude)
-        assert join_nearest_station([obs], [station], max_km=d)[1] == 0
-        assert join_nearest_station([obs], [station], max_km=np.nextafter(d, 0))[1] == 1
+        """``max_km`` from a scalar call on the pair is the join's distance to
+        the bit. The second pair is 7511.406099196239 km as arrays; squared
+        with ``** 2``, a scalar call read it as ...238."""
+        for (lat, lon), (north, east) in [
+            ((40.0, -100.0), (40.1, -100.0)),
+            ((76.6735501362007, 74.67369496511026), (14.156449275690065, 24.741477745936436)),
+        ]:
+            obs, station = _obs("a", lat=lat, lon=lon), _station(lat=north, lon=east)
+            d = haversine_km(lat, lon, north, east)
+            assert join_nearest_station([obs], [station], max_km=d)[1] == 0
+            assert join_nearest_station([obs], [station], max_km=np.nextafter(d, 0))[1] == 1
 
     @pytest.mark.parametrize("lat, north", [(10.007301045730216, 89.81540297295409),
                                             (-33.03862426719177, -15.151810183665493)])

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,8 @@ class TestTrainConfig:
             {"max_epochs": 0},
             {"learning_rate": 0.0},
             {"learning_rate": -1.0},
+            {"learning_rate": math.nan},
+            {"learning_rate": math.inf},
         ],
     )
     def test_invalid_rejected(self, kwargs):

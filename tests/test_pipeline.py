@@ -500,6 +500,20 @@ class TestCli:
             visit(ast.parse(path.read_text(encoding="utf-8")), f"{path.stem}.<module>")
         assert found == {("ingest.open_text", "read"), ("serialize.commit", "write")}
 
+    def test_no_config_is_built_only_to_be_discarded(self):
+        """An ast walk: no statement builds a ``TrainConfig`` or ``ForecastConfig``
+        and drops it; a stage checks a rule by calling the function that states it."""
+        package = Path(larvaecast.__file__).resolve().parent
+        discarded = [
+            f"{path.name}:{node.lineno}"
+            for path in sorted(package.rglob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call)
+            and getattr(node.value.func, "attr", getattr(node.value.func, "id", None))
+            in ("TrainConfig", "ForecastConfig")
+        ]
+        assert discarded == []
+
     @pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])
     def test_cli_import_sets_one_blas_thread_unless_set(self, preset, expected):
         src = Path(larvaecast.__file__).resolve().parent.parent
@@ -536,6 +550,28 @@ class TestCli:
         assert doc["error"] == "DivergenceError"
         assert doc["message"].endswith("of epoch 1")
         assert not (out / ABUNDANCE_MODEL_JSON).exists()
+
+    class ArrayMemoryError(MemoryError):
+        """Like numpy's failed allocation: a private subclass of MemoryError."""
+
+    @pytest.mark.parametrize("exc, message", [
+        (ArrayMemoryError("Unable to allocate 1.16 TiB for an array"),
+         "Unable to allocate 1.16 TiB for an array"),
+        (MemoryError(), "out of memory"),
+    ], ids=["numpy", "bare"])
+    def test_out_of_memory_exits_3_with_one_json_line(
+        self, tmp_path, capsys, monkeypatch, exc, message
+    ):
+        def cmd_train_climate(cfg):
+            raise exc
+
+        monkeypatch.setattr(pipeline, "cmd_train_climate", cmd_train_climate)
+        code = cli.main(["train-climate", "--out-dir", str(tmp_path / "out"), "--seed", "1",
+                         "--series", str(tmp_path / "series.csv")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err) == {"error": "MemoryError", "message": message}
 
     @pytest.mark.parametrize("module", MODULES)
     def test_module_imports_alone(self, module):
@@ -1308,6 +1344,26 @@ class TestDuplicateKeys:
         path.write_text("\n".join(lines) + "\n")
         doc = assert_data_error(stage(), capsys, "ParseError", f"row {len(lines)}: duplicate key")
         assert doc["message"].endswith("first at row 2")
+
+    @pytest.mark.parametrize("at_end", [True, False], ids=["copy-last", "copy-first"])
+    def test_repeated_station_month_is_parse_error(self, tmp_path, capsys, at_end):
+        """A station-month given twice, with other values, is refused wherever
+        the copy lies: the join would otherwise take whichever comes first."""
+        data = Path(__file__).resolve().parents[1] / "data"
+        header, *rows = (data / "stations.csv").read_text(encoding="utf-8").splitlines()
+        original = "cascade-ridge-ap1,45.5,-121.0,2015-05,16.85,23.23,11.34,9.0,48.62,1426.3"
+        row = rows.index(original) + 2  # the header is row 1
+        copy = original.replace(",16.85,23.23,", ",21.85,28.23,")
+        rows = [*rows, copy] if at_end else [copy, *rows]
+        stations = tmp_path / "stations.csv"
+        stations.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+        code = cli.main(["prepare", "--out-dir", str(tmp_path / "out"), "--observations",
+                         str(data / "observations.csv"), "--stations", str(stations)])
+        repeat, first = (len(rows) + 1, row) if at_end else (row + 1, 2)
+        assert_data_error(code, capsys, "ParseError",
+                          f"{stations}: row {repeat}: duplicate key cascade-ridge-ap1/2015-05, "
+                          f"first at row {first}")
+        assert not (tmp_path / "out").exists()
 
 
 class TestColumns:
