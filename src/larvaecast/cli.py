@@ -3,7 +3,8 @@
 Commands mirror the pipeline stages: prepare, train-abundance,
 train-climate, forecast, project, report. Training commands require an
 explicit --seed; all stages write into --out-dir. Exit codes: 0 success,
-2 configuration error (a bad or missing argument included), 3 data error,
+2 configuration error (a bad or missing argument included), 3 data error
+(a floating-point overflow, invalid value or division by zero included),
 ``OSError`` or ``MemoryError``, 4 internal invariant violation; every
 error is one JSON object on stderr.
 
@@ -25,6 +26,8 @@ from pathlib import Path
 # product: 0.06 ms on one thread, up to ~16 ms on two). The results are the
 # same bits either way; a value already set is kept.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
 
 from . import pipeline  # noqa: E402
 from .errors import ConfigError, DataError, PipelineError
@@ -100,9 +103,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = stage("project", "project larvae abundance for target years")
     _option(p, "--regions", "CSV of region_id,elevation_m", type=Path, required=True)
-    _option(p, "--year", "projection year, repeatable (default: --target-year)",
+    _option(p, "--year", f"projection year, repeatable (default: {_DEFAULTS['target_year']})",
             type=int, action="append", dest="years")
-    _option(p, "--target-year", type=int)
 
     p = stage("report", "percent-change table and choropleth data")
     _option(p, "--start-year", type=int, required=True)
@@ -118,7 +120,12 @@ def config_from_args(args: argparse.Namespace) -> PipelineConfig:
 
 
 def run(args: argparse.Namespace) -> dict:
-    return getattr(pipeline, STAGES[args.command])(config_from_args(args))
+    """Run the command's stage; a floating-point error in it is a DataError."""
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return getattr(pipeline, STAGES[args.command])(config_from_args(args))
+    except FloatingPointError as exc:
+        raise DataError(f"{args.command}: floating-point {exc}") from None
 
 
 def main(argv=None) -> int:

@@ -229,10 +229,8 @@ def train_abundance(
     if targets.shape != (features.shape[0],):
         raise ShapeError("targets must be a vector matching the feature rows")
     n = features.shape[0]
-    if n == 0:
-        raise ConfigError("cannot train on an empty dataset")
     if n < cfg.batch_size:
-        raise ConfigError(f"need at least {cfg.batch_size} examples, got {n}")
+        raise ConfigError(f"training set of {n} rows is below the batch size of {cfg.batch_size}")
 
     net = xavier_init(layer_dims, cfg.seed, dropout_rate)
     x_all = features.T

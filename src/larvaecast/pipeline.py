@@ -211,11 +211,6 @@ def cmd_train_abundance(cfg: PipelineConfig) -> dict:
         raise ConfigError(
             f"holdout_oldest={cfg.holdout_oldest} must lie in [1, {n - 1}] for {n} rows"
         )
-    if n - cfg.holdout_oldest < cfg.batch_size:
-        raise ConfigError(
-            f"training split of {n - cfg.holdout_oldest} rows is below the "
-            f"batch size of {cfg.batch_size}"
-        )
     ordered = sorted(rows, key=lambda r: (r.date, r.location_id))
     val_rows = ordered[: cfg.holdout_oldest]
     train_rows = ordered[cfg.holdout_oldest :]

@@ -144,17 +144,10 @@ def generate_dataset(out_dir, seed: int = DEFAULT_SEED) -> dict[str, Path]:
                 )
 
     # A few same-date duplicate pairs: the pair sums back to the planted count.
-    duplicates = []
     for row in observations[:: len(observations) // 4][:4]:
         half = row[5] // 2
-        row_a = list(row)
-        row_a[5] = row[5] - half
-        row_b = list(row)
-        row_b[5] = half
-        duplicates.append((row, row_a, row_b))
-    for original, row_a, row_b in duplicates:
-        observations[observations.index(original)] = row_a
-        observations.append(row_b)
+        row[5] -= half
+        observations.append([*row[:5], half])
 
     # Container records (filtered out) and remote locations (no station
     # within 30 miles).

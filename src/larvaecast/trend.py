@@ -38,11 +38,6 @@ class TrendParams:
     beta: float
     phi: float
 
-    def as_array(self) -> np.ndarray:
-        return np.array(
-            [self.lam, self.alpha, self.theta, self.gamma, self.beta, self.phi]
-        )
-
 
 @dataclass(frozen=True)
 class OffsetK:

@@ -139,6 +139,40 @@ def test_prepare_ignores_row_order(work, prepared, data):
     assert prepare_outputs(work / "prepare-permuted", *permuted) == prepared
 
 
+def scaled(row: str, factor: float) -> str:
+    key, value = row.rsplit(",", 1)
+    return f"{key},{float(value) * factor!r}"
+
+
+LARGEST_SERIES_VALUE = max(abs(float(row.rsplit(",", 1)[1])) for row in
+                           (DATA / "series.csv").read_text(encoding="utf-8").splitlines()[1:])
+
+
+@given(factor=st.floats(min_value=1.0, max_value=1e308 / LARGEST_SERIES_VALUE))
+def test_forecast_project_report_on_huge_series(pipeline_run, work, factor):
+    """The pipeline run's models on series.csv scaled by up to 1e308: each of
+    forecast, project and report exits 0 with only warnings on stderr, or 3
+    with one JSON error object and nothing else."""
+    out = work / "huge"
+    if not out.exists():
+        shutil.copytree(pipeline_run.out_dir, out)
+    series = write_rows(DATA / "series.csv", work / "huge-series.csv",
+                        lambda rows: [scaled(row, factor) for row in rows])
+    for argv in (["forecast", "--series", str(series)],
+                 ["project", "--regions", str(pipeline_run.data["regions"]),
+                  "--year", "2030", "--year", "2050"],
+                 ["report", "--start-year", "2030", "--end-year", "2050"]):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main([argv[0], "--out-dir", str(out), *argv[1:]])
+        lines = err.getvalue().splitlines()
+        if code:
+            assert code == 3 and len(lines) == 1, (code, lines)
+            assert set(json.loads(lines[0])) == {"error", "message"}
+            break
+        assert all(line.startswith("warning: ") for line in lines), lines
+
+
 def test_forecast_project_report_ignore_row_order(pipeline_run, work):
     """The pipeline run's models, with series.csv and regions.csv as given and
     with their rows reversed: every table the three stages write is the same."""

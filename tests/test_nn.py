@@ -266,5 +266,5 @@ class TestTrainAbundance:
 
     def test_below_batch_size_rejected(self):
         cfg = TrainConfig(seed=0, batch_size=8)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="training set of 5 rows is below the batch size of 8"):
             train_abundance(np.zeros((5, 6)), np.zeros(5), cfg)

@@ -129,11 +129,19 @@ class TestPrepare:
             cmd_prepare(cfg)
 
 
+def test_synth_writes_the_bundled_data(synth_data):
+    """``data/`` is what ``python -m larvaecast.synth`` writes, byte for byte."""
+    data = Path(__file__).resolve().parents[1] / "data"
+    assert sorted(p.name for p in data.iterdir()) == sorted(p.name for p in synth_data.values())
+    for name, path in synth_data.items():
+        assert path.read_bytes() == (data / path.name).read_bytes(), name
+
+
 class TestTrainAbundance:
     def test_degenerate_holdout_rejected(self, fixture_cfg):
         cmd_prepare(fixture_cfg)
         fixture_cfg.holdout_oldest = 7  # leaves 1 row, below batch size
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="training set of 1 rows is below the batch size of 8"):
             cmd_train_abundance(fixture_cfg)
 
     def test_holdout_at_least_dataset_rejected(self, fixture_cfg):
@@ -351,6 +359,17 @@ class TestCli:
                 ["forecast", "--out-dir", str(tmp_path), "--series", "s.csv", flag, "12"]
             ) == 2
             assert_json_error(capsys, "ConfigError", f"unrecognized arguments: {flag} 12")
+
+    def test_project_takes_no_target_year(self, tmp_path, capsys, pipeline_run):
+        """--year sets the projection years; without it project writes the
+        config's target year, 2050."""
+        out = shutil.copytree(pipeline_run.out_dir, tmp_path / "out")
+        regions = str(pipeline_run.data["regions"])
+        argv = ["project", "--out-dir", str(out), "--regions", regions]
+        assert cli.main([*argv, "--target-year", "2050"]) == 2
+        assert_json_error(capsys, "ConfigError", "unrecognized arguments: --target-year 2050")
+        assert cli.main(argv) == 0
+        assert {row["year"] for row in read_csv(out / PROJECTIONS_CSV)} == {"2050"}
 
     def test_readme_walkthrough_parses(self):
         """Every command of the README walkthrough parses into a config; no stage runs."""
@@ -572,6 +591,24 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert json.loads(err) == {"error": "MemoryError", "message": message}
+
+    def test_floating_point_error_exits_3_with_one_json_line(self, tmp_path, capsys, pipeline_run):
+        """Every other first-layer weight at 1e300 overflows 10 ** log10 abundance:
+        one JSON DataError naming the stage, and no numpy warning."""
+        out = shutil.copytree(pipeline_run.out_dir, tmp_path / "out")
+        doc = json.loads((out / ABUNDANCE_MODEL_JSON).read_text())
+        first = np.array(doc["weights"][0])
+        first.flat[::2] = 1e300
+        doc["weights"][0] = first.tolist()
+        (out / ABUNDANCE_MODEL_JSON).write_text(json.dumps(doc))
+        code = cli.main(["project", "--out-dir", str(out), "--regions",
+                         str(pipeline_run.data["regions"]), "--year", "2030", "--year", "2050"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err) == {
+            "error": "DataError", "message": "project: floating-point overflow encountered in power"
+        }
 
     @pytest.mark.parametrize("module", MODULES)
     def test_module_imports_alone(self, module):
@@ -926,6 +963,23 @@ class TestTrainClimateSideBySide:
         monkeypatch.setattr(pipeline, "train_lstm", diverge_in_child)
         code, out = self.train_climate(tmp_path, pipeline_run)
         assert_data_error(code, capsys, "DivergenceError", "mean loss is nan at epoch 1")
+        assert not list(out.glob("lstm_*.json"))
+
+    def test_child_out_of_memory_keeps_numpy_message(
+        self, tmp_path, pipeline_run, capsys, monkeypatch
+    ):
+        """numpy's failed allocation comes back through the pipe with its text."""
+        real = pipeline.train_lstm
+
+        def allocate_in_child(windows, cfg, **kwargs):
+            if cfg.seed == CLIMATE_SEED + 1:
+                np.empty((10**8, 10**8))  # 71 PiB: refused before any page is touched
+            return real(windows, cfg, **kwargs)
+
+        monkeypatch.setattr(pipeline, "train_lstm", allocate_in_child)
+        code, out = self.train_climate(tmp_path, pipeline_run)
+        doc = assert_data_error(code, capsys, "MemoryError", "")
+        assert doc["message"].startswith("Unable to allocate")
         assert not list(out.glob("lstm_*.json"))
 
     def test_parent_failure_leaves_no_child_process(

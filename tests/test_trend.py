@@ -1,3 +1,5 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
@@ -80,8 +82,7 @@ class TestFitTrend:
         )
         first = fit_trend(series)
         second = fit_trend(series)
-        np.testing.assert_array_equal(first[0].as_array(), second[0].as_array())
-        assert first[1] == second[1]
+        assert first == second
 
     def test_perturbed_truths_fit_at_least_as_well_as_the_truth(self):
         """Unlike criterion 6, the truth here is not the fit's start."""
@@ -110,7 +111,7 @@ class TestFitTrend:
         """Under the suite's warnings-as-errors, a constant series near float's
         limit fits with an SSE of 0, and one whose SSE overflows is a DataError."""
         params, sse = fit_trend(np.full(43, 1e200))
-        assert np.all(np.isfinite(params.as_array()))
+        assert np.all(np.isfinite(astuple(params)))
         assert sse == 0.0
         with pytest.raises(DataError, match="finite sum of squares"):
             fit_trend(np.random.default_rng(0).normal(size=43) * 1e200)
