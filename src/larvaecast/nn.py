@@ -52,7 +52,6 @@ class DenseNetwork(FlatParameters):
     layer_dims: tuple[int, ...]
     weights: tuple[np.ndarray, ...]
     biases: tuple[np.ndarray, ...]
-    activations: tuple[str, ...]
     dropout_rate: float
 
     def __post_init__(self):
@@ -67,7 +66,6 @@ class DenseNetwork(FlatParameters):
 
 @dataclass
 class ForwardCache:
-    pre_activations: list[np.ndarray]
     activations: list[np.ndarray]
     masks: list[np.ndarray | None]
 
@@ -80,29 +78,24 @@ def xavier(rng: np.random.Generator, fan_out: int, fan_in: int, blocks: int = 1)
     return rng.uniform(-bound, bound, size=(blocks * fan_out, fan_in))
 
 
-def check_dense(layer_dims: tuple[int, ...], activations, dropout_rate: float) -> None:
+def dense_activations(layer_dims) -> list[str]:
+    """The activation of each weight layer, the one pattern ``forward`` runs:
+    relu on every hidden layer, identity on the output."""
+    return ["relu"] * (len(layer_dims) - 2) + ["identity"]
+
+
+def check_dense(layer_dims: tuple[int, ...], dropout_rate: float) -> None:
     """Raise ConfigError unless ``forward`` can run this architecture."""
     if len(layer_dims) < 2 or any(d < 1 for d in layer_dims):
         raise ConfigError("layer_dims needs at least two positive entries")
     if not (0.0 <= dropout_rate < 1.0):
         raise ConfigError("dropout_rate must lie in [0, 1)")
-    if len(activations) != len(layer_dims) - 1:
-        raise ConfigError("one activation per weight layer required")
-    if any(a not in ("relu", "identity") for a in activations):
-        raise ConfigError("activations must be 'relu' or 'identity'")
 
 
-def xavier_init(
-    layer_dims,
-    seed: int,
-    dropout_rate: float = DEFAULT_DROPOUT,
-    activations: tuple[str, ...] | None = None,
-) -> DenseNetwork:
+def xavier_init(layer_dims, seed: int, dropout_rate: float = DEFAULT_DROPOUT) -> DenseNetwork:
     """``xavier`` weights, zero biases."""
     layer_dims = tuple(int(d) for d in layer_dims)
-    if activations is None:
-        activations = ("relu",) * (len(layer_dims) - 2) + ("identity",)
-    check_dense(layer_dims, activations, dropout_rate)
+    check_dense(layer_dims, dropout_rate)
     rng = np.random.default_rng(seed)
     weights, biases = [], []
     for fan_in, fan_out in zip(layer_dims[:-1], layer_dims[1:]):
@@ -112,7 +105,6 @@ def xavier_init(
         layer_dims=layer_dims,
         weights=weights,
         biases=biases,
-        activations=tuple(activations),
         dropout_rate=float(dropout_rate),
     )
 
@@ -132,7 +124,8 @@ def forward(
     mode: str = "eval",
     rng: np.random.Generator | None = None,
 ) -> tuple[np.ndarray, ForwardCache]:
-    """Run the network; in train mode hidden activations get inverted dropout.
+    """Run the network: relu on each hidden layer, whose activations get
+    inverted dropout in train mode, and a linear output.
 
     ``x`` is a (features, batch) matrix; the prediction is (outputs, batch).
     """
@@ -142,19 +135,17 @@ def forward(
     if a.ndim != 2 or a.shape[0] != net.layer_dims[0]:
         raise ShapeError(f"input must be ({net.layer_dims[0]}, batch), got shape {a.shape}")
     train = mode == "train" and net.dropout_rate > 0
-    pre_activations, activations_out, masks = [], [a], []
-    n_layers = len(net.weights)
-    for layer, (w, b, act) in enumerate(zip(net.weights, net.biases, net.activations)):
-        z = w @ a + b[:, None]
-        a = np.maximum(z, 0.0) if act == "relu" else z
-        pre_activations.append(z)
-        if layer < n_layers - 1:
-            mask = None
-            if train:
-                a, mask = dropout(a, net.dropout_rate, rng)
-            masks.append(mask)
-        activations_out.append(a)
-    return a, ForwardCache(pre_activations, activations_out, masks)
+    activations, masks = [a], []
+    for w, b in zip(net.weights[:-1], net.biases[:-1]):
+        a = np.maximum(w @ a + b[:, None], 0.0)
+        mask = None
+        if train:
+            a, mask = dropout(a, net.dropout_rate, rng)
+        masks.append(mask)
+        activations.append(a)
+    a = net.weights[-1] @ a + net.biases[-1][:, None]
+    activations.append(a)
+    return a, ForwardCache(activations, masks)
 
 
 def mse_loss(pred, target) -> float:
@@ -184,13 +175,14 @@ def backward(net: DenseNetwork, cache: ForwardCache, target) -> np.ndarray:
     """The gradient of mse_loss in ``params``, as one vector laid out like it.
 
     Dropout masks recorded during the forward pass are replayed exactly.
+    relu's derivative is taken from the kept activation: a kept unit's
+    ``relu(z) / keep`` is positive exactly when ``z`` is, and a dropped
+    unit's ``da * 0 / keep`` is zero either way.
     """
     keep = 1.0 - net.dropout_rate
     grad = np.empty_like(net.params)
     views = net.unpack(grad)  # weight then bias per layer
     delta = mse_grad(cache.activations[-1], target)
-    if net.activations[-1] == "relu":
-        delta = delta * (cache.pre_activations[-1] > 0)
     for layer in range(len(net.weights) - 1, -1, -1):
         np.matmul(delta, cache.activations[layer].T, out=views[2 * layer])
         delta.sum(axis=1, out=views[2 * layer + 1])
@@ -200,10 +192,7 @@ def backward(net: DenseNetwork, cache: ForwardCache, target) -> np.ndarray:
         mask = cache.masks[layer - 1]
         if mask is not None:
             da = da * mask / keep
-        if net.activations[layer - 1] == "relu":
-            delta = da * (cache.pre_activations[layer - 1] > 0)
-        else:
-            delta = da
+        delta = da * (cache.activations[layer] > 0)
     return grad
 
 
@@ -213,8 +202,9 @@ def train_abundance(
     cfg: TrainConfig,
     layer_dims=ABUNDANCE_LAYER_DIMS,
     dropout_rate: float = DEFAULT_DROPOUT,
-) -> DenseNetwork:
-    """Train the regressor on standardized features and log-scaled targets.
+) -> tuple[DenseNetwork, int]:
+    """Train the regressor on standardized features and log-scaled targets;
+    returns the network and the number of epochs run.
 
     ``optim.fit`` runs mini-batches of ``cfg.batch_size`` with a seeded
     per-epoch shuffle until the plateau rule fires or ``cfg.max_epochs``.
@@ -241,5 +231,4 @@ def train_abundance(
         pred, cache = forward(net, x_all[:, idx], mode="train", rng=rng)
         return mse_loss(pred, yb) * idx.size, backward(net, cache, yb)
 
-    fit(net.params, step, n, cfg, "abundance network")
-    return net
+    return net, fit(net.params, step, n, cfg, "abundance network")

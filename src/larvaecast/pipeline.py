@@ -23,7 +23,7 @@ from .errors import ConfigError, DataError, ParseError
 from .forecast import ForecastConfig, check_window, forecast_series, require_window
 from .ingest import FEATURE_NAMES, NUMBER, TEXT, YEAR, FeatureRow, csv_text, feature_values, fmt
 from .lstm import lstm_forward, make_windows, train_lstm
-from .nn import ABUNDANCE_LAYER_DIMS, forward, train_abundance
+from .nn import forward, train_abundance
 from .optim import TrainConfig
 from .preprocess import LogCountTransform, StandardScaler, fit_scaler, standardize_rows
 from .stats import correlation_report, residual_summary
@@ -223,12 +223,7 @@ def cmd_train_abundance(cfg: PipelineConfig) -> dict:
 
     scaler = fit_scaler(train_x)
 
-    net = train_abundance(
-        scaler.transform(train_x),
-        train_y,
-        train_cfg,
-        layer_dims=ABUNDANCE_LAYER_DIMS,
-    )
+    net, epochs = train_abundance(scaler.transform(train_x), train_y, train_cfg)
 
     train_pred = predict_log_abundance(net, scaler, train_x)
     val_pred = predict_log_abundance(net, scaler, val_x)
@@ -236,6 +231,7 @@ def cmd_train_abundance(cfg: PipelineConfig) -> dict:
         "n": n,
         "n_train": len(train_rows),
         "n_val": len(val_rows),
+        "epochs": epochs,
         "train": _correlation_entry(train_pred, train_y),
         "validation": _correlation_entry(val_pred, val_y),
         "validation_residuals": asdict(residual_summary(val_pred, val_y)),

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ConfigError, DataError, ParseError
 from .ingest import open_text
 from .lstm import GATES, LstmModel, check_lstm
-from .nn import DenseNetwork, check_dense
+from .nn import DenseNetwork, check_dense, dense_activations
 from .preprocess import StandardScaler
 from .trend import LinearModel, OffsetK
 
@@ -178,7 +178,7 @@ def load_document(path, expected_kind: str) -> dict:
 def serialize_network(net: DenseNetwork) -> str:
     return document("dense", {
         "layer_dims": list(net.layer_dims),
-        "activations": list(net.activations),
+        "activations": dense_activations(net.layer_dims),
         "dropout_rate": net.dropout_rate,
         "weights": [w.ravel().tolist() for w in net.weights],
         "biases": [b.tolist() for b in net.biases],
@@ -188,9 +188,12 @@ def serialize_network(net: DenseNetwork) -> str:
 def deserialize_network(text: str) -> DenseNetwork:
     doc = loads(text, "dense")
     dims = tuple(_list("layer_dims", _require(doc, "layer_dims", "dense"), int))
-    activations = tuple(_list("activations", _require(doc, "activations", "dense"), str))
     dropout_rate = _number(doc, "dropout_rate", "dense")
-    _checked("dense", check_dense, dims, activations, dropout_rate)
+    _checked("dense", check_dense, dims, dropout_rate)
+    activations = _list("activations", _require(doc, "activations", "dense"), str)
+    if activations != dense_activations(dims):
+        raise ParseError("dense document: activations must be relu on each hidden layer "
+                         f"and identity on the output, not {activations}")
     raw_w = _list("weights", _require(doc, "weights", "dense"), list, len(dims) - 1)
     raw_b = _list("biases", _require(doc, "biases", "dense"), list, len(dims) - 1)
     weights, biases = [], []
@@ -201,7 +204,6 @@ def deserialize_network(text: str) -> DenseNetwork:
         layer_dims=dims,
         weights=weights,
         biases=biases,
-        activations=activations,
         dropout_rate=dropout_rate,
     )
 

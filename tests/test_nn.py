@@ -52,16 +52,21 @@ class TestXavierInit:
             xavier_init(dims, seed=0)
 
     def test_final_activation_identity(self):
-        net = xavier_init([6, 64, 64, 1], seed=0)
-        assert net.activations == ("relu", "relu", "identity")
+        # y = -relu(x): the hidden unit clips, the output keeps its sign
+        net = xavier_init([1, 1, 1], seed=0, dropout_rate=0.0)
+        net.weights[0][:] = 1.0
+        net.weights[1][:] = -1.0
+        pred, _ = forward(net, np.array([[2.0, -3.0]]))
+        np.testing.assert_array_equal(pred, [[-2.0, 0.0]])
 
 
 class TestForward:
     def test_relu_clips_negative(self):
-        net = xavier_init([2, 2], seed=0, dropout_rate=0.0, activations=("relu",))
-        net.weights[0][:] = np.eye(2)
-        net.biases[0][:] = 0.0
-        pred, _ = forward(net, np.array([[-1.0], [2.0]]))
+        net = xavier_init([2, 2, 2], seed=0, dropout_rate=0.0)
+        for w in net.weights:
+            w[:] = np.eye(2)
+        pred, cache = forward(net, np.array([[-1.0], [2.0]]))
+        np.testing.assert_array_equal(cache.activations[1], [[0.0], [2.0]])
         np.testing.assert_array_equal(pred, [[0.0], [2.0]])
 
     def test_zero_network_outputs_zero(self):
@@ -194,6 +199,30 @@ class TestBackward:
             summed += backward(net, cache_j, ys[:, [j]]) / 4
         np.testing.assert_allclose(batched, summed, atol=1e-12)
 
+    @pytest.mark.parametrize("batch", [1, 3, 8])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_train_mode_bits_match_pre_activation_rule(self, seed, batch):
+        # backward under dropout, bit for bit against relu's derivative read
+        # from each pre-activation z, recomputed here from the cache
+        rng = np.random.default_rng(seed)
+        net = xavier_init([6, 16, 16, 1], seed=seed, dropout_rate=0.2)
+        net.biases[0][0] = -1e3  # a dead unit: z < 0 for every input
+        target = rng.normal(size=(1, batch))
+        _, cache = forward(net, rng.normal(size=(6, batch)), mode="train", rng=rng)
+        keep = 1.0 - net.dropout_rate
+        grads, delta, dropped_live = [], mse_grad(cache.activations[-1], target), False
+        for layer in range(len(net.weights) - 1, -1, -1):
+            grads[:0] = [delta @ cache.activations[layer].T, delta.sum(axis=1)]
+            if layer:
+                w, b, mask = net.weights[layer - 1], net.biases[layer - 1], cache.masks[layer - 1]
+                z = w @ cache.activations[layer - 1] + b[:, None]
+                delta = net.weights[layer].T @ delta * mask / keep * (z > 0)
+                dropped_live |= bool(((mask == 0) & (z > 0)).any())
+        assert dropped_live and not (cache.activations[1][0] > 0).any()
+        expected = np.concatenate([g.ravel() for g in grads])
+        assert np.array_equal(backward(net, cache, target).view(np.uint64),
+                              expected.view(np.uint64))
+
 
 class TestFlatParameters:
     """Each model's named arrays are views into its one ``params`` vector,
@@ -233,7 +262,7 @@ class TestTrainAbundance:
     def test_learns_linear_signal(self):
         x, y = self._linear_dataset()
         cfg = TrainConfig(seed=5, max_epochs=300)
-        net = train_abundance(x, y, cfg, layer_dims=(6, 16, 16, 1), dropout_rate=0.1)
+        net, _ = train_abundance(x, y, cfg, layer_dims=(6, 16, 16, 1), dropout_rate=0.1)
         pred, _ = forward(net, x.T)
         assert pearson_r(pred[0], y) >= 0.95
 
@@ -241,16 +270,17 @@ class TestTrainAbundance:
         x = np.tile([[0.2, -0.1, 0.5, 0.0, 1.0, -0.4]], (8, 1))
         y = np.full(8, 1.3)
         cfg = TrainConfig(seed=2, max_epochs=2000)
-        net = train_abundance(x, y, cfg, layer_dims=(6, 8, 1), dropout_rate=0.0)
+        net, _ = train_abundance(x, y, cfg, layer_dims=(6, 8, 1), dropout_rate=0.0)
         pred, _ = forward(net, x[:1].T)
         assert mse_loss(pred, [[1.3]]) < 1e-4
 
     def test_deterministic(self):
         x, y = self._linear_dataset(n=64, seed=3)
         cfg = TrainConfig(seed=11, max_epochs=40)
-        a = train_abundance(x, y, cfg, layer_dims=(6, 8, 1))
-        b = train_abundance(x, y, cfg, layer_dims=(6, 8, 1))
+        a, epochs_a = train_abundance(x, y, cfg, layer_dims=(6, 8, 1))
+        b, epochs_b = train_abundance(x, y, cfg, layer_dims=(6, 8, 1))
         np.testing.assert_array_equal(a.params, b.params)
+        assert epochs_a == epochs_b == 40
 
     def test_nan_target_fails_loudly(self):
         x, y = self._linear_dataset(n=32, seed=4)

@@ -22,6 +22,7 @@ from larvaecast.lstm import make_windows, train_lstm
 from larvaecast.nn import xavier_init
 from larvaecast.pipeline import (
     ABUNDANCE_MODEL_JSON,
+    ABUNDANCE_REPORT_JSON,
     ABUNDANCE_SCALERS_JSON,
     CHOROPLETH_CSV,
     CLIMATE_REPORT_JSON,
@@ -149,6 +150,14 @@ class TestTrainAbundance:
         fixture_cfg.holdout_oldest = 8
         with pytest.raises(ConfigError):
             cmd_train_abundance(fixture_cfg)
+
+    def test_report_carries_the_epochs_run(self, tmp_path, capsys, pipeline_run):
+        out = tmp_path / "out"
+        shutil.copytree(pipeline_run.out_dir, out)
+        assert cli.main(["train-abundance", "--out-dir", str(out), "--seed", "1",
+                         "--max-epochs", "3"]) == 0
+        assert json.loads(capsys.readouterr().out)["epochs"] == 3
+        assert json.loads((out / ABUNDANCE_REPORT_JSON).read_text())["epochs"] == 3
 
 
 def test_perfect_correlation_is_an_error_entry():
@@ -1297,6 +1306,35 @@ class TestReportGeometry:
         assert_data_error(self.report(tmp_path, content), capsys, error, text)
         assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [PROJECTIONS_CSV]
 
+    def named_features(self, tmp_path, capsys, pipeline_run, *extra):
+        """report on a copy of the pipeline run with a geometry whose features
+        carry each region's id as "name": exit code, stdout summary, stderr
+        and the merged features."""
+        out = tmp_path / "out"
+        shutil.copytree(pipeline_run.out_dir, out)
+        regions = sorted(row["region_id"] for row in read_csv(out / CHOROPLETH_CSV))
+        geometry = tmp_path / "regions.geojson"
+        geometry.write_text(json.dumps(
+            {"features": [{"properties": {"name": region}} for region in regions]}))
+        code = report(out, "--geometry", str(geometry), *extra)
+        captured = capsys.readouterr()
+        features = json.loads((out / "choropleth.geojson").read_text())["features"]
+        return code, json.loads(captured.out), captured.err, regions, features
+
+    def test_region_key_merges_every_region(self, tmp_path, capsys, pipeline_run):
+        code, summary, err, regions, features = self.named_features(
+            tmp_path, capsys, pipeline_run, "--region-key", "name")
+        assert code == 0 and err == "" and "unmatched_regions" not in summary
+        merged = [f["properties"]["name"] for f in features if "abundance" in f["properties"]]
+        assert merged == regions
+
+    def test_default_region_key_merges_nothing(self, tmp_path, capsys, pipeline_run):
+        code, summary, err, regions, features = self.named_features(tmp_path, capsys,
+                                                                    pipeline_run)
+        assert code == 0 and "warning: regions missing from geometry" in err
+        assert summary["unmatched_regions"] == regions
+        assert not any("abundance" in f["properties"] for f in features)
+
     def test_geometry_out_directory_missing(self, tmp_path, capsys):
         missing = tmp_path / "missing" / "x.geojson"
         code = self.report(tmp_path, '{"features": []}', "--geometry-out", str(missing))
@@ -1555,8 +1593,8 @@ def replaced(field, change):
     return edit
 
 
-# UTF-8 JSON that fails the parse, the finiteness rule or a field's type:
-# (file, edit of its text, the message after the path).
+# UTF-8 JSON that fails the parse, the finiteness rule, a field's type or the
+# dense activation rule: (file, edit of its text, the message after the path).
 BAD_JSON = {
     "unclosed-offsets": (OFFSETS_JSON, lambda text: "{", "malformed JSON at line 1"),
     "truncated-lstm": (lstm_document_name("summer_tmean"), lambda text: text[: len(text) // 2],
@@ -1565,6 +1603,11 @@ BAD_JSON = {
                          "malformed JSON: non-finite number: NaN"),
     "true-in-scaler-mean": (ABUNDANCE_SCALERS_JSON, replaced("mean", lambda v: [True, *v[1:]]),
                             "field 'mean' must be an array of JSON numbers"),
+    "relu-output": (ABUNDANCE_MODEL_JSON, replaced("activations", lambda a: ["relu"] * len(a)),
+                    "dense document: activations must be relu on each hidden layer"),
+    "identity-hidden": (ABUNDANCE_MODEL_JSON,
+                        replaced("activations", lambda a: ["identity"] * len(a)),
+                        "dense document: activations must be relu on each hidden layer"),
     "unclosed-geometry": ("regions.geojson", lambda text: '{"features": [',
                           "malformed JSON at line 1"),
 }

@@ -29,15 +29,19 @@ from larvaecast.serialize import (
 from larvaecast.trend import LinearModel, OffsetK
 
 
+ACTIVATION_RULE = "activations must be relu on each hidden layer and identity on the output"
+
+
 class TestDenseRoundTrip:
     def test_production_network_bit_exact(self):
         net = xavier_init(ABUNDANCE_LAYER_DIMS, seed=123)
         # give the biases nontrivial values so the round trip is honest
         for b in net.biases:
             b[:] = np.random.default_rng(1).normal(size=b.shape)
-        restored = deserialize_network(serialize_network(net))
+        text = serialize_network(net)
+        restored = deserialize_network(text)
         assert restored.layer_dims == net.layer_dims
-        assert restored.activations == net.activations
+        assert serialize_network(restored) == text
         assert restored.dropout_rate == net.dropout_rate
         np.testing.assert_array_equal(net.params, restored.params)
 
@@ -66,9 +70,12 @@ class TestDenseRoundTrip:
 
     @pytest.mark.parametrize(
         "field, value, text",
-        [("activations", ["tanh", "tanh"], "activations must be 'relu' or 'identity'"),
+        [("activations", ["tanh", "tanh"], ACTIVATION_RULE),
          ("dropout_rate", 1.5, "dropout_rate must lie in"),
-         ("layer_dims", [4, 0, 1], "layer_dims needs")],
+         ("layer_dims", [4, 0, 1], "layer_dims needs"),
+         ("activations", ["relu", "relu"], ACTIVATION_RULE),
+         ("activations", ["identity", "identity"], ACTIVATION_RULE),
+         ("activations", ["relu"], ACTIVATION_RULE)],
     )
     def test_unrunnable_architecture_rejected(self, field, value, text):
         doc = json.loads(serialize_network(xavier_init([4, 3, 1], seed=0)))
