@@ -33,17 +33,6 @@ from . import pipeline  # noqa: E402
 from .errors import ConfigError, DataError, PipelineError
 from .pipeline import PipelineConfig
 
-# Command -> pipeline stage; the stage is looked up on the module at call
-# time, so a wrapper installed there is the one that runs.
-STAGES = {
-    "prepare": "cmd_prepare",
-    "train-abundance": "cmd_train_abundance",
-    "train-climate": "cmd_train_climate",
-    "forecast": "cmd_forecast",
-    "project": "cmd_project",
-    "report": "cmd_report",
-}
-
 _DEFAULTS = {field.name: field.default for field in dataclasses.fields(PipelineConfig)}
 
 
@@ -120,10 +109,13 @@ def config_from_args(args: argparse.Namespace) -> PipelineConfig:
 
 
 def run(args: argparse.Namespace) -> dict:
-    """Run the command's stage; a floating-point error in it is a DataError."""
+    """Run the command's stage, ``pipeline.cmd_<command>`` looked up at call
+    time (so a wrapper installed there runs); a floating-point error in it is
+    a DataError."""
+    stage = getattr(pipeline, "cmd_" + args.command.replace("-", "_"))
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            return getattr(pipeline, STAGES[args.command])(config_from_args(args))
+            return stage(config_from_args(args))
     except FloatingPointError as exc:
         raise DataError(f"{args.command}: floating-point {exc}") from None
 

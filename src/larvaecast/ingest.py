@@ -2,10 +2,10 @@
 
 The CSV format lives here. Each file has one column table, an ordered
 mapping from column name to its kind ``(convert, check, describe)``:
-``OBSERVATION_COLUMNS``, ``STATION_COLUMNS`` and ``SERIES_COLUMNS`` for
-the inputs, ``FEATURE_COLUMNS`` for ``features.csv`` and, in
-``pipeline``, the forecast, region and projection tables. ``open_text``
-opens every file the program reads, CSV or JSON, and ``read_rows``
+``OBSERVATION_COLUMNS``, ``STATION_COLUMNS``, ``SERIES_COLUMNS`` and
+``REGION_COLUMNS`` for the inputs, ``FEATURE_COLUMNS``,
+``FORECAST_COLUMNS`` and ``PROJECTION_COLUMNS`` for the artifacts.
+``open_text`` opens every file the program reads, CSV or JSON; ``read_rows``
 applies the same rules to every CSV: UTF-8 text, a header row naming
 each declared column once, no row with more fields than the header,
 and in every row each declared field present, non-empty, convertible,
@@ -112,20 +112,30 @@ STATION_COLUMNS = {
     "precip_mm": (float, lambda v: v >= 0, "precipitation must be non-negative"),
     "elevation_m": NUMBER,
 }
-# The columns of the annual tables, series.csv and forecast.csv.
-ANNUAL_COLUMNS = ("region_id", "variable", "year", "value")
 SERIES_COLUMNS = {
     "region_id": TEXT,
     "variable": (str, lambda v: v in SERIES_VARIABLES, "unknown series variable"),
     "year": YEAR,
     "value": NUMBER,
 }
+# forecast.csv holds the derived variables too, so any variable name.
+FORECAST_COLUMNS = {**SERIES_COLUMNS, "variable": TEXT}
+# The columns of the annual tables, series.csv and forecast.csv.
+ANNUAL_COLUMNS = tuple(SERIES_COLUMNS)
+REGION_COLUMNS = {"region_id": TEXT, "elevation_m": NUMBER}
 FEATURE_COLUMNS = {
     "location_id": TEXT,
     "date": DATE,
     "month": MONTH,
     **dict.fromkeys(FEATURE_NAMES, NUMBER),
     "larvae_count": COUNT,
+}
+PROJECTION_COLUMNS = {
+    "region_id": TEXT,
+    "year": YEAR,
+    "log10_abundance": NUMBER,
+    "abundance": NUMBER,
+    **dict.fromkeys(FEATURE_NAMES, NUMBER),
 }
 
 
@@ -341,6 +351,15 @@ def parse_stations(path) -> list[StationRecord]:
                              f"{record.station_id}/{record.month}, first at row {first}")
         out.append(record)
     return out
+
+
+def parse_features(path) -> list[FeatureRow]:
+    return [FeatureRow(*values) for _, values in read_rows(path, FEATURE_COLUMNS)]
+
+
+def parse_regions(path) -> dict[str, float]:
+    """``{region_id: elevation_m}``; a repeated region is refused as by ``read_table``."""
+    return read_table(path, REGION_COLUMNS, lambda v: v[:1], lambda v: v[1])
 
 
 def parse_series(path) -> dict[str, dict[str, RegionSeries]]:

@@ -44,6 +44,7 @@ GATES = ("i", "f", "o", "g")
 FORECAST_HIDDEN_SIZE = 32
 FORECAST_LOOKBACK = 20
 FORECAST_HORIZON = 10
+FORECAST_INPUT_DROPOUT = 0.2
 
 
 @dataclass
@@ -85,7 +86,7 @@ def lstm_init(
     seed: int,
     hidden_size: int = FORECAST_HIDDEN_SIZE,
     output_len: int = FORECAST_HORIZON,
-    input_dropout_rate: float = 0.2,
+    input_dropout_rate: float = FORECAST_INPUT_DROPOUT,
     lookback: int = FORECAST_LOOKBACK,
 ) -> LstmModel:
     """Xavier-uniform gate and head weights; forget bias 1, other biases 0."""
@@ -259,7 +260,7 @@ def train_lstm(
     cfg: TrainConfig,
     horizon: int = FORECAST_HORIZON,
     hidden_size: int = FORECAST_HIDDEN_SIZE,
-    input_dropout_rate: float = 0.2,
+    input_dropout_rate: float = FORECAST_INPUT_DROPOUT,
 ) -> tuple[LstmModel, int]:
     """Train through ``optim.fit``, the dense trainer's loop, on raw
     (n, lookback + horizon) windows: each row's first ``lookback`` values

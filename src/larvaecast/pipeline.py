@@ -21,7 +21,7 @@ import numpy as np
 from . import ingest, lstm, serialize
 from .errors import ConfigError, DataError, ParseError
 from .forecast import ForecastConfig, check_window, forecast_series, require_window
-from .ingest import FEATURE_NAMES, NUMBER, TEXT, YEAR, FeatureRow, csv_text, feature_values, fmt
+from .ingest import FEATURE_NAMES, PROJECTION_COLUMNS, csv_text, feature_values, fmt
 from .lstm import lstm_forward, make_windows, train_lstm
 from .nn import forward, train_abundance
 from .optim import TrainConfig
@@ -61,18 +61,6 @@ ARTIFACT_NAMES = (
     *map(lstm_document_name, FORECAST_VARIABLES),
 )
 
-# Column tables (see ``ingest``) of the keyed files stages read.
-FORECAST_COLUMNS = {"region_id": TEXT, "variable": TEXT, "year": YEAR, "value": NUMBER}
-REGION_COLUMNS = {"region_id": TEXT, "elevation_m": NUMBER}
-PROJECTION_COLUMNS = {
-    "region_id": TEXT,
-    "year": YEAR,
-    "log10_abundance": NUMBER,
-    "abundance": NUMBER,
-    **dict.fromkeys(FEATURE_NAMES, NUMBER),
-}
-
-
 def _warn(message: str) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
@@ -98,9 +86,9 @@ class PipelineConfig:
     max_km: float = ingest.DEFAULT_MAX_STATION_KM
     lookback: int = lstm.FORECAST_LOOKBACK
     horizon: int = lstm.FORECAST_HORIZON
-    batch_size: int = 8
-    learning_rate: float = 1e-3
-    max_epochs: int = 5000
+    batch_size: int = TrainConfig.batch_size
+    learning_rate: float = TrainConfig.learning_rate
+    max_epochs: int = TrainConfig.max_epochs
     climate_max_epochs: int = 1500
     lstm_hidden_size: int = lstm.FORECAST_HIDDEN_SIZE
     region_key: str = "region_id"
@@ -173,10 +161,6 @@ def cmd_prepare(cfg: PipelineConfig) -> dict:
     return report
 
 
-def read_features(path) -> list[FeatureRow]:
-    return [FeatureRow(*values) for _, values in ingest.read_rows(path, ingest.FEATURE_COLUMNS)]
-
-
 # -- abundance training --------------------------------------------------
 
 
@@ -205,21 +189,18 @@ def cmd_train_abundance(cfg: PipelineConfig) -> dict:
     train_cfg = cfg.train_config()  # the training flags, before any read
     if cfg.holdout_oldest < 1:
         raise ConfigError(f"--holdout-oldest must be positive: {cfg.holdout_oldest}")
-    rows = read_features(cfg.artifact(FEATURES_CSV))
+    rows = ingest.parse_features(cfg.artifact(FEATURES_CSV))
     n = len(rows)
     if cfg.holdout_oldest >= n:
         raise ConfigError(
             f"holdout_oldest={cfg.holdout_oldest} must lie in [1, {n - 1}] for {n} rows"
         )
     ordered = sorted(rows, key=lambda r: (r.date, r.location_id))
-    val_rows = ordered[: cfg.holdout_oldest]
-    train_rows = ordered[cfg.holdout_oldest :]
-
     log_transform = LogCountTransform()
-    train_x = np.array([feature_values(r) for r in train_rows])
-    train_y = log_transform.transform([r.larvae_count for r in train_rows])
-    val_x = np.array([feature_values(r) for r in val_rows])
-    val_y = log_transform.transform([r.larvae_count for r in val_rows])
+    x = np.array([feature_values(r) for r in ordered])
+    y = log_transform.transform([r.larvae_count for r in ordered])
+    val_x, train_x = x[: cfg.holdout_oldest], x[cfg.holdout_oldest :]
+    val_y, train_y = y[: cfg.holdout_oldest], y[cfg.holdout_oldest :]
 
     scaler = fit_scaler(train_x)
 
@@ -229,8 +210,8 @@ def cmd_train_abundance(cfg: PipelineConfig) -> dict:
     val_pred = predict_log_abundance(net, scaler, val_x)
     report = {
         "n": n,
-        "n_train": len(train_rows),
-        "n_val": len(val_rows),
+        "n_train": len(train_x),
+        "n_val": len(val_x),
         "epochs": epochs,
         "train": _correlation_entry(train_pred, train_y),
         "validation": _correlation_entry(val_pred, val_y),
@@ -331,9 +312,12 @@ def cmd_train_climate(cfg: PipelineConfig) -> dict:
     check_window(cfg.lookback, cfg.horizon)  # before any read
     if cfg.lstm_hidden_size < 1:
         raise ConfigError(f"--hidden-size must be positive: {cfg.lstm_hidden_size}")
+    if 32 * cfg.lstm_hidden_size * (1 + cfg.lstm_hidden_size) > np.iinfo(np.intp).max:
+        raise ConfigError("--hidden-size is too large for numpy to address its (4H, 1+H) "
+                          f"float64 weight matrix: {cfg.lstm_hidden_size}")
     train_cfgs = [cfg.train_config(seed_offset=offset, max_epochs=cfg.climate_max_epochs)
                   for offset in range(len(FORECAST_VARIABLES))]
-    feature_rows = read_features(cfg.artifact(FEATURES_CSV))
+    feature_rows = ingest.parse_features(cfg.artifact(FEATURES_CSV))
     series = ingest.parse_series(cfg.series)
 
     summary: dict = {"windows": {}, "skipped": [], "epochs": {}}
@@ -480,17 +464,13 @@ def cmd_forecast(cfg: PipelineConfig) -> dict:
 # -- abundance projection ------------------------------------------------
 
 
-def read_region_elevations(path) -> dict[str, float]:
-    return ingest.read_table(path, REGION_COLUMNS, lambda v: v[:1], lambda v: v[1])
-
-
 def cmd_project(cfg: PipelineConfig) -> dict:
     """Push forecast features through the regressor for the target years."""
     if cfg.regions is None:
         raise ConfigError("project needs --regions (region elevations)")
     years = sorted(set(cfg.years or [cfg.target_year]))
-    table = ingest.read_annual(cfg.artifact(FORECAST_CSV), FORECAST_COLUMNS)
-    elevations = read_region_elevations(cfg.regions)
+    table = ingest.read_annual(cfg.artifact(FORECAST_CSV), ingest.FORECAST_COLUMNS)
+    elevations = ingest.parse_regions(cfg.regions)
     model_path = cfg.artifact(ABUNDANCE_MODEL_JSON)
     net = serialize.read_file(model_path, serialize.deserialize_network)
     if (net.layer_dims[0], net.layer_dims[-1]) != (len(FEATURE_NAMES), 1):
@@ -559,6 +539,8 @@ def cmd_report(cfg: PipelineConfig) -> dict:
         lambda v: {"log10_abundance": v[2], "abundance": v[3]})
     geometry = None if cfg.geometry is None else read_geometry(cfg.geometry)
     if cfg.geometry_out is not None:
+        if not cfg.geometry_out.name:  # "", "." or "/"
+            raise ConfigError(f"--geometry-out names no file: {cfg.geometry_out}")
         if not cfg.geometry_out.parent.is_dir():
             raise ConfigError(f"--geometry-out directory not found: {cfg.geometry_out.parent}")
         if cfg.geometry_out.resolve() in {cfg.path(name).resolve() for name in ARTIFACT_NAMES}:

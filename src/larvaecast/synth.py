@@ -22,13 +22,13 @@ import numpy as np
 from .ingest import (
     FEATURE_NAMES,
     OBSERVATION_COLUMNS,
+    REGION_COLUMNS,
     STATION_COLUMNS,
     RegionSeries,
     annual_text,
     csv_text,
     fmt,
 )
-from .pipeline import REGION_COLUMNS
 from .serialize import commit
 
 DEFAULT_SEED = 20220901

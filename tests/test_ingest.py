@@ -13,6 +13,7 @@ from larvaecast.ingest import (
     EARTH_RADIUS_KM,
     FEATURE_COLUMNS,
     FEATURE_NAMES,
+    FORECAST_COLUMNS,
     JOIN_BLOCK,
     SERIES_COLUMNS,
     LarvaeObservation,
@@ -33,7 +34,6 @@ from larvaecast.ingest import (
     read_annual,
     read_table,
 )
-from larvaecast.pipeline import FORECAST_COLUMNS
 
 
 def _obs(location="a", lat=40.0, lon=-100.0, date="2020-06-01",

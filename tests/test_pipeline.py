@@ -44,7 +44,6 @@ from larvaecast.pipeline import (
     lstm_document_name,
     merge_geometry,
     predict_log_abundance,
-    read_features,
 )
 from larvaecast.preprocess import LogCountTransform
 from larvaecast.serialize import (
@@ -60,6 +59,8 @@ from larvaecast.trend import estimate_k
 MODULES = sorted(
     p.stem for p in Path(larvaecast.__file__).parent.glob("*.py") if p.stem != "__init__"
 )
+# The pipeline's stages, in definition order: `larvaecast <command>` runs `cmd_<command>`.
+STAGE_NAMES = [name for name in vars(pipeline) if name.startswith("cmd_")]
 
 
 @pytest.fixture()
@@ -227,7 +228,7 @@ class TestPipelineOutputs:
         scaler, _, log_offset = scalers_from_document(
             (pipeline_run.out_dir / ABUNDANCE_SCALERS_JSON).read_text()
         )
-        rows = read_features(pipeline_run.out_dir / FEATURES_CSV)
+        rows = ingest.parse_features(pipeline_run.out_dir / FEATURES_CSV)
         features = np.array([ingest.feature_values(r) for r in rows[:5]])
         once = predict_log_abundance(net, scaler, features)
         again = predict_log_abundance(net, scaler, features)
@@ -386,7 +387,8 @@ class TestCli:
         block = readme.split("## Pipeline walkthrough", 1)[1].split("```bash\n", 1)[1]
         lines = block.split("```", 1)[0].replace("\\\n", " ").splitlines()
         commands = [shlex.split(line) for line in lines]
-        assert [argv[:2] for argv in commands] == [["larvaecast", c] for c in cli.STAGES]
+        assert [argv[:2] for argv in commands] == [
+            ["larvaecast", name[4:].replace("_", "-")] for name in STAGE_NAMES]
         parser = cli.build_parser()
         for argv in commands:
             assert isinstance(cli.config_from_args(parser.parse_args(argv[1:])), PipelineConfig)
@@ -420,6 +422,25 @@ class TestCli:
         assert err.count("\n") == 1
         assert json.loads(err) == {"error": "ConfigError",
                                    "message": "--hidden-size must be positive: 0"}
+        assert not out.exists()
+
+    @pytest.mark.parametrize("hidden", [2**29, 10**20])
+    def test_train_climate_hidden_size_beyond_numpy_refused(self, tmp_path, capsys, hidden):
+        """From 2**29 the (4H, 1+H) float64 weights exceed numpy's intp bytes;
+        the flag is refused before any read, and nothing is allocated."""
+        out = tmp_path / "out"
+        code = cli.main(
+            ["train-climate", "--out-dir", str(out), "--seed", "1",
+             "--series", str(tmp_path / "series.csv"), "--hidden-size", str(hidden)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err) == {
+            "error": "ConfigError",
+            "message": "--hidden-size is too large for numpy to address its (4H, 1+H) "
+                       f"float64 weight matrix: {hidden}",
+        }
         assert not out.exists()
 
     @pytest.mark.parametrize("command, flag, value, message", [
@@ -498,6 +519,34 @@ class TestCli:
                     if name.split(".")[0] not in allowed
                 ]
         assert foreign == []
+
+    @staticmethod
+    def module_trees():
+        package = Path(larvaecast.__file__).resolve().parent
+        for path in sorted(package.glob("*.py")):
+            yield path.stem, ast.parse(path.read_text(encoding="utf-8"))
+
+    def test_only_cli_imports_pipeline(self):
+        """The stages sit on top: no module below them reaches back into ``pipeline``."""
+        importers = set()
+        for module, tree in self.module_trees():
+            for node in ast.walk(tree):
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    names = [alias.name for alias in node.names]
+                    names.append(getattr(node, "module", None) or "")
+                    if any("pipeline" in name.split(".") for name in names):
+                        importers.add(module)
+        assert importers == {"cli"}
+
+    def test_every_column_table_is_declared_in_ingest(self):
+        """The CSV format has one home: every module-level ``*_COLUMNS`` is in ``ingest``."""
+        declared = set()
+        for module, tree in self.module_trees():
+            for node in tree.body:
+                if isinstance(node, ast.Assign):
+                    declared |= {(module, target.id) for target in node.targets
+                                 if getattr(target, "id", "").endswith("_COLUMNS")}
+        assert {module for module, _ in declared} == {"ingest"}
 
     def test_one_opener_for_reading_and_one_for_writing(self):
         """An ast walk: every call that opens a file, by the innermost function
@@ -871,9 +920,9 @@ class TestCliConfig:
         assert cli.config_from_args(args).years == [2050, 2030]
 
     def test_every_stage_takes_only_cfg(self):
-        for command, name in cli.STAGES.items():
+        for name in STAGE_NAMES:
             params = inspect.signature(getattr(pipeline, name)).parameters
-            assert list(params) == ["cfg"], command
+            assert list(params) == ["cfg"], name
 
 
 class TestMissingArtifacts:
@@ -1350,6 +1399,17 @@ class TestReportGeometry:
         # Only the inputs: neither table, and no temp file beside --geometry-out.
         assert list(file_bytes(tmp_path)) == [f"out/{PROJECTIONS_CSV}", "regions.geojson"]
 
+    @pytest.mark.parametrize("spelled", ["", ".", "/"])
+    def test_geometry_out_names_no_file(self, tmp_path, capsys, monkeypatch, spelled):
+        monkeypatch.chdir(tmp_path)
+        code = self.report(tmp_path, '{"features": []}', "--geometry-out", spelled)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err) == {"error": "ConfigError",
+                                   "message": f"--geometry-out names no file: {Path(spelled)}"}
+        assert list(file_bytes(tmp_path)) == [f"out/{PROJECTIONS_CSV}", "regions.geojson"]
+
     @pytest.mark.parametrize("spelled", [PERCENT_CHANGE_CSV, f"../out/{CHOROPLETH_CSV}"])
     def test_geometry_out_names_a_table_report_writes(self, tmp_path, capsys, spelled):
         out = tmp_path / "out"
@@ -1398,10 +1458,10 @@ COLUMN_TABLES = {
     "observations.csv": ingest.OBSERVATION_COLUMNS,
     "stations.csv": ingest.STATION_COLUMNS,
     "series.csv": ingest.SERIES_COLUMNS,
-    "regions.csv": pipeline.REGION_COLUMNS,
+    "regions.csv": ingest.REGION_COLUMNS,
     FEATURES_CSV: ingest.FEATURE_COLUMNS,
-    FORECAST_CSV: pipeline.FORECAST_COLUMNS,
-    PROJECTIONS_CSV: pipeline.PROJECTION_COLUMNS,
+    FORECAST_CSV: ingest.FORECAST_COLUMNS,
+    PROJECTIONS_CSV: ingest.PROJECTION_COLUMNS,
 }
 
 
@@ -1495,24 +1555,24 @@ class TestColumns:
         path = tmp_path / "regions.csv"
         path.write_text("region_id,elevation_m\n\nr1,100.0\n\nr2,abc\n")
         with pytest.raises(ParseError, match="row 5: column 'elevation_m': cannot parse"):
-            pipeline.read_region_elevations(path)
+            ingest.parse_regions(path)
 
     def test_duplicate_key_rows_are_line_numbers(self, tmp_path):
         path = tmp_path / "regions.csv"
         path.write_text("region_id,elevation_m\n\nr1,100.0\n\nr1,200.0\n")
         with pytest.raises(ParseError, match="row 5: duplicate key r1, first at row 3$"):
-            pipeline.read_region_elevations(path)
+            ingest.parse_regions(path)
 
     def test_byte_order_mark_is_skipped(self, tmp_path):
         path = tmp_path / "regions.csv"
         path.write_text("\ufeffregion_id,elevation_m\nr1,100.0\n", encoding="utf-8")
-        assert pipeline.read_region_elevations(path) == {"r1": 100.0}
+        assert ingest.parse_regions(path) == {"r1": 100.0}
 
     def test_repeated_header_column(self, tmp_path):
         path = tmp_path / "regions.csv"
         path.write_text("region_id,elevation_m,elevation_m\nr1,100.0,9999.0\n")
         with pytest.raises(ParseError, match="column 'elevation_m' repeats in the header"):
-            pipeline.read_region_elevations(path)
+            ingest.parse_regions(path)
 
 
 def test_synth_reproduces_bundled_data(synth_data):
