@@ -9,19 +9,19 @@ mapping from column name to its kind ``(convert, check, describe)``:
 applies the same rules to every CSV: UTF-8 text, a header row naming
 each declared column once, no row with more fields than the header,
 and in every row each declared field present, non-empty, convertible,
-finite if a number, and passing its kind's check. ``csv_text`` yields
-a table's header and rows as lines, one at a time, for
-``serialize.commit`` to write; ``fmt`` refuses a non-finite number, so
-no stage writes a number no stage may read. The annual tables,
-``series.csv`` and ``forecast.csv`` (``ANNUAL_COLUMNS``), have their own
-codec, ``read_annual`` and ``annual_text``: the same rules and bytes at
-about half the cost per row. The row types ``LarvaeObservation``,
-``StationRecord`` and ``FeatureRow`` are named tuples built from the
-keys of their tables, and ``feature_values`` reads the six features off
-a station record or a feature row. ``RegionSeries`` is the one
+finite if a number, and passing its kind's check; given the table's key, at
+least one row and no key twice. ``csv_text`` yields a table's header and
+rows as lines, one at a time, for ``serialize.commit`` to write; ``fmt``
+refuses a non-finite number, so no stage writes a number no stage may read.
+The annual tables, ``series.csv`` and ``forecast.csv`` (``ANNUAL_COLUMNS``),
+have their own codec, ``read_annual`` and ``annual_text``: the same rules
+and bytes at about half the cost per row. The row types
+``LarvaeObservation``, ``StationRecord`` and ``FeatureRow`` are named tuples
+built from the keys of their tables, and ``feature_values`` reads the six
+features off a station record or a feature row. ``RegionSeries`` is the one
 annual-series type, observed or forecast; ``parse_series`` returns
-``series.csv`` as ``{variable: {region_id: RegionSeries}}``, each
-variable's regions sorted, the table the climate stages read.
+``series.csv`` as ``{variable: {region_id: RegionSeries}}``, each variable's
+regions sorted, the table the climate stages read.
 
 ``join_nearest_station`` pairs each observation with its nearest
 same-month station, measuring each block of observations only against
@@ -179,10 +179,11 @@ def open_text(path):
             raise ParseError(f"{path}: {exc}") from None
 
 
-def read_rows(path, columns: dict):
+def read_rows(path, columns: dict, key=()):
     """Yield ``(row_number, values)`` for each data row of ``path``, with
     the values converted and checked in the order of ``columns``. The row
-    number is the row's (last) line in the file, blank lines included."""
+    number is the row's (last) line in the file, blank lines included.
+    With ``key``, column names, the table must hold a row and no key twice."""
     with open_text(path) as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
@@ -197,6 +198,8 @@ def read_rows(path, columns: dict):
         spec = [(header.index(col), col, convert, convert is float, check, describe)
                 for col, (convert, check, describe) in columns.items()]
         width = len(header)
+        pick = key and itemgetter(*map(list(columns).index, key))
+        first: dict = {}  # key -> the row it first appears on
         for row in reader:
             if not row:
                 continue
@@ -219,25 +222,25 @@ def read_rows(path, columns: dict):
                 if check is not None and not check(value):
                     raise ParseError(f"row {line}: column '{col}': {describe}: {raw!r}")
                 values.append(value)
+            if key and (seen := first.setdefault(pick(values), line)) != line:
+                k = "/".join(str(values[list(columns).index(col)]) for col in key)
+                raise ParseError(f"row {line}: duplicate key {k}, first at row {seen}")
             yield line, values
+        if key and not first:
+            raise ParseError("no data row, at least one required")
 
 
 def read_table(path, columns: dict, key, value) -> dict:
-    """Nested dicts ``table[k1]...[kn] = value(values)`` for
-    ``(k1, ..., kn) = key(values)`` over the rows of ``path``; a key
-    that repeats is a ParseError naming it and both rows."""
+    """Nested dicts ``table[k1]...[kn] = value(values)`` over the rows of
+    ``path``, by the ``key`` columns ``(k1, ..., kn)``; ``read_rows``
+    refuses a repeated key and an empty table."""
+    at = [list(columns).index(col) for col in key]
     table: dict = {}
-    for line, values in read_rows(path, columns):
-        k = key(values)
+    for _, values in read_rows(path, columns, key):
         level = table
-        for part in k[:-1]:
-            level = level.setdefault(part, {})
-        if k[-1] in level:
-            # Found again on this error path, so a clean read keeps no row numbers.
-            first = next(n for n, v in read_rows(path, columns) if key(v) == k)
-            raise ParseError(f"{path}: row {line}: duplicate key "
-                             f"{'/'.join(map(str, k))}, first at row {first}")
-        level[k[-1]] = value(values)
+        for i in at[:-1]:
+            level = level.setdefault(values[i], {})
+        level[values[at[-1]]] = value(values)
     return table
 
 
@@ -245,13 +248,13 @@ def read_annual(path, columns: dict) -> dict:
     """``read_table(path, columns, ...)`` of an annual table, ``{region_id:
     {variable: {year: value}}}``, for a column table of ``ANNUAL_COLUMNS``
     whose ``variable`` kind may have a check. Each row is unpacked in one
-    step and checked inline; at the first row that is not clean the file
-    is closed and read again by ``read_table``, which returns the same
-    table or raises the error ``read_rows`` defines for that row."""
+    step and checked inline; at the first row that is not clean, or on an
+    empty table, the file is closed and read again by ``read_table``, which
+    returns the same table or raises the error ``read_rows`` defines."""
     with open_text(path) as handle:
         table = _clean_annual(csv.reader(handle), columns)
-    if table is None:  # outside open_text, which would prefix the path again
-        return read_table(path, columns, lambda v: v[:3], lambda v: v[3])
+    if not table:  # outside open_text, which would prefix the path again
+        return read_table(path, columns, ANNUAL_COLUMNS[:3], itemgetter(3))
     return table
 
 
@@ -335,41 +338,37 @@ def parse_observations(path) -> list[LarvaeObservation]:
 
 
 def parse_stations(path) -> list[StationRecord]:
-    """The records of ``path``; a repeated (station_id, month) is refused as by ``read_table``."""
+    """The records of ``path``, keyed by (station_id, month)."""
     out = []
-    first_rows: dict[tuple[str, str], int] = {}
-    for line, values in read_rows(path, STATION_COLUMNS):
+    for line, values in read_rows(path, STATION_COLUMNS, ("station_id", "month")):
         record = StationRecord(*values)
         if not (record.tmin_c <= record.tmean_c <= record.tmax_c):
-            raise ParseError(
-                f"{path}: row {line}: temperature ordering violated "
-                f"(tmin <= tmean <= tmax required)"
-            )
-        first = first_rows.setdefault((record.station_id, record.month), line)
-        if first != line:
-            raise ParseError(f"{path}: row {line}: duplicate key "
-                             f"{record.station_id}/{record.month}, first at row {first}")
+            raise ParseError(f"{path}: row {line}: temperature ordering violated "
+                             "(tmin <= tmean <= tmax required)")
         out.append(record)
     return out
 
 
 def parse_features(path) -> list[FeatureRow]:
-    return [FeatureRow(*values) for _, values in read_rows(path, FEATURE_COLUMNS)]
+    return [FeatureRow(*v) for _, v in read_rows(path, FEATURE_COLUMNS, ("location_id", "date"))]
 
 
 def parse_regions(path) -> dict[str, float]:
-    """``{region_id: elevation_m}``; a repeated region is refused as by ``read_table``."""
-    return read_table(path, REGION_COLUMNS, lambda v: v[:1], lambda v: v[1])
+    """``{region_id: elevation_m}``."""
+    return read_table(path, REGION_COLUMNS, ("region_id",), itemgetter(1))
+
+
+def parse_projections(path) -> dict[str, dict[int, dict[str, float]]]:
+    return read_table(path, PROJECTION_COLUMNS, ("region_id", "year"),
+                      lambda v: {"log10_abundance": v[2], "abundance": v[3]})
 
 
 def parse_series(path) -> dict[str, dict[str, RegionSeries]]:
     """The annual series of ``path`` as ``{variable: {region_id: series}}``,
     each variable's regions in sorted order. A region, variable and year
-    that repeat are a duplicate key (see ``read_table``); a series' years
+    that repeat are a duplicate key (see ``read_rows``); a series' years
     must be consecutive."""
     points = read_annual(path, SERIES_COLUMNS)
-    if not points:
-        raise DataError(f"{path}: no series found")
     table: dict[str, dict[str, RegionSeries]] = {}
     for region_id, variables in points.items():
         for variable, by_year in variables.items():

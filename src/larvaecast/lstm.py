@@ -75,9 +75,12 @@ class LstmModel(FlatParameters):
 
 
 def check_lstm(hidden_size: int, output_len: int, lookback: int, input_dropout_rate: float):
-    """Raise ConfigError unless sizes are positive and dropout lies in [0, 1)."""
+    """Raise ConfigError unless sizes are positive and addressable and dropout lies in [0, 1)."""
     if min(hidden_size, output_len, lookback) < 1:
-        raise ConfigError("model dimensions must be positive")
+        raise ConfigError(f"sizes must be positive: {hidden_size=}, {output_len=}, {lookback=}")
+    count = 4 * hidden_size * (hidden_size + 2) + output_len * (hidden_size + 1)
+    if 8 * count > np.iinfo(np.intp).max:
+        raise ConfigError(f"{hidden_size=}, {output_len=}: too many float64 parameters for numpy")
     if not (0.0 <= input_dropout_rate < 1.0):
         raise ConfigError("input_dropout_rate must lie in [0, 1)")
 

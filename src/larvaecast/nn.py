@@ -88,6 +88,8 @@ def check_dense(layer_dims: tuple[int, ...], dropout_rate: float) -> None:
     """Raise ConfigError unless ``forward`` can run this architecture."""
     if len(layer_dims) < 2 or any(d < 1 for d in layer_dims):
         raise ConfigError("layer_dims needs at least two positive entries")
+    if 8 * sum(m * (n + 1) for n, m in zip(layer_dims, layer_dims[1:])) > np.iinfo(np.intp).max:
+        raise ConfigError(f"layer_dims {layer_dims}: too many float64 parameters for numpy")
     if not (0.0 <= dropout_rate < 1.0):
         raise ConfigError("dropout_rate must lie in [0, 1)")
 

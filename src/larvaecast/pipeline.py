@@ -310,11 +310,7 @@ def cmd_train_climate(cfg: PipelineConfig) -> dict:
     if cfg.series is None:
         raise ConfigError("train-climate needs --series")
     check_window(cfg.lookback, cfg.horizon)  # before any read
-    if cfg.lstm_hidden_size < 1:
-        raise ConfigError(f"--hidden-size must be positive: {cfg.lstm_hidden_size}")
-    if 32 * cfg.lstm_hidden_size * (1 + cfg.lstm_hidden_size) > np.iinfo(np.intp).max:
-        raise ConfigError("--hidden-size is too large for numpy to address its (4H, 1+H) "
-                          f"float64 weight matrix: {cfg.lstm_hidden_size}")
+    lstm.check_lstm(cfg.lstm_hidden_size, cfg.horizon, cfg.lookback, lstm.FORECAST_INPUT_DROPOUT)
     train_cfgs = [cfg.train_config(seed_offset=offset, max_epochs=cfg.climate_max_epochs)
                   for offset in range(len(FORECAST_VARIABLES))]
     feature_rows = ingest.parse_features(cfg.artifact(FEATURES_CSV))
@@ -534,9 +530,9 @@ def cmd_report(cfg: PipelineConfig) -> dict:
     start_year, end_year = cfg.start_year, cfg.end_year
     if start_year is None or end_year is None:
         raise ConfigError("report needs --start-year and --end-year")
-    projections = ingest.read_table(
-        cfg.artifact(PROJECTIONS_CSV), PROJECTION_COLUMNS, lambda v: v[:2],
-        lambda v: {"log10_abundance": v[2], "abundance": v[3]})
+    if start_year == end_year:
+        raise ConfigError(f"--start-year and --end-year must differ: {start_year}")
+    projections = ingest.parse_projections(cfg.artifact(PROJECTIONS_CSV))
     geometry = None if cfg.geometry is None else read_geometry(cfg.geometry)
     if cfg.geometry_out is not None:
         if not cfg.geometry_out.name:  # "", "." or "/"

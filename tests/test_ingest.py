@@ -167,7 +167,7 @@ class TestParsing:
     def test_series_header_only_rejected(self, tmp_path):
         path = tmp_path / "series.csv"
         path.write_text("region_id,variable,year,value\n")
-        with pytest.raises(DataError, match="no series found"):
+        with pytest.raises(ParseError, match="no data row, at least one required$"):
             parse_series(path)
 
 
@@ -189,7 +189,7 @@ class TestCsvText:
 
 
 def _read_table(path, columns):
-    return read_table(path, columns, lambda v: v[:3], lambda v: v[3])
+    return read_table(path, columns, ANNUAL_COLUMNS[:3], lambda v: v[3])
 
 
 def _outcome(read, path, columns):
@@ -229,6 +229,11 @@ class TestAnnualCodec:
         expected: dict = {}
         for s in series:
             expected.setdefault(s.region_id, {})[s.variable] = dict(zip(s.years, s.values.tolist()))
+        if not series:  # the header alone: an annual table must hold a row
+            assert (_outcome(read_annual, path, FORECAST_COLUMNS)
+                    == _outcome(_read_table, path, FORECAST_COLUMNS)
+                    == (ParseError, f"{path}: no data row, at least one required"))
+            return
         table = read_annual(path, FORECAST_COLUMNS)
         assert table == _read_table(path, FORECAST_COLUMNS) == expected
         assert list(table) == list(expected)
@@ -279,6 +284,8 @@ class TestAnnualCodec:
     @pytest.mark.parametrize("content", [
         b"",
         b"\r\n\r\n",
+        HEADER,
+        HEADER + b"\r\n\r\n",
         b"region_id,variable,value\r\nwest,summer_tmean,15.0\r\n",
         b"region_id,variable,year,value,year\r\nwest,summer_tmean,2000,15.0,2000\r\n",
         HEADER + ROW + b"west,summer_tmean,2001,15.0,extra\r\n",
@@ -302,8 +309,9 @@ class TestAnnualCodec:
         HEADER + ROW + b"west,summer_tmean,2001,1\xff5\r\n",
         b"\xff" + HEADER + ROW,
         HEADER + ROW + b'"west,summer_tmean,2001,1.0\r\n',
-    ], ids=["empty", "blank-lines-only", "missing-column", "repeated-column", "long-row",
-            "short-row-unneeded-column", "short-row", "empty-year", "empty-region",
+    ], ids=["empty", "blank-lines-only", "header-only", "header-and-blank-lines",
+            "missing-column", "repeated-column", "long-row", "short-row-unneeded-column",
+            "short-row", "empty-year", "empty-region",
             "empty-variable", "empty-value", "bad-int", "bad-float", "nan", "inf",
             "overflow", "unknown-variable", "duplicate-key", "blank-lines-duplicate",
             "blank-lines", "bom", "bom-duplicate", "not-utf8-row", "not-utf8-header",

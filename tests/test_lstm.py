@@ -153,6 +153,11 @@ class TestLstmForward:
         with pytest.raises(ConfigError, match="train-mode"):
             lstm_backward(model, eval_cache, target)
 
+    def test_hidden_size_beyond_numpy_rejected_before_any_allocation(self):
+        with pytest.raises(ConfigError, match=r"^hidden_size=100000000000000000000, "
+                                              "output_len=10: too many float64 parameters"):
+            lstm_init(0, hidden_size=10**20)
+
     def test_train_mode_requires_rng(self):
         model = lstm_init(seed=0, hidden_size=3, output_len=2)
         with pytest.raises(ConfigError):

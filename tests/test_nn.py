@@ -46,8 +46,9 @@ class TestXavierInit:
             bound = np.sqrt(6.0 / (fan_in + fan_out))
             assert np.all(np.abs(w) <= bound)
 
-    @pytest.mark.parametrize("dims", [[], [4], [4, 0], [0, 3], [-1, 2]])
+    @pytest.mark.parametrize("dims", [[], [4], [4, 0], [0, 3], [-1, 2], (6, 10**20, 1)])
     def test_bad_dims_rejected(self, dims):
+        """The last is beyond numpy's address space: refused before any allocation."""
         with pytest.raises(ConfigError):
             xavier_init(dims, seed=0)
 

@@ -420,14 +420,15 @@ class TestCli:
         assert code == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1
-        assert json.loads(err) == {"error": "ConfigError",
-                                   "message": "--hidden-size must be positive: 0"}
+        assert json.loads(err) == {
+            "error": "ConfigError",
+            "message": "sizes must be positive: hidden_size=0, output_len=10, lookback=20"}
         assert not out.exists()
 
     @pytest.mark.parametrize("hidden", [2**29, 10**20])
     def test_train_climate_hidden_size_beyond_numpy_refused(self, tmp_path, capsys, hidden):
-        """From 2**29 the (4H, 1+H) float64 weights exceed numpy's intp bytes;
-        the flag is refused before any read, and nothing is allocated."""
+        """From about 2**29 the LSTM's float64 parameters exceed numpy's intp
+        bytes; the flag is refused before any read, and nothing is allocated."""
         out = tmp_path / "out"
         code = cli.main(
             ["train-climate", "--out-dir", str(out), "--seed", "1",
@@ -438,8 +439,8 @@ class TestCli:
         assert err.count("\n") == 1
         assert json.loads(err) == {
             "error": "ConfigError",
-            "message": "--hidden-size is too large for numpy to address its (4H, 1+H) "
-                       f"float64 weight matrix: {hidden}",
+            "message": f"hidden_size={hidden}, output_len=10: "
+                       "too many float64 parameters for numpy",
         }
         assert not out.exists()
 
@@ -461,6 +462,19 @@ class TestCli:
             argv += ["--series", str(tmp_path / "series.csv")]
         assert cli.main(argv) == 2
         assert json.loads(capsys.readouterr().err) == {"error": "ConfigError", "message": message}
+        assert not out.exists()
+
+    def test_report_equal_years_refused_before_any_read(self, tmp_path, capsys):
+        """No projections.csv exists, so any read would fail first. Equal years
+        would name one column twice in percent_change.csv."""
+        out = tmp_path / "out"
+        code = cli.main(["report", "--out-dir", str(out),
+                         "--start-year", "2030", "--end-year", "2030"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err) == {
+            "error": "ConfigError", "message": "--start-year and --end-year must differ: 2030"}
         assert not out.exists()
 
     @pytest.mark.parametrize("command, flag, value", [
@@ -537,6 +551,18 @@ class TestCli:
                     if any("pipeline" in name.split(".") for name in names):
                         importers.add(module)
         assert importers == {"cli"}
+
+    def test_only_ingest_reads_csv_tables(self):
+        """The table rules have one home: no module but ``ingest`` calls
+        ``read_rows`` or ``read_table``, so no other module names a key."""
+        callers = set()
+        for module, tree in self.module_trees():
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                    if name in {"read_rows", "read_table"}:
+                        callers.add(module)
+        assert callers == {"ingest"}
 
     def test_every_column_table_is_declared_in_ingest(self):
         """The CSV format has one home: every module-level ``*_COLUMNS`` is in ``ingest``."""
@@ -1466,15 +1492,24 @@ COLUMN_TABLES = {
 
 
 def keyed_file(tmp_path, pipeline_run, name):
-    """A copy of the pipeline run plus regions.csv (and series.csv when
-    ``name`` is that), the path of ``name`` in it, and a function running the
-    stage that reads that file."""
+    """A copy of the pipeline run plus regions.csv (and series.csv or
+    stations.csv when ``name`` is that), the path of ``name`` in it, and a
+    function running the stage that reads that file."""
     out = tmp_path / "out"
     shutil.copytree(pipeline_run.out_dir, out)
     regions = tmp_path / "regions.csv"
     shutil.copy(pipeline_run.data["regions"], regions)
     if name == PROJECTIONS_CSV:
         return out / name, lambda: report(out)
+    if name == FEATURES_CSV:
+        return out / name, lambda: cli.main(["train-abundance", "--out-dir", str(out),
+                                             "--seed", "1", "--max-epochs", "2"])
+    if name == "stations.csv":
+        stations = tmp_path / name
+        shutil.copy(pipeline_run.data["stations"], stations)
+        return stations, lambda: cli.main([
+            "prepare", "--out-dir", str(out), "--observations",
+            str(pipeline_run.data["observations"]), "--stations", str(stations)])
     if name == "series.csv":
         series = tmp_path / name
         shutil.copy(pipeline_run.data["series"], series)
@@ -1488,14 +1523,16 @@ def keyed_file(tmp_path, pipeline_run, name):
 class TestDuplicateKeys:
     """A key repeated in a keyed table is an error, not a silent overwrite."""
 
-    @pytest.mark.parametrize("name", KEYED_FILES)
+    @pytest.mark.parametrize("name", [*KEYED_FILES, FEATURES_CSV])
     def test_repeated_key_is_parse_error(self, tmp_path, capsys, pipeline_run, name):
         path, stage = keyed_file(tmp_path, pipeline_run, name)
         lines = path.read_text().splitlines()
-        lines.append(lines[1].rsplit(",", 1)[0] + ",9999.0")  # row 2's key, another value
+        lines.append(lines[1].rsplit(",", 1)[0] + ",9999")  # row 2's key, another value
         path.write_text("\n".join(lines) + "\n")
+        before = file_bytes(tmp_path)
         doc = assert_data_error(stage(), capsys, "ParseError", f"row {len(lines)}: duplicate key")
         assert doc["message"].endswith("first at row 2")
+        assert file_bytes(tmp_path) == before
 
     @pytest.mark.parametrize("at_end", [True, False], ids=["copy-last", "copy-first"])
     def test_repeated_station_month_is_parse_error(self, tmp_path, capsys, at_end):
@@ -1516,6 +1553,20 @@ class TestDuplicateKeys:
                           f"{stations}: row {repeat}: duplicate key cascade-ridge-ap1/2015-05, "
                           f"first at row {first}")
         assert not (tmp_path / "out").exists()
+
+
+class TestHeaderOnly:
+    """A keyed table must hold a row: its header alone is refused by the stage
+    that reads it, which writes nothing."""
+
+    @pytest.mark.parametrize("name", [*KEYED_FILES, FEATURES_CSV, "stations.csv"])
+    def test_header_only_is_parse_error(self, tmp_path, capsys, pipeline_run, name):
+        path, stage = keyed_file(tmp_path, pipeline_run, name)
+        path.write_text(path.read_text().splitlines()[0] + "\n")
+        before = file_bytes(tmp_path)
+        assert_data_error(stage(), capsys, "ParseError",
+                          f"{path}: no data row, at least one required")
+        assert file_bytes(tmp_path) == before
 
 
 class TestColumns:
