@@ -382,11 +382,11 @@ def cmd_train_climate(cfg: PipelineConfig) -> dict:
 def cmd_forecast(cfg: PipelineConfig) -> dict:
     """Roll the trained LSTMs forward and derive min/max/days series.
 
-    Every region of a variable rolls in one batch; the window length and
-    block size come from each LSTM document. A batch rolls as many blocks
-    as its earliest-ending series needs to reach ``target_year``, so every
-    region covers every year up to it. ``target_year`` lies at most
-    ``MAX_FORECAST_YEARS`` past the last observed year.
+    Every region with a series of one forecast variable needs a series of
+    each, of at least the LSTM document's ``lookback`` values, and fitted
+    offsets, or the stage fails naming it. A variable's regions roll in one
+    batch, as many blocks as its earliest-ending series needs to reach
+    ``target_year``, at most ``MAX_FORECAST_YEARS`` past the last observed year.
     """
     if cfg.series is None:
         raise ConfigError("forecast needs --series")
@@ -399,7 +399,8 @@ def cmd_forecast(cfg: PipelineConfig) -> dict:
             check_window(model.lookback, model.output_len)
         except ConfigError as exc:
             raise DataError(f"{path}: the forecast cannot roll this model: {exc}") from None
-    offsets = serialize.read_file(cfg.artifact(OFFSETS_JSON), serialize.offsets_from_document)
+    offsets_path = cfg.artifact(OFFSETS_JSON)
+    offsets = serialize.read_file(offsets_path, serialize.offsets_from_document)
     days_model = serialize.read_file(cfg.artifact(DAYS_MODEL_JSON), serialize.linear_from_document)
 
     last_year = max(s.years[-1] for regions in series.values() for s in regions.values())
@@ -413,48 +414,39 @@ def cmd_forecast(cfg: PipelineConfig) -> dict:
             f"--target-year {cfg.target_year} is more than {MAX_FORECAST_YEARS} years "
             f"beyond the observed series (last year {last_year})"
         )
+    regions = sorted({region for v in FORECAST_VARIABLES for region in series.get(v, {})})
+    if not regions:
+        raise DataError(f"{cfg.series}: no region has a {' or '.join(FORECAST_VARIABLES)} series")
+    for region_id in regions:
+        for variable in FORECAST_VARIABLES:
+            if region_id not in series.get(variable, {}):
+                raise DataError(f"{cfg.series}: region {region_id!r} has no {variable!r} series")
+        if region_id not in offsets:
+            raise DataError(f"{offsets_path}: region {region_id!r} has no fitted offsets")
 
-    results = []
-    errors = []
+    rolled = []
     for variable, model in models.items():
-        batch = _windowed(series.get(variable, {}), model.lookback, errors)
-        earliest = min((s.years[-1] for s in batch), default=last_year)
-        rounds = math.ceil((cfg.target_year - earliest) / model.output_len)
-        forecasts = forecast_series(
+        batch = list(series[variable].values())
+        rounds = math.ceil((cfg.target_year - min(s.years[-1] for s in batch)) / model.output_len)
+        rolled.append(forecast_series(
             lambda x: lstm_forward(model, x.T, mode="eval")[0].T,
             batch,
             ForecastConfig(model.lookback, model.output_len, rounds),
-        )
-        results.extend(forecasts)
-        if variable == "summer_tmean":
-            for result in forecasts:
-                if result.region_id not in offsets:
-                    _warn(f"region {result.region_id!r} has no fitted offsets")
-                    errors.append(f"{result.region_id}/offsets")
-                    continue
-                tmin, tmax = derive_min_max(result.values, offsets[result.region_id])
-                results.append(replace(result, variable="summer_tmin", values=tmin))
-                results.append(replace(result, variable="summer_tmax", values=tmax))
-        elif variable == "summer_precip":
-            # An extrapolated amount can dip below zero; days are derived
-            # from the physically meaningful part.
-            days = predict_days(
-                days_model, np.maximum([r.values for r in forecasts], 0.0)
-            )
-            results.extend(
-                replace(result, variable=DERIVED_DAYS_VARIABLE, values=values)
-                for result, values in zip(forecasts, days)
-            )
-    if not results:
-        raise DataError("no region could be forecast")
+        ))
+    tmean, precip = rolled
+    results = [*tmean, *precip]
+    for result in tmean:
+        tmin, tmax = derive_min_max(result.values, offsets[result.region_id])
+        results.append(replace(result, variable="summer_tmin", values=tmin))
+        results.append(replace(result, variable="summer_tmax", values=tmax))
+    # An extrapolated amount can dip below zero; days come from its positive part.
+    days = predict_days(days_model, np.maximum([r.values for r in precip], 0.0))
+    results.extend(replace(result, variable=DERIVED_DAYS_VARIABLE, values=values)
+                   for result, values in zip(precip, days))
 
     results.sort(key=lambda r: (r.region_id, r.variable))
     serialize.commit({cfg.path(FORECAST_CSV): ingest.annual_text(results)})
-    return {
-        "regions": len({r.region_id for r in results}),
-        "rows": sum(r.values.size for r in results),
-        "errors": errors,
-    }
+    return {"regions": len(regions), "rows": sum(r.values.size for r in results)}
 
 
 # -- abundance projection ------------------------------------------------

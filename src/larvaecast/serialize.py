@@ -55,22 +55,22 @@ def _number(doc: dict, field: str, kind: str, element: type = float):
     return element(value)
 
 
-def _list(name: str, values, element: type = float, length: int | None = None) -> list:
+def _list(kind: str, name: str, values, element: type = float, length: int | None = None) -> list:
     """``values``, which must be a JSON array of ``element`` values (see
     ``_number``), ``length`` of them unless None."""
     types, what = _JSON_TYPES[element]
     if not isinstance(values, list) or not set(map(type, values)) <= types:
-        raise ParseError(f"field '{name}' must be an array of JSON {what}s")
+        raise ParseError(f"{kind} document: field '{name}' must be an array of JSON {what}s")
     if length is not None and len(values) != length:
         raise ParseError(
-            f"field '{name}' has {len(values)} values, expected {length}"
+            f"{kind} document: field '{name}' has {len(values)} values, expected {length}"
         )
     return values
 
 
-def _array(name: str, flat, *shape: int) -> np.ndarray:
+def _array(kind: str, name: str, flat, *shape: int) -> np.ndarray:
     """``flat`` (see ``_list``) as a float array of ``shape``, row-major."""
-    return np.array(_list(name, flat, length=math.prod(shape)), dtype=float).reshape(shape)
+    return np.array(_list(kind, name, flat, length=math.prod(shape)), dtype=float).reshape(shape)
 
 
 def _finite(text: str) -> float:
@@ -133,13 +133,13 @@ def loads(text: str, expected_kind: str) -> dict:
     ``expected_kind``."""
     doc = parse_json(text)
     if not isinstance(doc, dict):
-        raise ParseError("document root must be an object")
-    version = _number(doc, "schema_version", "model", int)
+        raise ParseError(f"{expected_kind} document: root must be an object")
+    version = _number(doc, "schema_version", expected_kind, int)
     if version != SCHEMA_VERSION:
-        raise ParseError(f"unsupported schema_version: {version}")
-    kind = _require(doc, "kind", "model")
+        raise ParseError(f"{expected_kind} document: unsupported schema_version: {version}")
+    kind = _require(doc, "kind", expected_kind)
     if kind != expected_kind:
-        raise ParseError(f"expected a {expected_kind!r} document, found {kind!r}")
+        raise ParseError(f"{expected_kind} document expected, found kind {kind!r}")
     return doc
 
 
@@ -187,19 +187,19 @@ def serialize_network(net: DenseNetwork) -> str:
 
 def deserialize_network(text: str) -> DenseNetwork:
     doc = loads(text, "dense")
-    dims = tuple(_list("layer_dims", _require(doc, "layer_dims", "dense"), int))
+    dims = tuple(_list("dense", "layer_dims", _require(doc, "layer_dims", "dense"), int))
     dropout_rate = _number(doc, "dropout_rate", "dense")
     _checked("dense", check_dense, dims, dropout_rate)
-    activations = _list("activations", _require(doc, "activations", "dense"), str)
+    activations = _list("dense", "activations", _require(doc, "activations", "dense"), str)
     if activations != dense_activations(dims):
         raise ParseError("dense document: activations must be relu on each hidden layer "
                          f"and identity on the output, not {activations}")
-    raw_w = _list("weights", _require(doc, "weights", "dense"), list, len(dims) - 1)
-    raw_b = _list("biases", _require(doc, "biases", "dense"), list, len(dims) - 1)
+    raw_w = _list("dense", "weights", _require(doc, "weights", "dense"), list, len(dims) - 1)
+    raw_b = _list("dense", "biases", _require(doc, "biases", "dense"), list, len(dims) - 1)
     weights, biases = [], []
     for i, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
-        weights.append(_array(f"weights[{i}]", raw_w[i], fan_out, fan_in))
-        biases.append(_array(f"biases[{i}]", raw_b[i], fan_out))
+        weights.append(_array("dense", f"weights[{i}]", raw_w[i], fan_out, fan_in))
+        biases.append(_array("dense", f"biases[{i}]", raw_b[i], fan_out))
     return DenseNetwork(
         layer_dims=dims,
         weights=weights,
@@ -240,9 +240,9 @@ def deserialize_lstm(text: str) -> LstmModel:
     _checked("lstm", check_lstm, hidden, out, lookback, dropout_rate)
     w, u, b = [], [], []
     for gate in GATES:
-        w.append(_array(f"w_{gate}", _require(doc, f"w_{gate}", "lstm"), hidden, 1))
-        u.append(_array(f"u_{gate}", _require(doc, f"u_{gate}", "lstm"), hidden, hidden))
-        b.append(_array(f"b_{gate}", _require(doc, f"b_{gate}", "lstm"), hidden))
+        w.append(_array("lstm", f"w_{gate}", _require(doc, f"w_{gate}", "lstm"), hidden, 1))
+        u.append(_array("lstm", f"u_{gate}", _require(doc, f"u_{gate}", "lstm"), hidden, hidden))
+        b.append(_array("lstm", f"b_{gate}", _require(doc, f"b_{gate}", "lstm"), hidden))
     return LstmModel(
         hidden_size=hidden,
         output_len=out,
@@ -250,8 +250,8 @@ def deserialize_lstm(text: str) -> LstmModel:
         input_dropout_rate=dropout_rate,
         weights=np.hstack([np.vstack(w), np.vstack(u)]),
         bias=np.concatenate(b),
-        head_w=_array("head_w", _require(doc, "head_w", "lstm"), out, hidden),
-        head_b=_array("head_b", _require(doc, "head_b", "lstm"), out),
+        head_w=_array("lstm", "head_w", _require(doc, "head_w", "lstm"), out, hidden),
+        head_b=_array("lstm", "head_b", _require(doc, "head_b", "lstm"), out),
     )
 
 
@@ -272,9 +272,9 @@ def scalers_to_document(
 
 def scalers_from_document(text: str) -> tuple[StandardScaler, list[str], float]:
     doc = loads(text, "scalers")
-    names = _list("feature_names", _require(doc, "feature_names", "scalers"), str)
-    mean = _array("mean", _require(doc, "mean", "scalers"), len(names))
-    std = _array("std", _require(doc, "std", "scalers"), len(names))
+    names = _list("scalers", "feature_names", _require(doc, "feature_names", "scalers"), str)
+    mean = _array("scalers", "mean", _require(doc, "mean", "scalers"), len(names))
+    std = _array("scalers", "std", _require(doc, "std", "scalers"), len(names))
     if np.any(std <= 0):
         raise ParseError("scalers document: every 'std' value must be positive")
     scaler = StandardScaler(mean, std, _number(doc, "n_fit_rows", "scalers", int))

@@ -1,7 +1,8 @@
 """Properties of the CLI: whatever bytes an input file or an artifact a stage
 reads holds, ``cli.main`` returns one of the documented exit codes and, on
-failure, writes one JSON error object; and the order of an input file's rows
-changes no byte of any artifact."""
+failure, writes one JSON error object; the order of an input file's rows
+changes no byte of any artifact; and ``project`` reads whatever ``forecast``
+writes."""
 
 import contextlib
 import io
@@ -10,7 +11,7 @@ import shutil
 from pathlib import Path
 
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from larvaecast import cli
@@ -18,6 +19,7 @@ from larvaecast.pipeline import (
     CHOROPLETH_CSV,
     FEATURES_CSV,
     FORECAST_CSV,
+    FORECAST_VARIABLES,
     INGEST_REPORT_JSON,
     PERCENT_CHANGE_CSV,
     PROJECTIONS_CSV,
@@ -190,3 +192,61 @@ def test_forecast_project_report_ignore_row_order(pipeline_run, work):
         written[order] = {name: (out / name).read_bytes() for name in
                           (FORECAST_CSV, PROJECTIONS_CSV, PERCENT_CHANGE_CSV, CHOROPLETH_CSV)}
     assert written["reversed"] == written["given"]
+
+
+# Every (region, variable) series of the bundled series.csv.
+SERIES = sorted({tuple(row.split(",")[:2]) for row in
+                 (DATA / "series.csv").read_text(encoding="utf-8").splitlines()[1:]})
+# Up to three series cut: drop all of its rows, or keep its newest or oldest k years.
+CUTS = st.dictionaries(st.sampled_from(SERIES),
+                       st.tuples(st.sampled_from(["all", "newest", "oldest"]), st.integers(1, 42)),
+                       max_size=3)
+
+
+def cut_rows(rows, cuts, dropped):
+    """The rows of a series.csv less every row of the variable ``dropped``
+    (None for none) and less what each cut ``{series: (how, k)}`` removes."""
+    years: dict = {}
+    for row in rows:
+        region, variable, year, _ = row.split(",")
+        years.setdefault((region, variable), []).append(int(year))
+    kept = {series: {"all": [], "newest": sorted(years[series])[-k:],
+                     "oldest": sorted(years[series])[:k]}[how]
+            for series, (how, k) in cuts.items()}
+    for row in rows:
+        region, variable, year, _ = row.split(",")
+        if variable != dropped and int(year) in kept.get((region, variable), [int(year)]):
+            yield row
+
+
+# Always tried: no summer_precip rows, a region with no summer_precip series,
+# and a region whose forecast series are all shorter than the 20-year window.
+@settings(max_examples=25, phases=[Phase.explicit, Phase.generate])
+@example(cuts={}, dropped="summer_precip")
+@example(cuts={("lake-plain", "summer_precip"): ("all", 1)}, dropped=None)
+@example(cuts={("piedmont", variable): ("newest", 15) for variable in FORECAST_VARIABLES},
+         dropped=None)
+@given(cuts=CUTS, dropped=st.one_of(st.none(), st.sampled_from(FORECAST_VARIABLES)))
+def test_project_reads_whatever_forecast_writes(pipeline_run, work, cuts, dropped):
+    """The pipeline run's models on series.csv with up to three series cut
+    and perhaps one forecast variable dropped: forecast exits 3 with one
+    JSON error and leaves the out-dir as it was, or project exits 0 on
+    what it wrote."""
+    out = work / "cut"
+    if not out.exists():
+        shutil.copytree(pipeline_run.out_dir, out)
+    series = write_rows(pipeline_run.data["series"], work / "cut-series.csv",
+                        lambda rows: list(cut_rows(rows, cuts, dropped)))
+    before = {path: path.read_bytes() for path in sorted(out.iterdir())}
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(["forecast", "--out-dir", str(out), "--series", str(series),
+                         "--target-year", "2050"])
+    if code:
+        lines = err.getvalue().splitlines()
+        assert code == 3 and len(lines) == 1, (code, lines)
+        assert set(json.loads(lines[0])) == {"error", "message"}
+        assert {path: path.read_bytes() for path in sorted(out.iterdir())} == before
+        return
+    assert run_cli(["project", "--out-dir", str(out), "--regions",
+                    str(pipeline_run.data["regions"]), "--year", "2030", "--year", "2050"]) == 0

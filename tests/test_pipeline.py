@@ -564,6 +564,20 @@ class TestCli:
                         callers.add(module)
         assert callers == {"ingest"}
 
+    def test_only_train_climate_skips_a_series(self):
+        """Skipping has one home: only ``cmd_train_climate`` calls ``_windowed``,
+        and ``cmd_forecast``, which refuses what it cannot roll, warns of nothing."""
+        callers = {"_windowed": set(), "_warn": set()}
+        for _, tree in self.module_trees():
+            for function in ast.walk(tree):
+                if isinstance(function, ast.FunctionDef):
+                    for node in ast.walk(function):
+                        name = getattr(getattr(node, "func", None), "id", None)
+                        if isinstance(node, ast.Call) and name in callers:
+                            callers[name].add(function.name)
+        assert callers["_windowed"] == {"cmd_train_climate"}
+        assert "cmd_forecast" not in callers["_warn"]
+
     def test_every_column_table_is_declared_in_ingest(self):
         """The CSV format has one home: every module-level ``*_COLUMNS`` is in ``ingest``."""
         declared = set()
@@ -1212,9 +1226,11 @@ class TestForecastYears:
         assert code == 0, capsys.readouterr().err
 
 
-def test_short_series_is_skipped_by_both_climate_stages(tmp_path, pipeline_run, capsys):
-    """A series shorter than a window is left out of training and of the
-    forecast, with one warning each, and named in each stage's summary."""
+def test_short_series_is_skipped_by_train_climate_refused_by_forecast(
+        tmp_path, pipeline_run, capsys):
+    """A series shorter than a window is left out of training, with one
+    warning, and named in the summary; forecast refuses it, naming it, and
+    writes nothing."""
     series = tmp_path / "series.csv"
     series.write_text("".join(
         line for line in pipeline_run.data["series"].read_text().splitlines(keepends=True)
@@ -1234,17 +1250,47 @@ def test_short_series_is_skipped_by_both_climate_stages(tmp_path, pipeline_run, 
         "gulf-plain/summer_precip"
     ]
 
+    before = file_bytes(out)
     code = cli.main(["forecast", "--out-dir", str(out), "--series", str(series),
                      "--target-year", "2050"])
-    assert code == 0
-    captured = capsys.readouterr()
-    assert captured.err.splitlines() == [
-        "warning: series 'gulf-plain'/'summer_precip' has 15 values; needs at least 20"
-    ]
-    assert json.loads(captured.out)["errors"] == ["gulf-plain/summer_precip"]
-    variables = {row["variable"] for row in read_csv(out / FORECAST_CSV)
-                 if row["region_id"] == "gulf-plain"}
-    assert variables == {"summer_tmean", "summer_tmin", "summer_tmax"}
+    message = "series 'gulf-plain'/'summer_precip' has 15 values; needs at least 20"
+    assert assert_data_error(code, capsys, "DataError", message)["message"] == message
+    assert file_bytes(out) == before
+
+
+class TestForecastNeedsEveryRegionWhole:
+    """forecast rolls every region that has a series of one forecast
+    variable, or refuses the series.csv, naming the region and the
+    variable: exit 3, one JSON DataError and nothing written."""
+
+    @pytest.mark.parametrize(
+        "drop, message",
+        [(lambda region, variable, year: variable == "summer_precip",
+          "{series}: region 'cascade-ridge' has no 'summer_precip' series"),
+         (lambda region, variable, year: (region, variable) == ("lake-plain", "summer_precip"),
+          "{series}: region 'lake-plain' has no 'summer_precip' series"),
+         (lambda region, variable, year: region == "piedmont"
+          and variable in FORECAST_VARIABLES and year < 2007,
+          "series 'piedmont'/'summer_tmean' has 15 values; needs at least 20"),
+         (lambda region, variable, year: variable in FORECAST_VARIABLES,
+          "{series}: no region has a summer_tmean or summer_precip series")],
+        ids=["no-precip-rows", "region-without-precip", "region-all-short", "no-forecast-rows"],
+    )
+    def test_incomplete_region_refused(self, tmp_path, pipeline_run, capsys, drop, message):
+        """Skipping any of these would write a forecast.csv that project refuses."""
+        series = tmp_path / "series.csv"
+        header, *rows = pipeline_run.data["series"].read_text().splitlines(keepends=True)
+        series.write_text(header + "".join(
+            row for row in rows
+            if not drop(*row.split(",")[:2], int(row.split(",")[2]))
+        ))
+        out = shutil.copytree(pipeline_run.out_dir, tmp_path / "out")
+        before = file_bytes(out)
+        code = cli.main(["forecast", "--out-dir", str(out), "--series", str(series),
+                         "--target-year", "2050"])
+        message = message.format(series=series)
+        assert assert_data_error(code, capsys, "DataError", message)["message"] == message
+        assert file_bytes(out) == before
 
 
 def huge_precip_series(tmp_path, pipeline_run) -> Path:
@@ -1328,12 +1374,12 @@ class TestOffsetYears:
         assert "dry-basin" not in load_document(out / OFFSETS_JSON, "offsets")["regions"]
         report = json.loads((out / CLIMATE_REPORT_JSON).read_text())
         assert report["offsets_regions"] == len(synth.REGIONS) - 1
+        before = file_bytes(out)
         code = cli.main(["forecast", "--out-dir", str(out), "--series", str(series),
                          "--target-year", "2050"])
-        assert code == 0
-        captured = capsys.readouterr()
-        assert captured.err.splitlines() == ["warning: region 'dry-basin' has no fitted offsets"]
-        assert json.loads(captured.out)["errors"] == ["dry-basin/offsets"]
+        message = f"{out / OFFSETS_JSON}: region 'dry-basin' has no fitted offsets"
+        assert assert_data_error(code, capsys, "DataError", message)["message"] == message
+        assert file_bytes(out) == before
 
     def test_early_ending_mean_series_runs_to_projection(self, tmp_path, pipeline_run, capsys):
         code, out, series = self.train_climate(
@@ -1626,15 +1672,6 @@ class TestColumns:
             ingest.parse_regions(path)
 
 
-def test_synth_reproduces_bundled_data(synth_data):
-    bundled = Path(__file__).resolve().parent.parent / "data"
-    assert sorted(p.name for p in synth_data.values()) == sorted(
-        p.name for p in bundled.glob("*.csv")
-    )
-    for path in synth_data.values():
-        assert path.read_bytes() == (bundled / path.name).read_bytes(), path.name
-
-
 class TestOutputErrors:
     def test_out_dir_is_a_file(self, tmp_path, capsys):
         paths = synth.write_prepare_fixture(tmp_path / "data")
@@ -1713,7 +1750,7 @@ BAD_JSON = {
     "nan-dropout-rate": (ABUNDANCE_MODEL_JSON, replaced("dropout_rate", lambda _: float("nan")),
                          "malformed JSON: non-finite number: NaN"),
     "true-in-scaler-mean": (ABUNDANCE_SCALERS_JSON, replaced("mean", lambda v: [True, *v[1:]]),
-                            "field 'mean' must be an array of JSON numbers"),
+                            "scalers document: field 'mean' must be an array of JSON numbers"),
     "relu-output": (ABUNDANCE_MODEL_JSON, replaced("activations", lambda a: ["relu"] * len(a)),
                     "dense document: activations must be relu on each hidden layer"),
     "identity-hidden": (ABUNDANCE_MODEL_JSON,

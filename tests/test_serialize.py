@@ -210,29 +210,56 @@ READERS = {
 }
 
 
+# A field set to a value of the wrong JSON type: (kind, path, value, field).
+WRONG_TYPES = [
+    ("dense", ["schema_version"], True, "schema_version"),
+    ("dense", ["dropout_rate"], [0.2], "dropout_rate"),
+    ("dense", ["layer_dims"], [4, "3", 1], "layer_dims"),
+    ("dense", ["activations"], 5, "activations"),
+    ("dense", ["weights"], 7, "weights"),
+    ("dense", ["biases", 0], [0.0, None, 0.0], "biases[0]"),
+    ("lstm", ["hidden_size"], 3.0, "hidden_size"),
+    ("lstm", ["input_size"], True, "input_size"),
+    ("lstm", ["head_b"], ["0.0", 0.0], "head_b"),
+    ("scalers", ["n_fit_rows"], "8", "n_fit_rows"),
+    ("scalers", ["mean"], [True, 1.0, 2.0], "mean"),
+    ("scalers", ["feature_names"], 3, "feature_names"),
+    ("linear", ["slope"], "0.15", "slope"),
+    ("offsets", ["regions", "west", "k_min"], None, "k_min"),
+    ("offsets", ["regions"], [1.0, 2.0], "regions"),
+    ("offsets", ["regions", "west"], "k_min", "k_min"),
+]
+
+
+@pytest.mark.parametrize("kind", READERS)
+def test_every_error_names_the_document_kind(kind):
+    """A document that is no object, lacks its version or kind, has another
+    version or kind, or holds a field of the wrong type or length is a
+    ParseError whose message starts with the kind its reader expects."""
+    read, make = READERS[kind]
+    edits = [
+        lambda doc: [],
+        lambda doc: {name: v for name, v in doc.items() if name != "schema_version"},
+        lambda doc: {name: v for name, v in doc.items() if name != "kind"},
+        lambda doc: {**doc, "schema_version": 2},
+        lambda doc: {**doc, "kind": "dense" if kind == "lstm" else "lstm"},
+        *(lambda doc, path=path, value=value: _set(doc, path, value) or doc
+          for k, path, value, _ in WRONG_TYPES if k == kind),
+    ]
+    if kind in ("dense", "lstm", "scalers"):
+        array = {"dense": ["biases", 0], "lstm": ["head_b"], "scalers": ["std"]}[kind]
+        edits.append(lambda doc: _set(doc, array, [1.0]) or doc)
+    for edit in edits:
+        with pytest.raises(ParseError) as caught:
+            read(edit(make()))
+        assert str(caught.value).startswith(f"{kind} document"), str(caught.value)
+
+
 class TestWrongTypes:
     """A field of the wrong JSON type is a ParseError naming the field,
     never a TypeError or a silent conversion."""
 
-    @pytest.mark.parametrize(
-        "kind, path, value, field",
-        [("dense", ["schema_version"], True, "schema_version"),
-         ("dense", ["dropout_rate"], [0.2], "dropout_rate"),
-         ("dense", ["layer_dims"], [4, "3", 1], "layer_dims"),
-         ("dense", ["activations"], 5, "activations"),
-         ("dense", ["weights"], 7, "weights"),
-         ("dense", ["biases", 0], [0.0, None, 0.0], "biases[0]"),
-         ("lstm", ["hidden_size"], 3.0, "hidden_size"),
-         ("lstm", ["input_size"], True, "input_size"),
-         ("lstm", ["head_b"], ["0.0", 0.0], "head_b"),
-         ("scalers", ["n_fit_rows"], "8", "n_fit_rows"),
-         ("scalers", ["mean"], [True, 1.0, 2.0], "mean"),
-         ("scalers", ["feature_names"], 3, "feature_names"),
-         ("linear", ["slope"], "0.15", "slope"),
-         ("offsets", ["regions", "west", "k_min"], None, "k_min"),
-         ("offsets", ["regions"], [1.0, 2.0], "regions"),
-         ("offsets", ["regions", "west"], "k_min", "k_min")],
-    )
+    @pytest.mark.parametrize("kind, path, value, field", WRONG_TYPES)
     def test_wrong_type_rejected(self, kind, path, value, field):
         read, make = READERS[kind]
         doc = make()
