@@ -100,8 +100,6 @@ def forecast_series(predict, series, cfg: ForecastConfig) -> list[RegionSeries]:
     """
     for s in series:
         require_window(s, cfg.lookback)
-    if not series:
-        return []
     windows = np.array([np.asarray(s.values, dtype=float)[-cfg.lookback :] for s in series])
     projected = forecast(predict, windows, cfg,
                          [f"series {s.region_id}/{s.variable}" for s in series])

@@ -95,9 +95,39 @@ def _checked(kind: str, check, *args) -> None:
         raise ParseError(f"{kind} document: {exc}") from None
 
 
+def _chunks(value, level: int = 0):
+    """The text of ``json.dumps(value, indent=1)`` nested ``level`` deep, in
+    pieces. A non-empty array of plain numbers is one piece from json's C
+    encoder; a numpy array becomes a list only when its turn comes."""
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if not isinstance(value, (dict, list, tuple)) or not value:
+        yield json.dumps(value)
+        return
+    indent = "\n" + " " * (level + 1)
+    if isinstance(value, dict):
+        yield "{"
+        for i, (key, item) in enumerate(value.items()):
+            yield ("," if i else "") + indent + json.dumps(key) + ": "
+            yield from _chunks(item, level + 1)
+        yield "\n" + " " * level + "}"
+        return
+    yield "["
+    if set(map(type, value)) <= {int, float}:
+        # No number's text holds ", ", so each one separates two items.
+        yield indent + json.dumps(value)[1:-1].replace(", ", "," + indent)
+    else:
+        for i, item in enumerate(value):
+            yield ("," if i else "") + indent
+            yield from _chunks(item, level + 1)
+    yield "\n" + " " * level + "]"
+
+
 def dumps(doc: dict) -> str:
-    """The text of a JSON artifact: one-space indent and a trailing newline."""
-    return json.dumps(doc, indent=1) + "\n"
+    """The text of a JSON artifact, ``json.dumps(doc, indent=1)`` and a
+    trailing newline, joined from one piece per array of numbers. Every
+    object key is text, as in every document and report."""
+    return "".join(_chunks(doc)) + "\n"
 
 
 def document(kind: str, body: dict) -> str:
@@ -126,6 +156,8 @@ def parse_json(text: str):
         ) from None
     except ValueError as exc:  # from _finite, or an integer past the digit limit: no position
         raise ParseError(f"malformed JSON: {exc}") from None
+    except RecursionError:
+        raise ParseError("malformed JSON: nested too deeply to read") from None
 
 
 def loads(text: str, expected_kind: str) -> dict:
@@ -180,8 +212,8 @@ def serialize_network(net: DenseNetwork) -> str:
         "layer_dims": list(net.layer_dims),
         "activations": dense_activations(net.layer_dims),
         "dropout_rate": net.dropout_rate,
-        "weights": [w.ravel().tolist() for w in net.weights],
-        "biases": [b.tolist() for b in net.biases],
+        "weights": [w.ravel() for w in net.weights],
+        "biases": list(net.biases),
     })
 
 
@@ -221,11 +253,11 @@ def serialize_lstm(model: LstmModel) -> str:
     }
     for gate in GATES:
         w, u, b = model.gate(gate)
-        doc[f"w_{gate}"] = w.ravel().tolist()
-        doc[f"u_{gate}"] = u.ravel().tolist()
-        doc[f"b_{gate}"] = b.tolist()
-    doc["head_w"] = model.head_w.ravel().tolist()
-    doc["head_b"] = model.head_b.tolist()
+        doc[f"w_{gate}"] = w.ravel()
+        doc[f"u_{gate}"] = u.ravel()
+        doc[f"b_{gate}"] = b
+    doc["head_w"] = model.head_w.ravel()
+    doc["head_b"] = model.head_b
     return document("lstm", doc)
 
 

@@ -514,6 +514,35 @@ class TestCli:
         )
         assert probe.stdout.strip() == "False"
 
+    def test_walkthrough_never_imports_numpy_ma(self, tmp_path, synth_data):
+        """No stage, nor the LSTM trainer that train-climate forks, imports
+        numpy.ma, which costs a training stage about 1.6 MB of peak memory:
+        ``-X importtime`` lists every module a process imports."""
+        src = Path(larvaecast.__file__).resolve().parent.parent
+        stages = [
+            ["prepare", "--observations", synth_data["observations"],
+             "--stations", synth_data["stations"]],
+            ["train-abundance", "--seed", "1", "--max-epochs", "2"],
+            ["train-climate", "--seed", "1", "--max-epochs", "2", "--series", synth_data["series"]],
+            ["forecast", "--series", synth_data["series"], "--target-year", "2050"],
+            ["project", "--regions", synth_data["regions"], "--year", "2030", "--year", "2050"],
+            ["report", "--start-year", "2030", "--end-year", "2050"],
+        ]
+        for command, *flags in stages:
+            probe = subprocess.run(
+                [sys.executable, "-X", "importtime", "-m", "larvaecast.cli", command,
+                 "--out-dir", str(tmp_path / "out"), *map(str, flags)],
+                env={**os.environ, "PYTHONPATH": str(src)},
+                capture_output=True,
+                text=True,
+            )
+            assert probe.returncode == 0, probe.stderr
+            imported = [line.rpartition("|")[2].strip() for line in probe.stderr.splitlines()
+                        if line.startswith("import time:")]
+            assert "numpy" in imported
+            assert [name for name in imported
+                    if name == "numpy.ma" or name.startswith("numpy.ma.")] == [], command
+
     def test_package_imports_only_stdlib_and_numpy(self):
         """An ast walk sees the lazy imports inside functions as well."""
         allowed = set(sys.stdlib_module_names) | {"numpy", "larvaecast"}
@@ -1508,6 +1537,24 @@ class TestReportGeometry:
         }
         assert file_bytes(tmp_path) == before
 
+    def test_deepest_geometry_read_is_written(self, tmp_path, capsys):
+        """A geometry nested as deep as ``parse_json`` reads is written whole;
+        one level deeper is a ParseError naming the file."""
+        def nested(depth):
+            return '{"features": [], "deep": ' + "[" * depth + "]" * depth + "}"
+
+        read, unread = 1, sys.getrecursionlimit()
+        while unread - read > 1:
+            depth = (read + unread) // 2
+            code = self.report(tmp_path, nested(depth))
+            capsys.readouterr()
+            read, unread = (depth, unread) if code == 0 else (read, depth)
+        assert_data_error(self.report(tmp_path, nested(unread)), capsys, "ParseError",
+                          "malformed JSON: nested too deeply to read")
+        assert self.report(tmp_path, nested(read)) == 0
+        written = (tmp_path / "out" / "choropleth.geojson").read_text()
+        assert json.loads(written) == json.loads(nested(read))
+
     def test_non_utf8_geometry(self, tmp_path, capsys):
         (tmp_path / "regions.geojson").write_bytes(b'{"features": []}\xff\xfe')
         assert_data_error(self.report(tmp_path, None), capsys, "ParseError", "not UTF-8")
@@ -1768,6 +1815,19 @@ def test_bad_json_error_names_the_file(tmp_path, capsys, pipeline_run, case):
     path.write_text(edit(path.read_text(encoding="utf-8") if path.exists() else ""))
     doc = assert_data_error(run(), capsys, "ParseError", message)
     assert doc["message"].startswith(f"{path}: {message}")
+
+
+@pytest.mark.parametrize("name", [*DOCUMENT_STAGES, "regions.geojson"])
+def test_deeply_nested_json_is_a_parse_error(tmp_path, capsys, pipeline_run, name):
+    """JSON nested past the interpreter's recursion limit is a ParseError
+    naming the file, and the stage writes nothing."""
+    path, run = document_reader(tmp_path, pipeline_run, name)
+    path.write_text('{"schema_version": 1, "kind": "offsets", "regions": '
+                    + "[" * 100_000 + "]" * 100_000 + "}")
+    before = file_bytes(tmp_path)
+    doc = assert_data_error(run(), capsys, "ParseError", "nested too deeply")
+    assert doc["message"] == f"{path}: malformed JSON: nested too deeply to read"
+    assert file_bytes(tmp_path) == before
 
 
 class TestDocumentsTheStageCannotRun:

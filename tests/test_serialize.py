@@ -1,9 +1,12 @@
 import json
 import re
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from larvaecast.errors import DataError, ParseError
 from larvaecast.ingest import csv_text, fmt
@@ -329,3 +332,39 @@ class TestAtomicWrite:
         path = tmp_path / "sub" / "report.json"
         commit({path: dumps({"a": [1, 2.5]})})
         assert path.read_bytes() == b'{\n "a": [\n  1,\n  2.5\n ]\n}\n'
+
+
+# JSON values as a document writer builds them: text keys (escapes and
+# non-ASCII included), empty arrays and objects, every number, and arrays
+# of floats as a parameter vector is written.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+    | st.lists(st.floats(), min_size=1),
+    lambda inner: st.lists(inner) | st.dictionaries(st.text(), inner),
+    max_leaves=30,
+)
+
+
+class TestDumps:
+    @given(value=st.dictionaries(st.text(), JSON_VALUES))
+    def test_text_is_json_dumps_with_one_space_indent(self, value):
+        assert dumps(value) == json.dumps(value, indent=1) + "\n"
+
+    def test_numpy_arrays_and_tuples_are_written_as_lists(self):
+        doc = {"w": np.arange(4.0).reshape(2, 2).ravel(), "empty": np.zeros(0),
+               "nested": [np.array([0.5, -0.0])], "dims": (6, np.array([1, 2]))}
+        lists = {"w": [0.0, 1.0, 2.0, 3.0], "empty": [], "nested": [[0.5, -0.0]],
+                 "dims": [6, [1, 2]]}
+        assert dumps(doc) == json.dumps(lists, indent=1) + "\n"
+
+    def test_dense_document_peak_memory_is_near_its_text(self):
+        """Writing the regressor holds its text, its pieces and one array's
+        list at a time, not one string per number."""
+        net = xavier_init(ABUNDANCE_LAYER_DIMS, 0)
+        tracemalloc.start()
+        try:
+            text = serialize_network(net)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * len(text)

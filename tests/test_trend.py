@@ -148,6 +148,26 @@ class TestEstimateK:
             mae_grid = float(np.mean(np.abs(diffs - best)))
             assert mae_mine <= mae_grid + 1e-4
 
+    @pytest.mark.parametrize("differences", [
+        [2.5], [3.0, 1.0], [0.1, 0.7, 0.2], [1.0, 2.0, 3.0, 4.0],
+        [2.0, 2.0, 2.0, 5.0, 5.0], [1.0, 1.0, 7.0, 7.0],
+        [0.0, -0.0], [-0.0, 0.0], [-0.0, 1.0, 0.0], [0.0, -1.0, -0.0, 1.0], [-0.0, -0.0, 0.0],
+        [0.1 + 0.2, 0.3, 1e300, -1e300],
+    ], ids=str)
+    def test_equals_numpy_median_bit_for_bit(self, differences):
+        """The oracle is ``np.median``: the same bits, the sign of a zero included."""
+        differences = np.array(differences)
+        k = estimate_k(np.zeros_like(differences), differences, "max")
+        assert np.float64(k).tobytes() == np.median(differences).tobytes()
+
+    def test_equals_numpy_median_on_random_series(self):
+        rng = np.random.default_rng(7)
+        for n in range(1, 60):
+            mean_series = rng.uniform(5, 30, n)
+            extreme = np.round(mean_series - rng.uniform(0, 5, n), int(rng.integers(0, 3)))
+            k = estimate_k(mean_series, extreme, "min")
+            assert np.float64(k).tobytes() == np.median(mean_series - extreme).tobytes()
+
     def test_unknown_kind(self):
         with pytest.raises(DomainError):
             estimate_k([1.0], [1.0], "median")
