@@ -155,7 +155,7 @@ def lstm_forward(
         raise ShapeError(f"window must be (steps, batch), got shape {xs.shape}")
     train = mode == "train"
     if train and model.input_dropout_rate > 0:
-        xs = dropout(xs, model.input_dropout_rate, rng)[0]
+        xs = dropout(xs, model.input_dropout_rate, rng)
     steps, batch = xs.shape
     n = model.hidden_size
     # sigmoid(z) = 0.5 * (1 + tanh(z / 2)): halving the i, f, o rows of the

@@ -67,7 +67,7 @@ class DenseNetwork(FlatParameters):
 @dataclass
 class ForwardCache:
     activations: list[np.ndarray]
-    masks: list[np.ndarray | None]
+    keep: float  # 1 - dropout_rate where train mode ran dropout, else 1.0
 
 
 def xavier(rng: np.random.Generator, fan_out: int, fan_in: int, blocks: int = 1) -> np.ndarray:
@@ -111,13 +111,12 @@ def xavier_init(layer_dims, seed: int, dropout_rate: float = DEFAULT_DROPOUT) ->
     )
 
 
-def dropout(x: np.ndarray, rate: float, rng: np.random.Generator | None):
+def dropout(x: np.ndarray, rate: float, rng: np.random.Generator | None) -> np.ndarray:
     """Inverted dropout: ``x`` with each entry kept with probability
-    1 - ``rate`` and scaled by 1 / (1 - rate), and the 0/1 mask drawn."""
+    1 - ``rate`` and scaled by 1 / (1 - rate), a dropped one zeroed."""
     if rng is None:
         raise ConfigError("train mode with dropout needs an rng")
-    mask = (rng.random(x.shape) >= rate).astype(float)
-    return x * mask / (1.0 - rate), mask
+    return x * (rng.random(x.shape) >= rate) / (1.0 - rate)
 
 
 def forward(
@@ -137,17 +136,15 @@ def forward(
     if a.ndim != 2 or a.shape[0] != net.layer_dims[0]:
         raise ShapeError(f"input must be ({net.layer_dims[0]}, batch), got shape {a.shape}")
     train = mode == "train" and net.dropout_rate > 0
-    activations, masks = [a], []
+    activations = [a]
     for w, b in zip(net.weights[:-1], net.biases[:-1]):
         a = np.maximum(w @ a + b[:, None], 0.0)
-        mask = None
         if train:
-            a, mask = dropout(a, net.dropout_rate, rng)
-        masks.append(mask)
+            a = dropout(a, net.dropout_rate, rng)
         activations.append(a)
     a = net.weights[-1] @ a + net.biases[-1][:, None]
     activations.append(a)
-    return a, ForwardCache(activations, masks)
+    return a, ForwardCache(activations, 1.0 - net.dropout_rate if train else 1.0)
 
 
 def mse_loss(pred, target) -> float:
@@ -176,12 +173,11 @@ def mse_grad(pred: np.ndarray, target) -> np.ndarray:
 def backward(net: DenseNetwork, cache: ForwardCache, target) -> np.ndarray:
     """The gradient of mse_loss in ``params``, as one vector laid out like it.
 
-    Dropout masks recorded during the forward pass are replayed exactly.
-    relu's derivative is taken from the kept activation: a kept unit's
-    ``relu(z) / keep`` is positive exactly when ``z`` is, and a dropped
-    unit's ``da * 0 / keep`` is zero either way.
+    relu's and dropout's derivatives are both read from the kept
+    activation: a kept unit's ``relu(z) / keep`` is positive exactly when
+    ``z`` is, and a dropped unit's is zero, so ``a > 0`` zeroes it as its
+    mask would; ``cache.keep`` gives the kept units' ``1 / keep`` scale.
     """
-    keep = 1.0 - net.dropout_rate
     grad = np.empty_like(net.params)
     views = net.unpack(grad)  # weight then bias per layer
     delta = mse_grad(cache.activations[-1], target)
@@ -190,11 +186,7 @@ def backward(net: DenseNetwork, cache: ForwardCache, target) -> np.ndarray:
         delta.sum(axis=1, out=views[2 * layer + 1])
         if layer == 0:
             break
-        da = net.weights[layer].T @ delta
-        mask = cache.masks[layer - 1]
-        if mask is not None:
-            da = da * mask / keep
-        delta = da * (cache.activations[layer] > 0)
+        delta = net.weights[layer].T @ delta / cache.keep * (cache.activations[layer] > 0)
     return grad
 
 

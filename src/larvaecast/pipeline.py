@@ -20,7 +20,7 @@ import numpy as np
 
 from . import ingest, lstm, serialize
 from .errors import ConfigError, DataError, ParseError
-from .forecast import ForecastConfig, check_window, forecast_series, require_window
+from .forecast import ForecastConfig, check_window, forecast_series
 from .ingest import FEATURE_NAMES, PROJECTION_COLUMNS, csv_text, feature_values, fmt
 from .lstm import lstm_forward, make_windows, train_lstm
 from .nn import forward, train_abundance
@@ -231,18 +231,17 @@ def cmd_train_abundance(cfg: PipelineConfig) -> dict:
 
 
 def _windowed(series: dict[str, ingest.RegionSeries], width: int,
-              skipped: list[str]) -> list[ingest.RegionSeries]:
-    """The series of one variable that hold ``width`` values, in region
-    order; each other one is warned about and named in ``skipped``."""
+              skipped: list[str]) -> list[tuple[ingest.RegionSeries, np.ndarray]]:
+    """``(series, make_windows(series, width))`` for each series of one
+    variable that holds ``width`` values, in region order; each other one
+    is warned about and named in ``skipped``."""
     kept = []
     for s in series.values():
         try:
-            require_window(s, width)
+            kept.append((s, make_windows(s, width)))
         except DataError as exc:
             _warn(str(exc))
             skipped.append(f"{s.region_id}/{s.variable}")
-        else:
-            kept.append(s)
     return kept
 
 
@@ -323,11 +322,10 @@ def cmd_train_climate(cfg: PipelineConfig) -> dict:
         usable = _windowed(series.get(variable, {}), width, summary["skipped"])
         if not usable:
             raise DataError(f"no trainable windows for variable {variable!r}")
-        per_series = [make_windows(s, width) for s in usable]
-        windows = np.concatenate(per_series)
+        windows = np.concatenate([w for _, w in usable])
         # A window too large to standardize fails here, naming its series, before any training.
         standardize_rows(windows, cfg.lookback, np.repeat(
-            [f"series {s.region_id}/{s.variable}" for s in usable], list(map(len, per_series))))
+            [f"series {s.region_id}/{s.variable}" for s, _ in usable], [len(w) for _, w in usable]))
         jobs.append(lambda windows=windows, train_cfg=train_cfg: train_lstm(
             windows, train_cfg, horizon=cfg.horizon, hidden_size=cfg.lstm_hidden_size
         ))
@@ -492,7 +490,7 @@ def cmd_project(cfg: PipelineConfig) -> dict:
                 values.append(per_variable[variable][year])
             keys.append((region_id, year))
             rows.append([*values, elevations[region_id]])
-    features = np.array(rows, dtype=float).reshape(-1, len(FEATURE_NAMES))
+    features = np.array(rows, dtype=float)
     log_abundance = predict_log_abundance(net, scaler, features)
     abundance = log_transform.inverse(log_abundance)
 

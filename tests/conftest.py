@@ -126,7 +126,7 @@ def oracle_lstm_forward(model, window, mode="eval", rng=None):
     must match it bit for bit; called like it."""
     xs = np.asarray(window, dtype=float)
     if mode == "train" and model.input_dropout_rate > 0:
-        xs = dropout(xs, model.input_dropout_rate, rng)[0]
+        xs = dropout(xs, model.input_dropout_rate, rng)
     n = model.hidden_size
     h = np.zeros((n, xs.shape[1]))
     c = np.zeros_like(h)

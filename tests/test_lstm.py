@@ -1,3 +1,4 @@
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -152,6 +153,20 @@ class TestLstmForward:
         assert [len(a) for a in train_stacks] == [7, 7, 6, 6]
         with pytest.raises(ConfigError, match="train-mode"):
             lstm_backward(model, eval_cache, target)
+
+    def test_eval_of_many_windows_peaks_at_one_step(self):
+        """Eval mode overwrites one step's slot: 200 production-size windows
+        peak near 0.7 MB, where the train layout of 20 slots takes 7.7 MB."""
+        model = lstm_init(seed=16)
+        window = np.random.default_rng(16).normal(size=(model.lookback, 200))
+        tracemalloc.start()
+        try:
+            _, cache = lstm_forward(model, window)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cache.gates.shape[0] == 1
+        assert peak < 1.5e6
 
     def test_hidden_size_beyond_numpy_rejected_before_any_allocation(self):
         with pytest.raises(ConfigError, match=r"^hidden_size=100000000000000000000, "

@@ -203,26 +203,36 @@ class TestBackward:
     @pytest.mark.parametrize("batch", [1, 3, 8])
     @pytest.mark.parametrize("seed", range(3))
     def test_train_mode_bits_match_pre_activation_rule(self, seed, batch):
-        # backward under dropout, bit for bit against relu's derivative read
-        # from each pre-activation z, recomputed here from the cache
-        rng = np.random.default_rng(seed)
-        net = xavier_init([6, 16, 16, 1], seed=seed, dropout_rate=0.2)
-        net.biases[0][0] = -1e3  # a dead unit: z < 0 for every input
-        target = rng.normal(size=(1, batch))
-        _, cache = forward(net, rng.normal(size=(6, batch)), mode="train", rng=rng)
-        keep = 1.0 - net.dropout_rate
-        grads, delta, dropped_live = [], mse_grad(cache.activations[-1], target), False
-        for layer in range(len(net.weights) - 1, -1, -1):
-            grads[:0] = [delta @ cache.activations[layer].T, delta.sum(axis=1)]
-            if layer:
-                w, b, mask = net.weights[layer - 1], net.biases[layer - 1], cache.masks[layer - 1]
-                z = w @ cache.activations[layer - 1] + b[:, None]
-                delta = net.weights[layer].T @ delta * mask / keep * (z > 0)
-                dropped_live |= bool(((mask == 0) & (z > 0)).any())
-        assert dropped_live and not (cache.activations[1][0] > 0).any()
-        expected = np.concatenate([g.ravel() for g in grads])
-        assert np.array_equal(backward(net, cache, target).view(np.uint64),
-                              expected.view(np.uint64))
+        # backward, bit for bit against relu's derivative read from each
+        # pre-activation z, recomputed here from the cache, and under dropout
+        # against each layer's mask, replayed from a copy of the rng; eval
+        # mode and rate 0 drop nothing and take W.T @ delta * (z > 0)
+        for mode, rate in [("train", 0.2), ("eval", 0.2), ("train", 0.0)]:
+            rng = np.random.default_rng(seed)
+            net = xavier_init([6, 16, 16, 1], seed=seed, dropout_rate=rate)
+            net.biases[0][0] = -1e3  # a dead unit: z < 0 for every input
+            target = rng.normal(size=(1, batch))
+            x = rng.normal(size=(6, batch))
+            replay = copy.deepcopy(rng)
+            _, cache = forward(net, x, mode=mode, rng=rng)
+            dropping = mode == "train" and rate > 0
+            masks = [(replay.random((16, batch)) >= rate).astype(float) for _ in range(2)]
+            grads, delta, dropped_live = [], mse_grad(cache.activations[-1], target), False
+            for layer in range(len(net.weights) - 1, -1, -1):
+                grads[:0] = [delta @ cache.activations[layer].T, delta.sum(axis=1)]
+                if layer:
+                    w, b, mask = net.weights[layer - 1], net.biases[layer - 1], masks[layer - 1]
+                    z = w @ cache.activations[layer - 1] + b[:, None]
+                    if dropping:
+                        delta = net.weights[layer].T @ delta * mask / (1.0 - rate) * (z > 0)
+                        dropped_live |= bool(((mask == 0) & (z > 0)).any())
+                    else:
+                        delta = net.weights[layer].T @ delta * (z > 0)
+            assert dropped_live == dropping and not (cache.activations[1][0] > 0).any()
+            assert cache.keep == (1.0 - rate if dropping else 1.0)
+            expected = np.concatenate([g.ravel() for g in grads])
+            assert np.array_equal(backward(net, cache, target).view(np.uint64),
+                                  expected.view(np.uint64))
 
 
 class TestFlatParameters:
