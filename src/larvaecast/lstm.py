@@ -11,7 +11,8 @@ on the stacked column [x_t; h_prev], plus one (4 * hidden,) bias, in row
 blocks of gate order i, f, o, g (``GATES``). ``LstmModel.gate`` returns
 one gate's (w, u, b) views, which the per-gate document fields are
 written from. All four arrays view one flat ``params`` (see
-``nn.FlatParameters``).
+``nn.FlatParameters``), and their shapes are the model's only sizes: the
+``hidden_size`` and ``output_len`` properties read ``head_w``'s shape.
 
 The step loops allocate no array memory: ``lstm_forward`` writes every
 step into (steps, rows, batch) stacks made once per call (eval mode
@@ -49,8 +50,6 @@ FORECAST_INPUT_DROPOUT = 0.2
 
 @dataclass
 class LstmModel(FlatParameters):
-    hidden_size: int
-    output_len: int
     lookback: int  # window length the model was trained on
     input_dropout_rate: float
     weights: np.ndarray  # (4 * hidden, 1 + hidden), acts on [x_t; h_prev]
@@ -62,9 +61,13 @@ class LstmModel(FlatParameters):
         arrays = (self.weights, self.bias, self.head_w, self.head_b)
         self.weights, self.bias, self.head_w, self.head_b = self._pack(arrays)
 
-    def shapes(self) -> list[tuple[int, ...]]:
-        n, out = self.hidden_size, self.output_len
-        return [(4 * n, 1 + n), (4 * n,), (out, n), (out,)]
+    @property
+    def hidden_size(self) -> int:
+        return self.head_w.shape[1]
+
+    @property
+    def output_len(self) -> int:
+        return self.head_w.shape[0]
 
     def gate(self, name: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Views of one gate's w (hidden, 1), u (hidden, hidden) and b (hidden,)."""
@@ -97,8 +100,6 @@ def lstm_init(
     rng = np.random.default_rng(seed)
     gates = len(GATES)
     return LstmModel(
-        hidden_size=hidden_size,
-        output_len=output_len,
         lookback=lookback,
         input_dropout_rate=float(input_dropout_rate),
         weights=np.hstack(

@@ -13,7 +13,6 @@ matrix, so one example is a single column.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 from itertools import accumulate
 
@@ -28,15 +27,16 @@ DEFAULT_DROPOUT = 0.2
 
 class FlatParameters:
     """Base of a dataclass model whose parameter arrays are views into one flat
-    vector ``params``, end to end in ``shapes()`` order; the layout is worked
-    out once, when the constructor packs the arrays into a new vector, which
-    pickling and copying go through too."""
+    vector ``params``, packed end to end in the order given; the layout is read
+    off the arrays' own shapes once, when the constructor packs them into a new
+    vector, which pickling and copying go through too. The shapes are the
+    model's only statement of its sizes."""
 
     def _pack(self, arrays) -> list[np.ndarray]:
-        self.params = np.concatenate([np.ravel(a) for a in arrays], dtype=float)
-        shapes = self.shapes()
-        bounds = [0, *accumulate(map(math.prod, shapes))]
-        self._layout = list(zip(bounds, bounds[1:], shapes))
+        arrays = [np.asarray(a, dtype=float) for a in arrays]
+        self.params = np.concatenate([a.ravel() for a in arrays])
+        bounds = [0, *accumulate(a.size for a in arrays)]
+        self._layout = list(zip(bounds, bounds[1:], (a.shape for a in arrays)))
         return self.unpack(self.params)
 
     def unpack(self, flat: np.ndarray) -> list[np.ndarray]:
@@ -49,19 +49,17 @@ class FlatParameters:
 
 @dataclass
 class DenseNetwork(FlatParameters):
-    layer_dims: tuple[int, ...]
     weights: tuple[np.ndarray, ...]
     biases: tuple[np.ndarray, ...]
     dropout_rate: float
 
     def __post_init__(self):
-        views = self._pack(a for layer in zip(self.weights, self.biases) for a in layer)
+        views = self._pack(a for pair in zip(self.weights, self.biases, strict=True) for a in pair)
         self.weights, self.biases = tuple(views[0::2]), tuple(views[1::2])
 
-    def shapes(self) -> list[tuple[int, ...]]:
-        """Weight then bias shape per layer."""
-        dims = self.layer_dims
-        return [s for n, m in zip(dims[:-1], dims[1:]) for s in ((m, n), (m,))]
+    @property
+    def layer_dims(self) -> tuple[int, ...]:
+        return (self.weights[0].shape[1], *(w.shape[0] for w in self.weights))
 
 
 @dataclass
@@ -103,12 +101,7 @@ def xavier_init(layer_dims, seed: int, dropout_rate: float = DEFAULT_DROPOUT) ->
     for fan_in, fan_out in zip(layer_dims[:-1], layer_dims[1:]):
         weights.append(xavier(rng, fan_out, fan_in))
         biases.append(np.zeros(fan_out))
-    return DenseNetwork(
-        layer_dims=layer_dims,
-        weights=weights,
-        biases=biases,
-        dropout_rate=float(dropout_rate),
-    )
+    return DenseNetwork(weights=weights, biases=biases, dropout_rate=float(dropout_rate))
 
 
 def dropout(x: np.ndarray, rate: float, rng: np.random.Generator | None) -> np.ndarray:
@@ -133,8 +126,8 @@ def forward(
     if mode not in ("train", "eval"):
         raise ConfigError(f"unknown mode: {mode!r}")
     a = np.asarray(x, dtype=float)
-    if a.ndim != 2 or a.shape[0] != net.layer_dims[0]:
-        raise ShapeError(f"input must be ({net.layer_dims[0]}, batch), got shape {a.shape}")
+    if a.ndim != 2 or a.shape[0] != net.weights[0].shape[1]:
+        raise ShapeError(f"input must be ({net.weights[0].shape[1]}, batch), got shape {a.shape}")
     train = mode == "train" and net.dropout_rate > 0
     activations = [a]
     for w, b in zip(net.weights[:-1], net.biases[:-1]):

@@ -252,27 +252,22 @@ def _side_by_side(first, second, name: str) -> tuple:
     ``first`` fails, the child is killed and reaped; a child that ends
     without a result is a ChildProcessError naming ``name``."""
     read_fd, write_fd = os.pipe()
-    try:
+    with os.fdopen(read_fd, "rb") as reader, os.fdopen(write_fd, "wb") as writer:
         pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid == 0:  # the child: report through the pipe, never return into the caller
-        status = 1
-        try:
-            os.close(read_fd)
+        if pid == 0:  # the child: report through the pipe, never return into the caller
+            status = 1
             try:
-                result = second()
-            except Exception as exc:
-                result = exc
-            with os.fdopen(write_fd, "wb") as pipe:
-                pickle.dump(result, pipe)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_fd)
-    with os.fdopen(read_fd, "rb") as pipe:
+                reader.close()
+                try:
+                    result = second()
+                except Exception as exc:
+                    result = exc
+                pickle.dump(result, writer)
+                writer.close()  # os._exit skips the with: flush here
+                status = 0
+            finally:
+                os._exit(status)
+        writer.close()
         try:
             result = first()
         except BaseException:
@@ -282,7 +277,7 @@ def _side_by_side(first, second, name: str) -> tuple:
             os.waitpid(pid, 0)
             raise
         try:
-            data = pipe.read()
+            data = reader.read()
         finally:
             status = os.waitpid(pid, 0)[1]
     if status != 0:
@@ -321,7 +316,7 @@ def cmd_train_climate(cfg: PipelineConfig) -> dict:
     for variable, train_cfg in zip(FORECAST_VARIABLES, train_cfgs):
         usable = _windowed(series.get(variable, {}), width, summary["skipped"])
         if not usable:
-            raise DataError(f"no trainable windows for variable {variable!r}")
+            raise DataError(f"{cfg.series}: no trainable windows for variable {variable!r}")
         windows = np.concatenate([w for _, w in usable])
         # A window too large to standardize fails here, naming its series, before any training.
         standardize_rows(windows, cfg.lookback, np.repeat(
@@ -351,7 +346,7 @@ def cmd_train_climate(cfg: PipelineConfig) -> dict:
             k_min=estimate_k(mean, low, "min"), k_max=estimate_k(mean, high, "max")
         )
     if not offsets:
-        raise DataError("no region has all three temperature series")
+        raise DataError(f"{cfg.series}: no region has all three temperature series")
 
     # Global linear model: days of precipitation from precipitation amount.
     days_model = fit_linear(
@@ -455,7 +450,8 @@ def cmd_project(cfg: PipelineConfig) -> dict:
     if cfg.regions is None:
         raise ConfigError("project needs --regions (region elevations)")
     years = sorted(set(cfg.years or [cfg.target_year]))
-    table = ingest.read_annual(cfg.artifact(FORECAST_CSV), ingest.FORECAST_COLUMNS)
+    forecast_path = cfg.artifact(FORECAST_CSV)
+    table = ingest.read_annual(forecast_path, ingest.FORECAST_COLUMNS)
     elevations = ingest.parse_regions(cfg.regions)
     model_path = cfg.artifact(ABUNDANCE_MODEL_JSON)
     net = serialize.read_file(model_path, serialize.deserialize_network)
@@ -484,9 +480,8 @@ def cmd_project(cfg: PipelineConfig) -> dict:
             values = []
             for variable in needed:
                 if variable not in per_variable or year not in per_variable[variable]:
-                    raise DataError(
-                        f"forecast value missing for {region_id}/{variable}/{year}"
-                    )
+                    raise DataError(f"{forecast_path}: forecast value missing for "
+                                    f"{region_id}/{variable}/{year}")
                 values.append(per_variable[variable][year])
             keys.append((region_id, year))
             rows.append([*values, elevations[region_id]])
@@ -522,7 +517,8 @@ def cmd_report(cfg: PipelineConfig) -> dict:
         raise ConfigError("report needs --start-year and --end-year")
     if start_year == end_year:
         raise ConfigError(f"--start-year and --end-year must differ: {start_year}")
-    projections = ingest.parse_projections(cfg.artifact(PROJECTIONS_CSV))
+    projections_path = cfg.artifact(PROJECTIONS_CSV)
+    projections = ingest.parse_projections(projections_path)
     geometry = None if cfg.geometry is None else read_geometry(cfg.geometry)
     if cfg.geometry_out is not None:
         if not cfg.geometry_out.name:  # "", "." or "/"
@@ -539,10 +535,8 @@ def cmd_report(cfg: PipelineConfig) -> dict:
         start = projections[region].get(start_year)
         end = projections[region].get(end_year)
         if start is None or end is None:
-            raise DataError(
-                f"projections for region {region!r} must cover both "
-                f"{start_year} and {end_year}"
-            )
+            raise DataError(f"{projections_path}: projections for region {region!r} "
+                            f"must cover both {start_year} and {end_year}")
         v0, v1 = start["abundance"], end["abundance"]
         change = 100.0 * (v1 - v0) / v0 if v0 != 0 else None
         table.append((region, v0, v1, change))
@@ -550,14 +544,12 @@ def cmd_report(cfg: PipelineConfig) -> dict:
     summary = {"regions": len(regions), "start_year": start_year, "end_year": end_year}
     artifacts = {}
     if geometry is not None:
-        merged, unmatched = merge_geometry(
-            geometry,
-            {
-                region: {**projections[region][end_year], "percent_change": change}
-                for region, _, _, change in table
-            },
-            cfg.region_key,
-        )
+        values = {region: {**projections[region][end_year], "percent_change": change}
+                  for region, _, _, change in table}
+        try:
+            merged, unmatched = merge_geometry(geometry, values, cfg.region_key)
+        except DataError as exc:
+            raise DataError(f"{cfg.geometry}: {exc}") from None
         if unmatched:
             _warn(f"regions missing from geometry: {', '.join(unmatched)}")
             summary["unmatched_regions"] = unmatched

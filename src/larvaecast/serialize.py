@@ -232,12 +232,7 @@ def deserialize_network(text: str) -> DenseNetwork:
     for i, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
         weights.append(_array("dense", f"weights[{i}]", raw_w[i], fan_out, fan_in))
         biases.append(_array("dense", f"biases[{i}]", raw_b[i], fan_out))
-    return DenseNetwork(
-        layer_dims=dims,
-        weights=weights,
-        biases=biases,
-        dropout_rate=dropout_rate,
-    )
+    return DenseNetwork(weights=weights, biases=biases, dropout_rate=dropout_rate)
 
 
 # -- lstm ---------------------------------------------------------------
@@ -276,8 +271,6 @@ def deserialize_lstm(text: str) -> LstmModel:
         u.append(_array("lstm", f"u_{gate}", _require(doc, f"u_{gate}", "lstm"), hidden, hidden))
         b.append(_array("lstm", f"b_{gate}", _require(doc, f"b_{gate}", "lstm"), hidden))
     return LstmModel(
-        hidden_size=hidden,
-        output_len=out,
         lookback=lookback,
         input_dropout_rate=dropout_rate,
         weights=np.hstack([np.vstack(w), np.vstack(u)]),

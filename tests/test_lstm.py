@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -172,6 +173,18 @@ class TestLstmForward:
         with pytest.raises(ConfigError, match=r"^hidden_size=100000000000000000000, "
                                               "output_len=10: too many float64 parameters"):
             lstm_init(0, hidden_size=10**20)
+
+    def test_replace_with_a_resized_head_reads_it_back(self):
+        """``output_len`` is the head's shape, so a replaced head is read
+        back as given, not through the old model's sizes."""
+        model = lstm_init(seed=1, hidden_size=3, output_len=2)
+        head_w = np.arange(9.0).reshape(3, 3)
+        longer = dataclasses.replace(model, head_w=head_w, head_b=[7.0, 8.0, 9.0])
+        assert (longer.hidden_size, longer.output_len) == (3, 3)
+        np.testing.assert_array_equal(longer.head_w, head_w)
+        np.testing.assert_array_equal(longer.head_b, [7.0, 8.0, 9.0])
+        np.testing.assert_array_equal(longer.weights, model.weights)
+        assert lstm_forward(longer, np.zeros((4, 2)))[0].shape == (3, 2)
 
     def test_train_mode_requires_rng(self):
         model = lstm_init(seed=0, hidden_size=3, output_len=2)

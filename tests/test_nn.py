@@ -257,6 +257,21 @@ class TestFlatParameters:
         assert first_array(clone).flat[0] == 123.0
         assert original.params[0] != 123.0 and first_array(original).flat[0] != 123.0
 
+    def test_replace_with_resized_layers_reads_them_back(self):
+        """The sizes are the arrays' shapes, so a replaced model has no
+        stale size to lay its new arrays out by."""
+        net = xavier_init([2, 3, 1], seed=0)
+        weights = [np.arange(8.0).reshape(4, 2), np.arange(4.0)[None, :] + 10]
+        biases = [np.arange(4.0) + 20, np.array([30.0])]
+        wider = dataclasses.replace(net, weights=weights, biases=biases)
+        assert wider.layer_dims == (2, 4, 1)
+        assert wider.params.size == 17
+        for got, given in zip(wider.weights + wider.biases, weights + biases):
+            np.testing.assert_array_equal(got, given)
+        assert forward(wider, np.ones((2, 5)))[0].shape == (1, 5)
+        with pytest.raises(ValueError):  # a layer without its bias is not a shorter network
+            dataclasses.replace(net, biases=biases[:1])
+
     def test_dense_layers_cannot_be_rebound(self):
         net = xavier_init([2, 2], seed=0)
         with pytest.raises(TypeError):

@@ -139,6 +139,17 @@ def test_synth_writes_the_bundled_data(synth_data):
         assert path.read_bytes() == (data / path.name).read_bytes(), name
 
 
+def test_synth_main(tmp_path, capsys):
+    """``python -m larvaecast.synth`` takes one argument, the directory it
+    writes ``data/``'s files to, byte for byte."""
+    assert synth.main([]) == 2
+    assert capsys.readouterr().err == "usage: python -m larvaecast.synth OUT_DIR\n"
+    assert synth.main([str(tmp_path)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 4
+    data = Path(__file__).resolve().parents[1] / "data"
+    assert file_bytes(tmp_path) == file_bytes(data)
+
+
 class TestTrainAbundance:
     def test_degenerate_holdout_rejected(self, fixture_cfg):
         cmd_prepare(fixture_cfg)
@@ -842,6 +853,13 @@ class TestCliRejectsBadNumbers:
     def test_infinite_station_precipitation(self, tmp_path, capsys):
         assert_parse_error(self.prepare(tmp_path, "precip_mm", "inf"), capsys, "precip_mm")
 
+    @pytest.mark.parametrize("month", ["2012-13", "2012"])
+    def test_station_month_not_a_year_and_month(self, tmp_path, capsys, month):
+        doc = assert_data_error(self.prepare(tmp_path, "month", month), capsys, "ParseError",
+                                f"column 'month': cannot parse '{month}'")
+        assert doc["message"].startswith(f"{tmp_path / 'data' / 'stations.csv'}: ")
+        assert not (tmp_path / "out").exists()
+
     def test_nan_series_value(self, tmp_path, capsys):
         series = tmp_path / "series.csv"
         series.write_text(
@@ -1136,6 +1154,23 @@ class TestTrainClimateSideBySide:
         assert_data_error(code, capsys, "ChildProcessError", "'summer_precip'")
         assert not list(out.glob("lstm_*.json"))
 
+    def test_failed_fork_exits_3_and_leaks_no_pipe(
+        self, tmp_path, pipeline_run, capsys, monkeypatch
+    ):
+        """A fork refused for want of processes: the pipe's two ends are
+        closed again, and nothing is written."""
+        def refuse(*args):
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        fds = Path("/proc/self/fd")
+        open_fds = (lambda: len(os.listdir(fds))) if fds.is_dir() else (lambda: None)
+        before_fds = open_fds()
+        monkeypatch.setattr(pipeline.os, "fork", refuse)
+        code, out = self.train_climate(tmp_path, pipeline_run)
+        assert_data_error(code, capsys, "BlockingIOError", "Resource temporarily unavailable")
+        assert file_bytes(out) == {FEATURES_CSV: (pipeline_run.out_dir / FEATURES_CSV).read_bytes()}
+        assert open_fds() == before_fds
+
     def test_missing_offsets_series_fails_before_training(
         self, tmp_path, pipeline_run, capsys, monkeypatch
     ):
@@ -1162,7 +1197,8 @@ class TestTrainClimateSideBySide:
         assert code == 3
         error = capsys.readouterr().err.splitlines()[-1]
         assert json.loads(error) == {"error": "DataError",
-                                     "message": "no region has all three temperature series"}
+                                     "message": f"{series}: no region has all three "
+                                                "temperature series"}
         assert calls == []
         assert file_bytes(tmp_path) == {**before, "series.csv": series.read_bytes()}
 
@@ -1446,10 +1482,15 @@ class TestReportGeometry:
             ('{"features": [', "ParseError", "malformed JSON"),
             ("[]", "ParseError", "root must be an object"),
             ('{"features": [1]}', "DataError", "feature 0"),
+            ('{"type": "FeatureCollection"}', "DataError",
+             "regions.geojson: geometry document has no 'features' list"),
+            ('{"features": [{"properties": [1]}]}', "DataError",
+             "regions.geojson: geometry feature 0: 'properties' is not an object"),
             *((GEOMETRY_POINT % number, "ParseError", f"non-finite number: {number}")
               for number in ("NaN", "-Infinity", "1e999")),
         ],
         ids=["missing", "malformed", "non-object-root", "non-object-feature",
+             "no-features-list", "non-object-properties",
              "nan", "infinity", "beyond-float-range"],
     )
     def test_bad_geometry_is_data_error(self, tmp_path, capsys, content, error, text):
@@ -1828,6 +1869,66 @@ def test_deeply_nested_json_is_a_parse_error(tmp_path, capsys, pipeline_run, nam
     doc = assert_data_error(run(), capsys, "ParseError", "nested too deeply")
     assert doc["message"] == f"{path}: malformed JSON: nested too deeply to read"
     assert file_bytes(tmp_path) == before
+
+
+def copy_lines(source, dest, drop) -> Path:
+    """Write ``source`` to ``dest`` without the lines ``drop`` accepts."""
+    lines = Path(source).read_text().splitlines(keepends=True)
+    dest.write_text("".join(line for line in lines if not drop(line)))
+    return dest
+
+
+def short_precip_series(tmp_path, data) -> Path:
+    """The series with every summer_precip series cut to 29 years, one short of a window."""
+    return copy_lines(data["series"], tmp_path / "series.csv", lambda line: (
+        ",summer_precip," in line and int(line.split(",")[2]) >= 2008))
+
+
+def lstm_dropping_every_input(out) -> Path:
+    path = out / lstm_document_name("summer_tmean")
+    path.write_text(replaced("input_dropout_rate", lambda _: 1.0)(path.read_text()))
+    return path
+
+
+# A stage refused for what one file holds, on a copy of the pipeline run's
+# --out-dir: (the stage's arguments, the error and its message, naming the
+# file), each built from the test's tmp_path, that --out-dir and the data.
+REFUSALS = {
+    "region-missing-from-regions": lambda tmp, out, data: (
+        ["project", "--regions", str(copy_lines(data["regions"], tmp / "regions.csv",
+                                                lambda line: line.startswith("piedmont,")))],
+        "DataError", f"region 'piedmont' missing from {tmp / 'regions.csv'}"),
+    **{f"project-year-{year}": lambda tmp, out, data, year=year: (
+        ["project", "--regions", str(data["regions"]), "--year", str(year)],
+        "DataError",
+        f"{out / FORECAST_CSV}: forecast value missing for cascade-ridge/summer_tmean/{year}")
+       for year in (2021, 2060)},
+    "end-year-not-projected": lambda tmp, out, data: (
+        ["report", "--start-year", "2030", "--end-year", "2040"],
+        "DataError", f"{out / PROJECTIONS_CSV}: projections for region 'cascade-ridge' "
+                     "must cover both 2030 and 2040"),
+    "precip-series-too-short": lambda tmp, out, data: (
+        ["train-climate", "--seed", "1", "--series", str(short_precip_series(tmp, data))],
+        "DataError", f"{tmp / 'series.csv'}: no trainable windows for variable 'summer_precip'"),
+    "lstm-dropping-every-input": lambda tmp, out, data: (
+        ["forecast", "--series", str(data["series"])],
+        "ParseError", f"{lstm_dropping_every_input(out)}: lstm document: "
+                      "input_dropout_rate must lie in [0, 1)"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_refusal_names_its_file_and_writes_nothing(tmp_path, capsys, pipeline_run, case):
+    out = tmp_path / "out"
+    shutil.copytree(pipeline_run.out_dir, out)
+    argv, error, message = REFUSALS[case](tmp_path, out, pipeline_run.data)
+    before = file_bytes(out)
+    code = cli.main([argv[0], "--out-dir", str(out), *argv[1:]])
+    *warnings, last = capsys.readouterr().err.splitlines()
+    assert code == 3
+    assert all(line.startswith("warning: ") for line in warnings)
+    assert json.loads(last) == {"error": error, "message": message}
+    assert file_bytes(out) == before
 
 
 class TestDocumentsTheStageCannotRun:
